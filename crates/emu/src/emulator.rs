@@ -73,6 +73,10 @@ pub struct Emulator<'p> {
     page_budget: Option<usize>,
 }
 
+// The program text is not captured: a restore target must be constructed
+// over the same program.
+crisp_words::fields! { Emulator<'_> { pc, halted, retired, regs, mem } }
+
 impl<'p> Emulator<'p> {
     /// Creates an emulator at the program entry with the given initial
     /// memory image and zeroed registers.
@@ -336,49 +340,13 @@ impl<'p> Emulator<'p> {
             }),
         }
     }
-
-    /// Serialises the architectural state — pc, halt flag, retirement
-    /// count, register file and the sparse memory image — as a flat word
-    /// vector. The program text is *not* captured; a restore target must
-    /// be constructed over the same program.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut words = Vec::with_capacity(3 + Reg::COUNT);
-        words.push(u64::from(self.pc));
-        words.push(u64::from(self.halted));
-        words.push(self.retired);
-        words.extend_from_slice(&self.regs);
-        words.extend(self.mem.snapshot_words());
-        words
-    }
-
-    /// Restores state captured by [`Emulator::snapshot_words`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural problem; the
-    /// emulator should be discarded on error (state may be partial).
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        if words.len() < 3 + Reg::COUNT {
-            return Err("emulator snapshot: truncated header".to_string());
-        }
-        let pc =
-            Pc::try_from(words[0]).map_err(|_| "emulator snapshot: pc overflow".to_string())?;
-        self.halted = match words[1] {
-            0 => false,
-            1 => true,
-            v => return Err(format!("emulator snapshot: bad halt flag {v}")),
-        };
-        self.pc = pc;
-        self.retired = words[2];
-        self.regs.copy_from_slice(&words[3..3 + Reg::COUNT]);
-        self.mem.restore_words(&words[3 + Reg::COUNT..])
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crisp_isa::{Cond, ProgramBuilder};
+    use crisp_words::Snapshot;
 
     fn r(i: u8) -> Reg {
         Reg::new(i)

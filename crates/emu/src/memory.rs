@@ -1,3 +1,4 @@
+use crisp_words::{Reader, Snapshot};
 use std::collections::HashMap;
 
 const PAGE_SHIFT: u64 = 12;
@@ -22,6 +23,40 @@ const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 #[derive(Clone, Debug, Default)]
 pub struct Memory {
     pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+}
+
+/// `[page_count, (page_index, 512 data words)...]`, pages in ascending
+/// index order so the encoding does not depend on hash-map iteration
+/// order.
+impl Snapshot for Memory {
+    fn put(&self, out: &mut Vec<u64>) {
+        let mut keys: Vec<u64> = self.pages.keys().copied().collect();
+        keys.sort_unstable();
+        out.push(keys.len() as u64);
+        for k in keys {
+            out.push(k);
+            let page = self.pages[&k].chunks_exact(8);
+            out.extend(page.map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))));
+        }
+    }
+
+    fn take(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        let n = r.count()?;
+        self.pages.clear();
+        for _ in 0..n {
+            let idx = r.u64()?;
+            let mut words = [0u64; PAGE_SIZE / 8];
+            words.take(r)?;
+            let mut page = Box::new([0u8; PAGE_SIZE]);
+            for (bytes, w) in page.chunks_exact_mut(8).zip(words) {
+                bytes.copy_from_slice(&w.to_le_bytes());
+            }
+            if self.pages.insert(idx, page).is_some() {
+                return Err(format!("duplicate page {idx:#x}"));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Memory {
@@ -115,63 +150,6 @@ impl Memory {
         for (i, v) in values.iter().enumerate() {
             self.write_u64(addr + 8 * i as u64, *v);
         }
-    }
-
-    /// Serialises the allocated pages as a flat word vector:
-    /// `[page_count, (page_index, 512 data words)...]`.
-    ///
-    /// Pages are emitted in ascending index order so the encoding is
-    /// deterministic regardless of hash-map iteration order — a
-    /// requirement for byte-identical checkpoint round-trips.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut keys: Vec<u64> = self.pages.keys().copied().collect();
-        keys.sort_unstable();
-        let mut words = Vec::with_capacity(1 + keys.len() * (1 + PAGE_SIZE / 8));
-        words.push(keys.len() as u64);
-        for k in keys {
-            words.push(k);
-            let page = &self.pages[&k];
-            for chunk in page.chunks_exact(8) {
-                words.push(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-            }
-        }
-        words
-    }
-
-    /// Rebuilds the image from [`Memory::snapshot_words`] output,
-    /// replacing all current contents.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural problem (truncated
-    /// data, duplicate page, trailing words) without modifying guarantees
-    /// about partial state — callers should discard the image on error.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let (&count, mut rest) = words
-            .split_first()
-            .ok_or_else(|| "memory snapshot: empty".to_string())?;
-        self.pages.clear();
-        for _ in 0..count {
-            let (&idx, after) = rest
-                .split_first()
-                .ok_or_else(|| "memory snapshot: truncated page header".to_string())?;
-            if after.len() < PAGE_SIZE / 8 {
-                return Err("memory snapshot: truncated page data".to_string());
-            }
-            let (data, tail) = after.split_at(PAGE_SIZE / 8);
-            let mut page = Box::new([0u8; PAGE_SIZE]);
-            for (i, w) in data.iter().enumerate() {
-                page[8 * i..8 * i + 8].copy_from_slice(&w.to_le_bytes());
-            }
-            if self.pages.insert(idx, page).is_some() {
-                return Err(format!("memory snapshot: duplicate page {idx:#x}"));
-            }
-            rest = tail;
-        }
-        if !rest.is_empty() {
-            return Err("memory snapshot: trailing words".to_string());
-        }
-        Ok(())
     }
 }
 

@@ -8,7 +8,7 @@
 //! magic "CRSPCKPT"           8 bytes
 //! format version             u64 LE
 //! spec fingerprint (low)     u64 LE   FNV-1a 128 of the cell's spec string
-//! spec fingerprint (high)    u64 LE   (v1 files carry a single 64-bit word)
+//! spec fingerprint (high)    u64 LE
 //! snapshot cycle             u64 LE
 //! section count              u64 LE
 //! per section:
@@ -27,7 +27,6 @@
 //! fingerprint, per-section CRC, and the end marker; a file cut short at
 //! any byte is reported as [`CheckpointError::Torn`], never mis-decoded.
 
-use crate::journal::fnv1a64;
 use crisp_sim::SimSnapshot;
 use crisp_store::fnv1a128;
 use std::fs::{self, File};
@@ -43,8 +42,8 @@ pub use crisp_store::crc32;
 /// - v1 — a single 64-bit FNV-1a spec fingerprint;
 /// - v2 — a 128-bit fingerprint stored as two u64 words (low, high).
 ///
-/// v1 files remain readable: the reader verifies them against the 64-bit
-/// fingerprint of the same spec string.
+/// Only the current version is read; any other is a
+/// [`CheckpointError::VersionMismatch`].
 pub const CHECKPOINT_VERSION: u64 = 2;
 
 const MAGIC: &[u8; 8] = b"CRSPCKPT";
@@ -87,11 +86,9 @@ pub enum CheckpointError {
     FingerprintMismatch {
         /// The checkpoint path.
         path: PathBuf,
-        /// Fingerprint found in the file (v1 fingerprints occupy the low
-        /// 64 bits).
+        /// Fingerprint found in the file.
         found: u128,
-        /// Fingerprint of the spec attempting the restore, at the width
-        /// the file's format version uses.
+        /// Fingerprint of the spec attempting the restore.
         expected: u128,
     },
     /// A section's payload failed its CRC — bit rot or partial overwrite.
@@ -265,28 +262,18 @@ pub fn read_checkpoint(path: &Path, spec: &str) -> Result<SimSnapshot, Checkpoin
             path: path.to_path_buf(),
         });
     }
-    let version = r.u64("version")?;
-    // v1 carried one 64-bit fingerprint word; v2 carries two. Verify at
-    // the width the file was written with, so v1 checkpoints stay
-    // restorable across the fingerprint upgrade.
-    let (fingerprint, expected) = match version {
-        1 => (u128::from(r.u64("fingerprint")?), u128::from(fnv1a64(spec))),
-        2 => {
-            let lo = r.u64("fingerprint (low)")?;
-            let hi = r.u64("fingerprint (high)")?;
-            (
-                (u128::from(hi) << 64) | u128::from(lo),
-                fnv1a128(spec.as_bytes()),
-            )
-        }
-        found => {
-            return Err(CheckpointError::VersionMismatch {
-                path: path.to_path_buf(),
-                found,
-                expected: CHECKPOINT_VERSION,
-            })
-        }
-    };
+    let found = r.u64("version")?;
+    if found != CHECKPOINT_VERSION {
+        return Err(CheckpointError::VersionMismatch {
+            path: path.to_path_buf(),
+            found,
+            expected: CHECKPOINT_VERSION,
+        });
+    }
+    let lo = r.u64("fingerprint (low)")?;
+    let hi = r.u64("fingerprint (high)")?;
+    let fingerprint = (u128::from(hi) << 64) | u128::from(lo);
+    let expected = fnv1a128(spec.as_bytes());
     if fingerprint != expected {
         return Err(CheckpointError::FingerprintMismatch {
             path: path.to_path_buf(),
@@ -481,20 +468,23 @@ mod tests {
         );
         assert!(err.to_string().contains("different configuration"));
 
-        // Bumped version byte.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8] = 99;
-        let vpath = dir.join("versioned.ckpt");
-        std::fs::write(&vpath, &bytes).unwrap();
-        let err = read_checkpoint(&vpath, "spec-a").unwrap_err();
-        assert_eq!(
-            err,
-            CheckpointError::VersionMismatch {
-                path: vpath,
-                found: 99,
-                expected: CHECKPOINT_VERSION
-            }
-        );
+        // A bumped version byte, and a v1 file (whose 64-bit fingerprint
+        // is no longer read).
+        for found in [99, 1] {
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[8] = found as u8;
+            let vpath = dir.join("versioned.ckpt");
+            std::fs::write(&vpath, &bytes).unwrap();
+            let err = read_checkpoint(&vpath, "spec-a").unwrap_err();
+            assert_eq!(
+                err,
+                CheckpointError::VersionMismatch {
+                    path: vpath,
+                    found,
+                    expected: CHECKPOINT_VERSION
+                }
+            );
+        }
 
         // Alien file.
         let apath = dir.join("alien.ckpt");
@@ -522,53 +512,6 @@ mod tests {
                 path: path.clone(),
                 section: "engine".to_string()
             }
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Encodes a checkpoint exactly as PR-4 binaries did: version 1 with
-    /// a single 64-bit fingerprint word.
-    fn encode_v1(spec: &str, snapshot: &SimSnapshot) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&1u64.to_le_bytes());
-        out.extend_from_slice(&fnv1a64(spec).to_le_bytes());
-        out.extend_from_slice(&snapshot.cycle.to_le_bytes());
-        out.extend_from_slice(&(snapshot.sections.len() as u64).to_le_bytes());
-        for (name, words) in &snapshot.sections {
-            out.extend_from_slice(&(name.len() as u64).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            while out.len() % 8 != 0 {
-                out.push(0);
-            }
-            out.extend_from_slice(&(words.len() as u64).to_le_bytes());
-            let mut payload = Vec::with_capacity(words.len() * 8);
-            for w in words {
-                payload.extend_from_slice(&w.to_le_bytes());
-            }
-            out.extend_from_slice(&u64::from(crc32(&payload)).to_le_bytes());
-            out.extend_from_slice(&payload);
-        }
-        out.extend_from_slice(END_MARKER);
-        out
-    }
-
-    #[test]
-    fn v1_checkpoints_remain_restorable() {
-        let dir = temp_dir("v1-compat");
-        let path = dir.join("old.ckpt");
-        let snap = sample_snapshot();
-        std::fs::write(&path, encode_v1("fig7/mcf v1", &snap)).unwrap();
-        assert_eq!(read_checkpoint(&path, "fig7/mcf v1").unwrap(), snap);
-        // The v1 fingerprint is still verified, just at 64-bit width.
-        let err = read_checkpoint(&path, "fig7/mcf v2").unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CheckpointError::FingerprintMismatch { found, .. }
-                    if found == u128::from(fnv1a64("fig7/mcf v1"))
-            ),
-            "{err}"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

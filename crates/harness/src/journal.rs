@@ -22,19 +22,11 @@ use std::path::{Path, PathBuf};
 /// - v2 — 128-bit fingerprints (32 hex digits) and an optional `cached`
 ///   field on `ok` records naming the store entry a payload came from.
 ///
-/// Loading still accepts v1 lines: a 16-digit hash widens losslessly into
-/// the low half of a `u128`, and resume compares against both widths.
+/// Lines of any other version are skipped by the tolerant loader.
 pub const JOURNAL_VERSION: u64 = 2;
 
-/// Oldest journal version the tolerant loader still decodes.
-pub const JOURNAL_VERSION_MIN: u64 = 1;
-
-fn known_version(v: u64) -> bool {
-    (JOURNAL_VERSION_MIN..=JOURNAL_VERSION).contains(&v)
-}
-
-/// FNV-1a 64-bit hash — the v1 job-spec fingerprint, kept for decoding
-/// old manifests and for seeding the retry-backoff jitter.
+/// FNV-1a 64-bit hash — seeds the retry-backoff jitter, span ids and
+/// the `crisp` CLI's randomised inputs.
 pub fn fnv1a64(data: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in data.as_bytes() {
@@ -84,8 +76,7 @@ pub enum AttemptOutcome {
 pub struct AttemptRecord {
     /// Job id, e.g. `fig7/mcf`.
     pub job: String,
-    /// FNV-1a 128-bit hash of the job's spec string (v1 lines decode
-    /// their 64-bit hash into the low half).
+    /// FNV-1a 128-bit hash of the job's spec string.
     pub hash: u128,
     /// 1-based attempt number.
     pub attempt: u32,
@@ -137,11 +128,10 @@ impl AttemptRecord {
     /// different journal version (the tolerant-load contract).
     pub fn decode(line: &str) -> Option<AttemptRecord> {
         let v = parse(line).ok()?;
-        if !known_version(v.get("v")?.as_u64()?) || v.get("kind")?.as_str()? != "attempt" {
+        if v.get("v")?.as_u64()? != JOURNAL_VERSION || v.get("kind")?.as_str()? != "attempt" {
             return None;
         }
         let job = v.get("job")?.as_str()?.to_string();
-        // v1 hashes are 16 hex digits, v2 are 32; both widen into a u128.
         let hash = u128::from_str_radix(v.get("hash")?.as_str()?, 16).ok()?;
         let attempt = u32::try_from(v.get("attempt")?.as_u64()?).ok()?;
         let outcome = match v.get("outcome")?.as_str()? {
@@ -208,7 +198,7 @@ impl ProgressRecord {
     /// different kind/version.
     pub fn decode(line: &str) -> Option<ProgressRecord> {
         let v = parse(line).ok()?;
-        if !known_version(v.get("v")?.as_u64()?) || v.get("kind")?.as_str()? != "progress" {
+        if v.get("v")?.as_u64()? != JOURNAL_VERSION || v.get("kind")?.as_str()? != "progress" {
             return None;
         }
         Some(ProgressRecord {
@@ -232,7 +222,7 @@ fn encode_header(h: &SweepHeader) -> String {
 
 fn decode_header(line: &str) -> Option<SweepHeader> {
     let v = parse(line).ok()?;
-    if !known_version(v.get("v")?.as_u64()?) || v.get("kind")?.as_str()? != "sweep" {
+    if v.get("v")?.as_u64()? != JOURNAL_VERSION || v.get("kind")?.as_str()? != "sweep" {
         return None;
     }
     Some(SweepHeader {
@@ -471,8 +461,7 @@ pub struct ManifestSummary {
     /// The sweep header, if the first line parsed as one.
     pub header: Option<SweepHeader>,
     /// Final `Ok` record per job id: `(spec hash, payload, attempt)`.
-    /// Completed jobs are final — resume never re-runs them. Hashes from
-    /// v1 manifests occupy the low 64 bits of the `u128`.
+    /// Completed jobs are final — resume never re-runs them.
     pub completed: BTreeMap<String, (u128, Vec<f64>, u32)>,
     /// Highest failed attempt seen per job id (jobs with a later `Ok` are
     /// removed). Failed jobs get a *fresh* retry budget on resume.
@@ -871,33 +860,21 @@ mod tests {
     }
 
     #[test]
-    fn v1_manifest_lines_still_decode() {
-        // A literal line as PR-5 binaries wrote it: v1, 16-hex hash, no
+    fn v1_manifest_lines_are_skipped() {
+        // Literal lines as v1 binaries wrote them: 16-hex hash, no
         // `cached` field.
         let line = format!(
             "{{\"v\":1,\"kind\":\"attempt\",\"job\":\"a\",\"hash\":\"{:016x}\",\
              \"attempt\":2,\"outcome\":\"ok\",\"payload\":[1.5,-0.25]}}",
             fnv1a64("a spec-v1")
         );
-        let rec = AttemptRecord::decode(&line).expect("v1 lines stay readable");
-        assert_eq!(rec.hash, u128::from(fnv1a64("a spec-v1")));
-        assert_eq!(
-            rec.outcome,
-            AttemptOutcome::Ok {
-                payload: vec![1.5, -0.25],
-                cached: None,
-            }
-        );
+        assert_eq!(AttemptRecord::decode(&line), None);
         let header = "{\"v\":1,\"kind\":\"sweep\",\"spec\":\"s\",\"jobs\":3}";
-        assert_eq!(
-            decode_header(header),
-            Some(SweepHeader {
-                spec: "s".into(),
-                jobs: 3
-            })
-        );
+        assert_eq!(decode_header(header), None);
         let beat = "{\"v\":1,\"kind\":\"progress\",\"job\":\"a\",\"cycles\":7,\
                     \"instrs\":3,\"wall_ms\":1}";
-        assert!(ProgressRecord::decode(beat).is_some());
+        assert!(ProgressRecord::decode(beat).is_none());
+        // The same lines at the current version decode.
+        assert!(AttemptRecord::decode(&line.replace("\"v\":1", "\"v\":2")).is_some());
     }
 }

@@ -62,8 +62,7 @@ impl JobSpec {
         fnv1a128(self.spec.as_bytes())
     }
 
-    /// The legacy 64-bit fingerprint, kept for matching v1 manifests on
-    /// resume and for seeding retry-backoff jitter.
+    /// A 64-bit fingerprint, seeding the retry-backoff jitter.
     pub fn fingerprint64(&self) -> u64 {
         fnv1a64(&self.spec)
     }
@@ -575,10 +574,7 @@ pub fn run_sweep(
         }
         for job in jobs {
             if let Some((hash, payload, attempts)) = summary.completed.get(&job.id) {
-                // v2 manifests record the 128-bit fingerprint; v1 lines
-                // decode with the legacy 64-bit one in the low half.
-                // Accept either — both hash the same spec string.
-                if *hash == job.fingerprint() || *hash == u128::from(job.fingerprint64()) {
+                if *hash == job.fingerprint() {
                     outcomes.insert(
                         job.id.clone(),
                         JobOutcome::Completed {

@@ -137,7 +137,7 @@ pub struct FillOutcome {
     pub evicted_unused_prefetch: Option<u8>,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Way {
     tag: u64,
     stamp: u64,
@@ -145,6 +145,30 @@ struct Way {
     /// 0 = demand fill; `k` = prefetch fill with source tag `k` (cleared
     /// on the first demand hit).
     pf: u8,
+}
+
+crisp_words::fields! { CacheStats {
+    accesses, misses, prefetch_fills, prefetch_hits, prefetch_probes, prefetch_misses
+} }
+
+/// Tag, stamp, then the valid bit and prefetch source packed in one word.
+impl crisp_words::Snapshot for Way {
+    fn put(&self, out: &mut Vec<u64>) {
+        out.extend([
+            self.tag,
+            self.stamp,
+            u64::from(self.valid) | u64::from(self.pf) << 1,
+        ]);
+    }
+
+    fn take(&mut self, r: &mut crisp_words::Reader<'_>) -> Result<(), String> {
+        self.tag = r.u64()?;
+        self.stamp = r.u64()?;
+        let flags = r.u64()?;
+        self.valid = flags & 1 != 0;
+        self.pf = u8::try_from(flags >> 1).map_err(|_| format!("bad way flags {flags}"))?;
+        Ok(())
+    }
 }
 
 /// A set-associative cache with true-LRU replacement.
@@ -171,6 +195,15 @@ pub struct Cache {
     stamp: u64,
     stats: CacheStats,
 }
+
+// The geometry (set and way counts) comes from the configuration; the
+// set count is echoed and checked, the per-set fill is bounded below.
+crisp_words::fields! { Cache { stamp, stats, sets as lists } check |c| {
+    match c.sets.iter().find(|set| set.len() > c.ways) {
+        Some(set) => Err(format!("{} ways in a set, expected at most {}", set.len(), c.ways)),
+        None => Ok(()),
+    }
+} }
 
 impl Cache {
     /// Builds a cache from its geometry.
@@ -332,89 +365,12 @@ impl Cache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    /// Serialises tags, LRU stamps and counters as a flat word vector.
-    /// The geometry (set/way counts) is config-derived and not captured.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = vec![
-            self.stamp,
-            self.stats.accesses,
-            self.stats.misses,
-            self.stats.prefetch_fills,
-            self.stats.prefetch_hits,
-            self.stats.prefetch_probes,
-            self.stats.prefetch_misses,
-            self.sets.len() as u64,
-        ];
-        for set in &self.sets {
-            w.push(set.len() as u64);
-            for way in set {
-                w.push(way.tag);
-                w.push(way.stamp);
-                w.push(u64::from(way.valid) | (u64::from(way.pf) << 1));
-            }
-        }
-        w
-    }
-
-    /// Restores state captured by [`Cache::snapshot_words`] into a cache
-    /// of the same geometry.
-    ///
-    /// # Errors
-    ///
-    /// Rejects geometry mismatches and malformed input; the cache should
-    /// be discarded on error.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = crate::wcodec::Reader::new(words, "cache");
-        let stamp = r.u64()?;
-        let stats = CacheStats {
-            accesses: r.u64()?,
-            misses: r.u64()?,
-            prefetch_fills: r.u64()?,
-            prefetch_hits: r.u64()?,
-            prefetch_probes: r.u64()?,
-            prefetch_misses: r.u64()?,
-        };
-        let n_sets = r.usize()?;
-        if n_sets != self.sets.len() {
-            return Err(format!(
-                "cache snapshot: {n_sets} sets, expected {} (geometry mismatch)",
-                self.sets.len()
-            ));
-        }
-        self.stamp = stamp;
-        self.stats = stats;
-        for set in &mut self.sets {
-            let n = r.usize()?;
-            if n > self.ways {
-                return Err(format!(
-                    "cache snapshot: {n} ways in a set, expected at most {}",
-                    self.ways
-                ));
-            }
-            set.clear();
-            for _ in 0..n {
-                let tag = r.u64()?;
-                let stamp = r.u64()?;
-                let flags = r.u64()?;
-                if flags >> 1 > u64::from(u8::MAX) {
-                    return Err(format!("cache snapshot: bad way flags {flags}"));
-                }
-                set.push(Way {
-                    tag,
-                    stamp,
-                    valid: flags & 1 != 0,
-                    pf: (flags >> 1) as u8,
-                });
-            }
-        }
-        r.finish()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crisp_words::Snapshot;
 
     fn small() -> Cache {
         // 4 sets x 2 ways.

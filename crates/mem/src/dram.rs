@@ -77,6 +77,9 @@ struct Bank {
     next_free: u64,
 }
 
+crisp_words::fields! { DramStats { requests, row_hits, row_misses, row_conflicts, total_latency } }
+crisp_words::fields! { Bank { open_row, next_free } }
+
 /// A banked, open-page DDR4 channel model (the Ramulator substitute).
 ///
 /// The model keeps per-bank open-row state and next-free times plus a
@@ -102,6 +105,8 @@ pub struct Dram {
     bus_free: u64,
     stats: DramStats,
 }
+
+crisp_words::fields! { Dram { bus_free, stats, banks } }
 
 impl Dram {
     /// Creates the channel model.
@@ -175,73 +180,12 @@ impl Dram {
     pub fn stats(&self) -> DramStats {
         self.stats
     }
-
-    /// Serialises bank states, bus occupancy and counters as a flat word
-    /// vector. The configuration is not captured.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = vec![
-            self.bus_free,
-            self.stats.requests,
-            self.stats.row_hits,
-            self.stats.row_misses,
-            self.stats.row_conflicts,
-            self.stats.total_latency,
-            self.banks.len() as u64,
-        ];
-        for b in &self.banks {
-            match b.open_row {
-                Some(row) => {
-                    w.push(1);
-                    w.push(row);
-                }
-                None => {
-                    w.push(0);
-                    w.push(0);
-                }
-            }
-            w.push(b.next_free);
-        }
-        w
-    }
-
-    /// Restores state captured by [`Dram::snapshot_words`] into a model
-    /// with the same bank count.
-    ///
-    /// # Errors
-    ///
-    /// Rejects bank-count mismatches and malformed input.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = crate::wcodec::Reader::new(words, "dram");
-        let bus_free = r.u64()?;
-        let stats = DramStats {
-            requests: r.u64()?,
-            row_hits: r.u64()?,
-            row_misses: r.u64()?,
-            row_conflicts: r.u64()?,
-            total_latency: r.u64()?,
-        };
-        let n_banks = r.usize()?;
-        if n_banks != self.banks.len() {
-            return Err(format!(
-                "dram snapshot: {n_banks} banks, expected {}",
-                self.banks.len()
-            ));
-        }
-        self.bus_free = bus_free;
-        self.stats = stats;
-        for b in &mut self.banks {
-            let open = r.bool()?;
-            let row = r.u64()?;
-            b.open_row = open.then_some(row);
-            b.next_free = r.u64()?;
-        }
-        r.finish()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crisp_words::Snapshot;
 
     fn lat(dram: &mut Dram, addr: u64, now: u64) -> u64 {
         dram.request(addr, now) - now

@@ -4,6 +4,7 @@ use crate::{
     line_of, Cache, CacheConfig, CacheStats, Dram, DramConfig, DramStats, Prefetcher,
     PrefetcherRegistry, PrefetcherSpec, LINE_BYTES, PF_OTHER,
 };
+use crisp_words::{section, Reader, Snapshot};
 use std::collections::HashMap;
 
 /// Which level served an access.
@@ -16,6 +17,8 @@ pub enum HitLevel {
     /// Served by DRAM (an LLC miss).
     Dram,
 }
+
+crisp_words::codes! { HitLevel { L1 = 0, Llc = 1, Dram = 2 } }
 
 /// The outcome of one memory access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -129,6 +132,8 @@ pub struct PrefetchEffect {
     pub polluting: u64,
 }
 
+crisp_words::fields! { PrefetchEffect { issued, useful, late, polluting } }
+
 impl PrefetchEffect {
     /// Element-wise sum.
     pub fn add(&mut self, other: &PrefetchEffect) {
@@ -167,6 +172,11 @@ pub struct MemStats {
     pub dram: DramStats,
 }
 
+crisp_words::fields! { MemStats {
+    loads, stores, fetches, load_llc_misses, load_merges, prefetches_issued, l1i, l1d, llc,
+    prefetch, dram
+} }
+
 impl MemStats {
     /// Effectiveness counters summed across every configured unit.
     pub fn prefetch_totals(&self) -> PrefetchEffect {
@@ -187,6 +197,24 @@ fn name_hash(name: &str) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// A configured unit: its name hash, then its state as a section.
+impl Snapshot for Box<dyn Prefetcher> {
+    fn put(&self, out: &mut Vec<u64>) {
+        out.push(name_hash(self.name()));
+        section::put(&**self, out);
+    }
+
+    fn take(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        if r.u64()? != name_hash(self.name()) {
+            return Err(format!(
+                "unit is not `{}` (selection mismatch)",
+                self.name()
+            ));
+        }
+        section::take(&mut **self, r)
+    }
 }
 
 /// An MSHR-style in-flight fill: completion cycle, the level the miss
@@ -223,6 +251,13 @@ pub struct MemoryHierarchy {
     load_merges: u64,
     prefetches_issued: u64,
 }
+
+// The MSHR map is emitted sorted by line, so the encoding does not depend
+// on hash-map iteration order.
+crisp_words::fields! { MemoryHierarchy {
+    loads, stores, fetches, load_llc_misses, load_merges, prefetches_issued, l1i as section,
+    l1d as section, llc as section, dram as section, prefetchers, effects, inflight as map
+} }
 
 impl MemoryHierarchy {
     /// Builds the hierarchy from a configuration, resolving the
@@ -541,122 +576,6 @@ impl MemoryHierarchy {
             .values()
             .filter(|&&(ready, _, _)| ready <= now)
             .count()
-    }
-
-    /// Serialises the full dynamic state — every cache level, DRAM, the
-    /// configured prefetchers (with name checks), the per-unit
-    /// effectiveness counters, the MSHR map and all counters — as a flat
-    /// word vector. The MSHR map is emitted sorted by line address so the
-    /// encoding is deterministic regardless of hash-map iteration order.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        use crate::wcodec::push_section;
-        let mut w = vec![
-            self.loads,
-            self.stores,
-            self.fetches,
-            self.load_llc_misses,
-            self.load_merges,
-            self.prefetches_issued,
-        ];
-        push_section(&mut w, self.l1i.snapshot_words());
-        push_section(&mut w, self.l1d.snapshot_words());
-        push_section(&mut w, self.llc.snapshot_words());
-        push_section(&mut w, self.dram.snapshot_words());
-        w.push(self.prefetchers.len() as u64);
-        for p in &self.prefetchers {
-            w.push(name_hash(p.name()));
-            push_section(&mut w, p.snapshot_words());
-        }
-        for e in &self.effects {
-            w.extend_from_slice(&[e.issued, e.useful, e.late, e.polluting]);
-        }
-        let mut fills: Vec<(u64, InflightFill)> = self
-            .inflight
-            .iter()
-            .map(|(&line, &fill)| (line, fill))
-            .collect();
-        fills.sort_unstable_by_key(|&(line, _)| line);
-        w.push(fills.len() as u64);
-        for (line, (ready, level, pf)) in fills {
-            w.push(line);
-            w.push(ready);
-            w.push(match level {
-                HitLevel::L1 => 0,
-                HitLevel::Llc => 1,
-                HitLevel::Dram => 2,
-            });
-            w.push(u64::from(pf));
-        }
-        w
-    }
-
-    /// Restores state captured by [`MemoryHierarchy::snapshot_words`] into
-    /// a hierarchy built from the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Rejects geometry or prefetcher-selection mismatches and malformed
-    /// input; the hierarchy should be discarded on error (state may be
-    /// partial).
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = crate::wcodec::Reader::new(words, "hierarchy");
-        self.loads = r.u64()?;
-        self.stores = r.u64()?;
-        self.fetches = r.u64()?;
-        self.load_llc_misses = r.u64()?;
-        self.load_merges = r.u64()?;
-        self.prefetches_issued = r.u64()?;
-        self.l1i.restore_words(r.section()?)?;
-        self.l1d.restore_words(r.section()?)?;
-        self.llc.restore_words(r.section()?)?;
-        self.dram.restore_words(r.section()?)?;
-        let n_pf = r.usize()?;
-        if n_pf != self.prefetchers.len() {
-            return Err(format!(
-                "hierarchy snapshot: {n_pf} prefetchers, config has {} ({})",
-                self.prefetchers.len(),
-                self.config.prefetcher
-            ));
-        }
-        for (i, p) in self.prefetchers.iter_mut().enumerate() {
-            let hash = r.u64()?;
-            if hash != name_hash(p.name()) {
-                return Err(format!(
-                    "hierarchy snapshot: prefetcher {i} is not `{}` \
-                     (selection mismatch with config `{}`)",
-                    p.name(),
-                    self.config.prefetcher
-                ));
-            }
-            p.restore_words(r.section()?)?;
-        }
-        for e in &mut self.effects {
-            *e = PrefetchEffect {
-                issued: r.u64()?,
-                useful: r.u64()?,
-                late: r.u64()?,
-                polluting: r.u64()?,
-            };
-        }
-        let n_fills = r.usize()?;
-        self.inflight.clear();
-        for _ in 0..n_fills {
-            let line = r.u64()?;
-            let ready = r.u64()?;
-            let level = match r.u64()? {
-                0 => HitLevel::L1,
-                1 => HitLevel::Llc,
-                2 => HitLevel::Dram,
-                v => return Err(format!("hierarchy snapshot: bad hit level {v}")),
-            };
-            let pf = u8::try_from(r.u64()?)
-                .map_err(|_| "hierarchy snapshot: fill source tag overflow".to_string())?;
-            if self.inflight.insert(line, (ready, level, pf)).is_some() {
-                return Err(format!("hierarchy snapshot: duplicate fill line {line:#x}"));
-            }
-        }
-        self.scratch.clear();
-        r.finish()
     }
 
     /// A snapshot of all counters.

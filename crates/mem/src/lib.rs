@@ -36,7 +36,6 @@ mod dram;
 mod hierarchy;
 mod prefetch;
 mod registry;
-mod wcodec;
 mod zoo;
 
 pub use cache::{AccessOutcome, Cache, CacheConfig, CacheStats, FillOutcome, PF_OTHER};

@@ -1,11 +1,13 @@
+use crisp_words::{fields, Snapshot};
+
 /// A hardware data prefetcher observing the demand-access stream below L1.
 ///
 /// Implementations append candidate *line* addresses to `out`; the
 /// hierarchy issues them as prefetch fills into the LLC (and optionally
-/// L1). Every implementor must also be checkpointable: the word-vector
-/// codec pair keeps `--audit-restore` byte-identity working for any
+/// L1). Every implementor must also be checkpointable: the [`Snapshot`]
+/// supertrait keeps `--audit-restore` byte-identity working for any
 /// prefetcher the registry can build.
-pub trait Prefetcher {
+pub trait Prefetcher: Snapshot {
     /// Observes a demand access to `line` (a line address) by the load or
     /// store at `pc`. `l1_hit` tells whether L1 already had the line
     /// (prefetchers typically train on the miss stream only).
@@ -17,17 +19,6 @@ pub trait Prefetcher {
     /// Observes a completed demand fill of `line` (default no-op). BOP
     /// trains its recent-requests table here; most prefetchers ignore it.
     fn on_fill(&mut self, _line: u64) {}
-
-    /// Serialises the prefetcher's dynamic state as a word vector.
-    fn snapshot_words(&self) -> Vec<u64>;
-
-    /// Restores state captured by [`Prefetcher::snapshot_words`] into an
-    /// identically-parameterised instance.
-    ///
-    /// # Errors
-    ///
-    /// Rejects parameter mismatches and malformed input.
-    fn restore_words(&mut self, words: &[u64]) -> Result<(), String>;
 }
 
 /// A classic multi-stream sequential prefetcher.
@@ -44,13 +35,22 @@ pub struct StreamPrefetcher {
     stamp: u64,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct StreamEntry {
     head: u64,
     dir: i64,
     confidence: u8,
     stamp: u64,
 }
+
+fields! { StreamEntry { head, dir, confidence, stamp } }
+fields! { StreamPrefetcher { stamp, streams as list } check |p| {
+    if p.streams.len() <= p.max_streams {
+        Ok(())
+    } else {
+        Err(format!("{} streams, capacity {}", p.streams.len(), p.max_streams))
+    }
+} }
 
 impl StreamPrefetcher {
     /// Creates a stream prefetcher; Table 1's "Stream" companion to BOP.
@@ -63,48 +63,6 @@ impl StreamPrefetcher {
             degree,
             stamp: 0,
         }
-    }
-
-    /// Serialises the tracked streams and LRU stamp as a word vector.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = vec![self.stamp, self.streams.len() as u64];
-        for s in &self.streams {
-            w.push(s.head);
-            w.push(s.dir as u64);
-            w.push(u64::from(s.confidence));
-            w.push(s.stamp);
-        }
-        w
-    }
-
-    /// Restores state captured by [`StreamPrefetcher::snapshot_words`]
-    /// into an identically-parameterised prefetcher.
-    ///
-    /// # Errors
-    ///
-    /// Rejects more streams than this instance can track and malformed
-    /// input.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = crate::wcodec::Reader::new(words, "stream-prefetcher");
-        let stamp = r.u64()?;
-        let n = r.usize()?;
-        if n > self.max_streams {
-            return Err(format!(
-                "stream-prefetcher snapshot: {n} streams, capacity {}",
-                self.max_streams
-            ));
-        }
-        self.stamp = stamp;
-        self.streams.clear();
-        for _ in 0..n {
-            self.streams.push(StreamEntry {
-                head: r.u64()?,
-                dir: r.i64()?,
-                confidence: r.u8()?,
-                stamp: r.u64()?,
-            });
-        }
-        r.finish()
     }
 }
 
@@ -158,14 +116,6 @@ impl Prefetcher for StreamPrefetcher {
     fn name(&self) -> &'static str {
         "stream"
     }
-
-    fn snapshot_words(&self) -> Vec<u64> {
-        StreamPrefetcher::snapshot_words(self)
-    }
-
-    fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        StreamPrefetcher::restore_words(self, words)
-    }
 }
 
 /// A per-PC stride prefetcher (reference predictor table).
@@ -184,6 +134,9 @@ struct StrideEntry {
     confidence: u8,
 }
 
+fields! { StrideEntry { pc_tag, last, stride, confidence } }
+fields! { StridePrefetcher { table } }
+
 impl StridePrefetcher {
     /// Creates a stride prefetcher with `entries` table slots (power of
     /// two) issuing `degree` prefetches ahead.
@@ -194,44 +147,6 @@ impl StridePrefetcher {
             mask: entries as u64 - 1,
             degree,
         }
-    }
-
-    /// Serialises the reference-prediction table as a word vector.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = vec![self.table.len() as u64];
-        for e in &self.table {
-            w.push(e.pc_tag);
-            w.push(e.last);
-            w.push(e.stride as u64);
-            w.push(u64::from(e.confidence));
-        }
-        w
-    }
-
-    /// Restores state captured by [`StridePrefetcher::snapshot_words`]
-    /// into an identically-sized table.
-    ///
-    /// # Errors
-    ///
-    /// Rejects table-size mismatches and malformed input.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = crate::wcodec::Reader::new(words, "stride-prefetcher");
-        let n = r.usize()?;
-        if n != self.table.len() {
-            return Err(format!(
-                "stride-prefetcher snapshot: {n} entries, expected {}",
-                self.table.len()
-            ));
-        }
-        for e in &mut self.table {
-            *e = StrideEntry {
-                pc_tag: r.u64()?,
-                last: r.u64()?,
-                stride: r.i64()?,
-                confidence: r.u8()?,
-            };
-        }
-        r.finish()
     }
 }
 
@@ -268,14 +183,6 @@ impl Prefetcher for StridePrefetcher {
     fn name(&self) -> &'static str {
         "stride"
     }
-
-    fn snapshot_words(&self) -> Vec<u64> {
-        StridePrefetcher::snapshot_words(self)
-    }
-
-    fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        StridePrefetcher::restore_words(self, words)
-    }
 }
 
 /// The Best-Offset prefetcher (Michaud, HPCA 2016) — Table 1's "BOP".
@@ -300,6 +207,16 @@ pub struct Bop {
     score_max: u32,
     bad_score: u32,
 }
+
+// The candidate-offset list is a construction parameter; its length is
+// echoed by the score table's.
+fields! { Bop { test_idx, round, best_offset, active, scores, rr } check |b| {
+    if b.test_idx < b.scores.len() {
+        Ok(())
+    } else {
+        Err(format!("test index {} beyond {} candidates", b.test_idx, b.scores.len()))
+    }
+} }
 
 impl Bop {
     /// The candidate offset list of the original design, truncated to 64
@@ -380,62 +297,6 @@ impl Bop {
         self.rr[idx as usize] == line
     }
 
-    /// Serialises the learner state (scores, round position, selected
-    /// offset, RR table) as a word vector. The candidate-offset list is a
-    /// construction parameter and is captured only as a consistency check.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = vec![
-            self.test_idx as u64,
-            u64::from(self.round),
-            self.best_offset as u64,
-            u64::from(self.active),
-            self.scores.len() as u64,
-        ];
-        w.extend(self.scores.iter().map(|&s| u64::from(s)));
-        w.push(self.rr.len() as u64);
-        w.extend_from_slice(&self.rr);
-        w
-    }
-
-    /// Restores state captured by [`Bop::snapshot_words`] into an
-    /// identically-parameterised learner.
-    ///
-    /// # Errors
-    ///
-    /// Rejects score/RR-table size mismatches and malformed input.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = crate::wcodec::Reader::new(words, "bop");
-        let test_idx = r.usize()?;
-        let round = u32::try_from(r.u64()?).map_err(|_| "bop snapshot: round overflow")?;
-        let best_offset = r.i64()?;
-        let active = r.bool()?;
-        let n_scores = r.usize()?;
-        if n_scores != self.scores.len() || test_idx >= n_scores {
-            return Err(format!(
-                "bop snapshot: {n_scores} scores / test_idx {test_idx}, expected {} candidates",
-                self.scores.len()
-            ));
-        }
-        for s in &mut self.scores {
-            *s = u32::try_from(r.u64()?).map_err(|_| "bop snapshot: score overflow")?;
-        }
-        let n_rr = r.usize()?;
-        if n_rr != self.rr.len() {
-            return Err(format!(
-                "bop snapshot: {n_rr} RR entries, expected {}",
-                self.rr.len()
-            ));
-        }
-        for e in &mut self.rr {
-            *e = r.u64()?;
-        }
-        self.test_idx = test_idx;
-        self.round = round;
-        self.best_offset = best_offset;
-        self.active = active;
-        r.finish()
-    }
-
     fn finish_round(&mut self) {
         let (best_i, &best_s) = self
             .scores
@@ -502,14 +363,6 @@ impl Prefetcher for Bop {
 
     fn on_fill(&mut self, line: u64) {
         Bop::on_fill(self, line);
-    }
-
-    fn snapshot_words(&self) -> Vec<u64> {
-        Bop::snapshot_words(self)
-    }
-
-    fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        Bop::restore_words(self, words)
     }
 }
 
@@ -726,6 +579,16 @@ pub struct Ghb {
     degree: usize,
 }
 
+fields! { Ghb { head, filled, buffer, index } check |g| {
+    let n = g.buffer.len();
+    let links = g.buffer.iter().filter_map(|e| e.1);
+    match links.chain(g.index.iter().flatten().map(|e| e.1)).find(|&at| at >= n) {
+        Some(at) => Err(format!("link {at} out of range")),
+        None if g.head >= n => Err(format!("head {} out of range", g.head)),
+        None => Ok(()),
+    }
+} }
+
 impl Ghb {
     /// Creates a GHB with `entries` history slots and an `index_entries`
     /// PC-index table, prefetching `degree` deltas ahead.
@@ -744,97 +607,6 @@ impl Ghb {
             index_mask: index_entries as u64 - 1,
             degree,
         }
-    }
-
-    /// Serialises the history ring, link pointers and PC index table as a
-    /// word vector.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = vec![
-            self.head as u64,
-            u64::from(self.filled),
-            self.buffer.len() as u64,
-        ];
-        for &(line, prev) in &self.buffer {
-            w.push(line);
-            match prev {
-                Some(i) => {
-                    w.push(1);
-                    w.push(i as u64);
-                }
-                None => {
-                    w.push(0);
-                    w.push(0);
-                }
-            }
-        }
-        w.push(self.index.len() as u64);
-        for e in &self.index {
-            match e {
-                Some((tag, at)) => {
-                    w.push(1);
-                    w.push(*tag);
-                    w.push(*at as u64);
-                }
-                None => {
-                    w.push(0);
-                    w.push(0);
-                    w.push(0);
-                }
-            }
-        }
-        w
-    }
-
-    /// Restores state captured by [`Ghb::snapshot_words`] into an
-    /// identically-sized GHB.
-    ///
-    /// # Errors
-    ///
-    /// Rejects size mismatches, out-of-range links and malformed input.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = crate::wcodec::Reader::new(words, "ghb");
-        let head = r.usize()?;
-        let filled = r.bool()?;
-        let n_buf = r.usize()?;
-        if n_buf != self.buffer.len() || head >= n_buf {
-            return Err(format!(
-                "ghb snapshot: {n_buf} buffer slots / head {head}, expected {}",
-                self.buffer.len()
-            ));
-        }
-        let mut buffer = Vec::with_capacity(n_buf);
-        for _ in 0..n_buf {
-            let line = r.u64()?;
-            let present = r.bool()?;
-            let at = r.usize()?;
-            if present && at >= n_buf {
-                return Err(format!("ghb snapshot: link {at} out of range"));
-            }
-            buffer.push((line, present.then_some(at)));
-        }
-        let n_idx = r.usize()?;
-        if n_idx != self.index.len() {
-            return Err(format!(
-                "ghb snapshot: {n_idx} index slots, expected {}",
-                self.index.len()
-            ));
-        }
-        let mut index = Vec::with_capacity(n_idx);
-        for _ in 0..n_idx {
-            let present = r.bool()?;
-            let tag = r.u64()?;
-            let at = r.usize()?;
-            if present && at >= n_buf {
-                return Err(format!("ghb snapshot: index link {at} out of range"));
-            }
-            index.push(present.then_some((tag, at)));
-        }
-        r.finish()?;
-        self.head = head;
-        self.filled = filled;
-        self.buffer = buffer;
-        self.index = index;
-        Ok(())
     }
 
     /// Walks the per-PC chain from `start`, newest first, yielding line
@@ -908,14 +680,6 @@ impl Prefetcher for Ghb {
 
     fn name(&self) -> &'static str {
         "ghb"
-    }
-
-    fn snapshot_words(&self) -> Vec<u64> {
-        Ghb::snapshot_words(self)
-    }
-
-    fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        Ghb::restore_words(self, words)
     }
 }
 

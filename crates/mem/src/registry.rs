@@ -495,13 +495,8 @@ mod tests {
             fn name(&self) -> &'static str {
                 "noop"
             }
-            fn snapshot_words(&self) -> Vec<u64> {
-                Vec::new()
-            }
-            fn restore_words(&mut self, w: &[u64]) -> Result<(), String> {
-                crate::wcodec::Reader::new(w, "noop").finish()
-            }
         }
+        crisp_words::fields! { Noop {} }
         let mut r = PrefetcherRegistry::builtin();
         r.register("noop", "does nothing", Box::new(|_| Ok(Box::new(Noop))))
             .unwrap();

@@ -9,7 +9,7 @@
 //! hold for any registry selection.
 
 use crate::prefetch::Prefetcher;
-use crate::wcodec::Reader;
+use crisp_words::fields;
 
 /// Folds a signed line delta into a small hash key.
 #[inline]
@@ -42,18 +42,32 @@ pub struct GhbWidth {
     degree: usize,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct GhbwEntry {
     line: u64,
     valid: bool,
     prev: Option<usize>,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct AitEntry {
     delta: i64,
     at: usize,
 }
+
+fields! { GhbwEntry { line, valid, prev } }
+fields! { AitEntry { delta, at } }
+fields! { GhbWidth { head, live, last_line, has_last, buffer, ait } check |g| {
+    let n = g.buffer.len();
+    let links = g.buffer.iter().filter_map(|e| e.prev);
+    match links.chain(g.ait.iter().flatten().map(|a| a.at)).find(|&at| at >= n) {
+        Some(at) => Err(format!("link {at} out of range")),
+        None if g.head >= n || g.live > n => {
+            Err(format!("head {} / live {} outside {n} ring slots", g.head, g.live))
+        }
+        None => Ok(()),
+    }
+} }
 
 impl GhbWidth {
     /// Creates a GHB stride/width prefetcher.
@@ -89,108 +103,6 @@ impl GhbWidth {
             depth,
             degree,
         }
-    }
-
-    /// Serialises the ring, delta index and stream cursor as a word vector.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = vec![
-            self.head as u64,
-            self.live as u64,
-            self.last_line,
-            u64::from(self.has_last),
-            self.buffer.len() as u64,
-        ];
-        for e in &self.buffer {
-            w.push(e.line);
-            w.push(u64::from(e.valid));
-            match e.prev {
-                Some(i) => {
-                    w.push(1);
-                    w.push(i as u64);
-                }
-                None => {
-                    w.push(0);
-                    w.push(0);
-                }
-            }
-        }
-        w.push(self.ait.len() as u64);
-        for e in &self.ait {
-            match e {
-                Some(a) => {
-                    w.push(1);
-                    w.push(a.delta as u64);
-                    w.push(a.at as u64);
-                }
-                None => {
-                    w.push(0);
-                    w.push(0);
-                    w.push(0);
-                }
-            }
-        }
-        w
-    }
-
-    /// Restores state captured by [`GhbWidth::snapshot_words`] into an
-    /// identically-sized instance.
-    ///
-    /// # Errors
-    ///
-    /// Rejects size mismatches, out-of-range links and malformed input.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = Reader::new(words, "ghbw");
-        let head = r.usize()?;
-        let live = r.usize()?;
-        let last_line = r.u64()?;
-        let has_last = r.bool()?;
-        let n_buf = r.usize()?;
-        if n_buf != self.buffer.len() || head >= n_buf || live > n_buf {
-            return Err(format!(
-                "ghbw snapshot: {n_buf} ring slots / head {head} / live {live}, expected {}",
-                self.buffer.len()
-            ));
-        }
-        let mut buffer = Vec::with_capacity(n_buf);
-        for _ in 0..n_buf {
-            let line = r.u64()?;
-            let valid = r.bool()?;
-            let present = r.bool()?;
-            let at = r.usize()?;
-            if present && at >= n_buf {
-                return Err(format!("ghbw snapshot: link {at} out of range"));
-            }
-            buffer.push(GhbwEntry {
-                line,
-                valid,
-                prev: present.then_some(at),
-            });
-        }
-        let n_ait = r.usize()?;
-        if n_ait != self.ait.len() {
-            return Err(format!(
-                "ghbw snapshot: {n_ait} index slots, expected {}",
-                self.ait.len()
-            ));
-        }
-        let mut ait = Vec::with_capacity(n_ait);
-        for _ in 0..n_ait {
-            let present = r.bool()?;
-            let delta = r.i64()?;
-            let at = r.usize()?;
-            if present && at >= n_buf {
-                return Err(format!("ghbw snapshot: index link {at} out of range"));
-            }
-            ait.push(present.then_some(AitEntry { delta, at }));
-        }
-        r.finish()?;
-        self.head = head;
-        self.live = live;
-        self.last_line = last_line;
-        self.has_last = has_last;
-        self.buffer = buffer;
-        self.ait = ait;
-        Ok(())
     }
 
     /// The ring index of the entry `k` steps after `at` in stream order,
@@ -285,14 +197,6 @@ impl Prefetcher for GhbWidth {
     fn name(&self) -> &'static str {
         "ghbw"
     }
-
-    fn snapshot_words(&self) -> Vec<u64> {
-        GhbWidth::snapshot_words(self)
-    }
-
-    fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        GhbWidth::restore_words(self, words)
-    }
 }
 
 /// SISB-style temporal streaming: a training unit maps each load PC to the
@@ -311,6 +215,8 @@ pub struct Sisb {
     map_mask: u64,
     degree: usize,
 }
+
+fields! { Sisb { tu, map } }
 
 #[inline]
 fn line_slot(line: u64, mask: u64) -> usize {
@@ -334,59 +240,6 @@ impl Sisb {
             map_mask: map_entries as u64 - 1,
             degree,
         }
-    }
-
-    /// Serialises both tables as a word vector.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = Vec::new();
-        for table in [&self.tu, &self.map] {
-            w.push(table.len() as u64);
-            for e in table {
-                match e {
-                    Some((tag, val)) => {
-                        w.push(1);
-                        w.push(*tag);
-                        w.push(*val);
-                    }
-                    None => {
-                        w.push(0);
-                        w.push(0);
-                        w.push(0);
-                    }
-                }
-            }
-        }
-        w
-    }
-
-    /// Restores state captured by [`Sisb::snapshot_words`] into an
-    /// identically-sized instance.
-    ///
-    /// # Errors
-    ///
-    /// Rejects table-size mismatches and malformed input.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = Reader::new(words, "sisb");
-        let sizes = [self.tu.len(), self.map.len()];
-        let mut tables = Vec::with_capacity(2);
-        for want in sizes {
-            let n = r.usize()?;
-            if n != want {
-                return Err(format!("sisb snapshot: {n} table slots, expected {want}"));
-            }
-            let mut t = Vec::with_capacity(n);
-            for _ in 0..n {
-                let present = r.bool()?;
-                let tag = r.u64()?;
-                let val = r.u64()?;
-                t.push(present.then_some((tag, val)));
-            }
-            tables.push(t);
-        }
-        r.finish()?;
-        self.map = tables.pop().expect("two tables");
-        self.tu = tables.pop().expect("two tables");
-        Ok(())
     }
 }
 
@@ -418,14 +271,6 @@ impl Prefetcher for Sisb {
 
     fn name(&self) -> &'static str {
         "sisb"
-    }
-
-    fn snapshot_words(&self) -> Vec<u64> {
-        Sisb::snapshot_words(self)
-    }
-
-    fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        Sisb::restore_words(self, words)
     }
 }
 
@@ -471,12 +316,23 @@ pub struct Spp {
     threshold: u64,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct StEntry {
     page: u64,
     sig: u16,
     last_off: u8,
 }
+
+fields! { StEntry { page, sig, last_off } check |e| {
+    if e.sig <= SIG_MASK && u64::from(e.last_off) < PAGE_LINES {
+        Ok(())
+    } else {
+        Err(format!("bad signature entry ({}, {})", e.sig, e.last_off))
+    }
+} }
+fields! { PtSlot { delta, c_delta } }
+fields! { PtEntry { c_sig, slots } }
+fields! { Spp { pf_issued, pf_useful, st, pt, filter } }
 
 #[derive(Clone, Copy, Debug, Default)]
 struct PtSlot {
@@ -567,105 +423,6 @@ impl Spp {
             (1000 * self.pf_useful / self.pf_issued).min(1000)
         }
     }
-
-    /// Serialises every table and the accuracy register as a word vector.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = vec![self.pf_issued, self.pf_useful, self.st.len() as u64];
-        for e in &self.st {
-            match e {
-                Some(s) => {
-                    w.push(1);
-                    w.push(s.page);
-                    w.push(u64::from(s.sig));
-                    w.push(u64::from(s.last_off));
-                }
-                None => w.extend_from_slice(&[0, 0, 0, 0]),
-            }
-        }
-        w.push(self.pt.len() as u64);
-        for e in &self.pt {
-            w.push(u64::from(e.c_sig));
-            for s in &e.slots {
-                w.push(s.delta as u64);
-                w.push(u64::from(s.c_delta));
-            }
-        }
-        w.push(self.filter.len() as u64);
-        w.extend_from_slice(&self.filter);
-        w
-    }
-
-    /// Restores state captured by [`Spp::snapshot_words`] into an
-    /// identically-sized instance.
-    ///
-    /// # Errors
-    ///
-    /// Rejects table-size mismatches and malformed input.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = Reader::new(words, "spp");
-        let pf_issued = r.u64()?;
-        let pf_useful = r.u64()?;
-        let n_st = r.usize()?;
-        if n_st != self.st.len() {
-            return Err(format!(
-                "spp snapshot: {n_st} signature slots, expected {}",
-                self.st.len()
-            ));
-        }
-        let mut st = Vec::with_capacity(n_st);
-        for _ in 0..n_st {
-            let present = r.bool()?;
-            let page = r.u64()?;
-            let sig = r.u64()?;
-            let last_off = r.u64()?;
-            if sig > u64::from(SIG_MASK) || last_off >= PAGE_LINES {
-                return Err(format!("spp snapshot: bad ST entry ({sig}, {last_off})"));
-            }
-            st.push(present.then_some(StEntry {
-                page,
-                sig: sig as u16,
-                last_off: last_off as u8,
-            }));
-        }
-        let n_pt = r.usize()?;
-        if n_pt != self.pt.len() {
-            return Err(format!(
-                "spp snapshot: {n_pt} pattern slots, expected {}",
-                self.pt.len()
-            ));
-        }
-        let mut pt = Vec::with_capacity(n_pt);
-        for _ in 0..n_pt {
-            let c_sig = u16::try_from(r.u64()?).map_err(|_| "spp snapshot: c_sig overflow")?;
-            let mut slots = [PtSlot::default(); PT_WAYS];
-            for s in &mut slots {
-                let delta = r.u64()? as i64;
-                let c_delta =
-                    u16::try_from(r.u64()?).map_err(|_| "spp snapshot: c_delta overflow")?;
-                let delta = i16::try_from(delta).map_err(|_| "spp snapshot: delta overflow")?;
-                *s = PtSlot { delta, c_delta };
-            }
-            pt.push(PtEntry { c_sig, slots });
-        }
-        let n_f = r.usize()?;
-        if n_f != self.filter.len() {
-            return Err(format!(
-                "spp snapshot: {n_f} filter slots, expected {}",
-                self.filter.len()
-            ));
-        }
-        let mut filter = Vec::with_capacity(n_f);
-        for _ in 0..n_f {
-            filter.push(r.u64()?);
-        }
-        r.finish()?;
-        self.pf_issued = pf_issued;
-        self.pf_useful = pf_useful;
-        self.st = st;
-        self.pt = pt;
-        self.filter = filter;
-        Ok(())
-    }
 }
 
 impl Prefetcher for Spp {
@@ -738,19 +495,12 @@ impl Prefetcher for Spp {
     fn name(&self) -> &'static str {
         "spp"
     }
-
-    fn snapshot_words(&self) -> Vec<u64> {
-        Spp::snapshot_words(self)
-    }
-
-    fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        Spp::restore_words(self, words)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crisp_words::Snapshot;
 
     fn misses(p: &mut dyn Prefetcher, lines: &[u64], pc: u64) -> Vec<u64> {
         let mut out = Vec::new();

@@ -8,16 +8,15 @@
 //! charges every ROB-head stall cycle to the blocking instruction's PC and
 //! stall class.
 //!
-//! The crate sits *below* `crisp-sim` in the dependency graph and holds no
-//! dependencies of its own: the engine records into these types, and the
+//! The crate sits *below* `crisp-sim` in the dependency graph and depends
+//! only on the snapshot codec: the engine records into these types, and the
 //! harness/bench/CLI layers render or persist them. PCs are plain `u64`
 //! here so the crate stays free-standing.
 //!
-//! All persistent state (`Tracer`, `StallTable`, `TelemetryLog`) supports
-//! the workspace-wide word-vector snapshot protocol (`snapshot_words` /
-//! `restore_words`), so checkpoint/restore and the `--audit-restore`
-//! byte-identity proof cover observability state exactly like machine
-//! state.
+//! All persistent state (`Tracer`, `StallTable`, `TelemetryLog`) implements
+//! the workspace-wide `crisp_words::Snapshot` trait, so checkpoint/restore
+//! and the `--audit-restore` byte-identity proof cover observability state
+//! exactly like machine state.
 //!
 //! ## Example
 //!
@@ -39,7 +38,6 @@ mod spans;
 mod stall;
 mod summarize;
 mod telemetry;
-mod wcodec;
 
 pub use hostprof::{HostProf, HostProfReport, HostProfState, Phase, PHASE_COUNT, PHASE_NAMES};
 pub use kanata::{render_kanata, TraceFilter, KANATA_HEADER};

@@ -1,7 +1,7 @@
 //! The pipeline flight recorder: a fixed-capacity ring buffer of
 //! per-instruction lifecycle events behind a zero-cost-when-off enum.
 
-use crate::wcodec::{push_opt_u64, Reader};
+use crisp_words::{fields, Reader, Snapshot};
 use std::collections::VecDeque;
 
 /// Cache level that served a load's fill (annotated on
@@ -16,30 +16,9 @@ pub enum FillLevel {
     Dram,
 }
 
+crisp_words::codes! { FillLevel { L1 = 0, Llc = 1, Dram = 2 } }
+
 impl FillLevel {
-    /// Stable numeric code used by the snapshot codec.
-    pub fn code(self) -> u64 {
-        match self {
-            FillLevel::L1 => 0,
-            FillLevel::Llc => 1,
-            FillLevel::Dram => 2,
-        }
-    }
-
-    /// Inverse of [`FillLevel::code`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the bad code.
-    pub fn from_code(code: u64) -> Result<FillLevel, String> {
-        match code {
-            0 => Ok(FillLevel::L1),
-            1 => Ok(FillLevel::Llc),
-            2 => Ok(FillLevel::Dram),
-            v => Err(format!("bad fill-level code {v}")),
-        }
-    }
-
     /// Human-readable level name.
     pub fn label(self) -> &'static str {
         match self {
@@ -72,36 +51,11 @@ pub enum EventKind {
     Redirect,
 }
 
+crisp_words::codes! { EventKind {
+    Fetch = 0, Dispatch = 1, Issue = 2, Complete = 3, Retire = 4, Redirect = 5
+} }
+
 impl EventKind {
-    /// Stable numeric code used by the snapshot codec.
-    pub fn code(self) -> u64 {
-        match self {
-            EventKind::Fetch => 0,
-            EventKind::Dispatch => 1,
-            EventKind::Issue => 2,
-            EventKind::Complete => 3,
-            EventKind::Retire => 4,
-            EventKind::Redirect => 5,
-        }
-    }
-
-    /// Inverse of [`EventKind::code`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the bad code.
-    pub fn from_code(code: u64) -> Result<EventKind, String> {
-        match code {
-            0 => Ok(EventKind::Fetch),
-            1 => Ok(EventKind::Dispatch),
-            2 => Ok(EventKind::Issue),
-            3 => Ok(EventKind::Complete),
-            4 => Ok(EventKind::Retire),
-            5 => Ok(EventKind::Redirect),
-            v => Err(format!("bad event-kind code {v}")),
-        }
-    }
-
     /// Short stage mnemonic (also the Kanata lane-0 stage name).
     pub fn label(self) -> &'static str {
         match self {
@@ -116,7 +70,7 @@ impl EventKind {
 }
 
 /// One recorded pipeline event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Core cycle the transition happened (or, for
     /// [`EventKind::Complete`], will happen).
@@ -131,25 +85,7 @@ pub struct TraceEvent {
     pub fill: Option<FillLevel>,
 }
 
-impl TraceEvent {
-    fn words(&self, out: &mut Vec<u64>) {
-        out.push(self.cycle);
-        out.push(self.seq);
-        out.push(self.pc);
-        out.push(self.kind.code());
-        push_opt_u64(out, self.fill.map(FillLevel::code));
-    }
-
-    fn read(r: &mut Reader) -> Result<TraceEvent, String> {
-        Ok(TraceEvent {
-            cycle: r.u64()?,
-            seq: r.u64()?,
-            pc: r.u64()?,
-            kind: EventKind::from_code(r.u64()?)?,
-            fill: r.opt_u64()?.map(FillLevel::from_code).transpose()?,
-        })
-    }
-}
+fields! { TraceEvent { cycle, seq, pc, kind, fill } }
 
 /// Fixed-capacity ring buffer of [`TraceEvent`]s: once full, the oldest
 /// event is dropped for each new one, so the buffer always holds the most
@@ -160,6 +96,16 @@ pub struct FlightRecorder {
     events: VecDeque<TraceEvent>,
     dropped: u64,
 }
+
+// A snapshot from a differently configured run is rejected by the
+// capacity echo, not silently truncated.
+fields! { FlightRecorder { capacity as echo, dropped, events as list } check |f| {
+    if f.events.len() <= f.capacity {
+        Ok(())
+    } else {
+        Err(format!("{} events exceed capacity {}", f.events.len(), f.capacity))
+    }
+} }
 
 impl FlightRecorder {
     /// Builds a recorder holding at most `capacity` events (at least 1).
@@ -210,47 +156,6 @@ impl FlightRecorder {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Serialises the recorder for checkpointing.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = vec![self.capacity as u64, self.dropped, self.events.len() as u64];
-        for e in &self.events {
-            e.words(&mut w);
-        }
-        w
-    }
-
-    /// Restores a snapshot produced by [`FlightRecorder::snapshot_words`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the words are malformed or the snapshot's
-    /// capacity disagrees with this recorder's (a snapshot from a
-    /// differently-configured run must be rejected, not silently
-    /// truncated).
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = Reader::new(words, "flight-recorder");
-        let capacity = r.usize()?;
-        if capacity != self.capacity {
-            return Err(format!(
-                "flight-recorder snapshot: capacity {capacity}, expected {}",
-                self.capacity
-            ));
-        }
-        self.dropped = r.u64()?;
-        let n = r.count()?;
-        if n > self.capacity {
-            return Err(format!(
-                "flight-recorder snapshot: {n} events exceed capacity {}",
-                self.capacity
-            ));
-        }
-        self.events.clear();
-        for _ in 0..n {
-            self.events.push_back(TraceEvent::read(&mut r)?);
-        }
-        r.finish()
-    }
 }
 
 /// The tracer the engine records into: either disabled (the default — the
@@ -263,6 +168,31 @@ pub enum Tracer {
     Off,
     /// Tracing into a ring buffer.
     Ring(FlightRecorder),
+}
+
+/// An enable flag, then the ring inline; enablement is part of the
+/// configuration a snapshot must match.
+impl Snapshot for Tracer {
+    fn put(&self, out: &mut Vec<u64>) {
+        out.push(u64::from(self.is_on()));
+        if let Tracer::Ring(ring) = self {
+            ring.put(out);
+        }
+    }
+
+    fn take(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        match (r.u64()?, self) {
+            (0, Tracer::Off) => Ok(()),
+            (1, Tracer::Ring(ring)) => ring.take(r),
+            (0, Tracer::Ring(_)) => {
+                Err("tracer snapshot: taken with tracing disabled, engine has it enabled".into())
+            }
+            (1, Tracer::Off) => {
+                Err("tracer snapshot: taken with tracing enabled, engine has it disabled".into())
+            }
+            (v, _) => Err(format!("tracer snapshot: bad enable flag {v}")),
+        }
+    }
 }
 
 impl Tracer {
@@ -311,47 +241,6 @@ impl Tracer {
         match self {
             Tracer::Off => Vec::new(),
             Tracer::Ring(r) => r.tail(n),
-        }
-    }
-
-    /// Serialises the tracer for checkpointing.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        match self {
-            Tracer::Off => vec![0],
-            Tracer::Ring(r) => {
-                let mut w = vec![1];
-                w.extend(r.snapshot_words());
-                w
-            }
-        }
-    }
-
-    /// Restores a snapshot produced by [`Tracer::snapshot_words`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the words are malformed or the snapshot's
-    /// enablement disagrees with this tracer's configuration.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let Some((&flag, rest)) = words.split_first() else {
-            return Err("tracer snapshot: empty input".to_string());
-        };
-        match (flag, &mut *self) {
-            (0, Tracer::Off) => {
-                if rest.is_empty() {
-                    Ok(())
-                } else {
-                    Err(format!("tracer snapshot: {} trailing words", rest.len()))
-                }
-            }
-            (1, Tracer::Ring(r)) => r.restore_words(rest),
-            (0, Tracer::Ring(_)) => Err(
-                "tracer snapshot: taken with tracing disabled, engine has it enabled".to_string(),
-            ),
-            (1, Tracer::Off) => Err(
-                "tracer snapshot: taken with tracing enabled, engine has it disabled".to_string(),
-            ),
-            (v, _) => Err(format!("tracer snapshot: bad enable flag {v}")),
         }
     }
 }

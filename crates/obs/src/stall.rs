@@ -3,7 +3,6 @@
 //! simulated analogue of the profiling evidence CRISP's Section 3.2
 //! classifier consumes.
 
-use crate::wcodec::Reader;
 use std::collections::HashMap;
 
 /// Why the ROB head could not retire this cycle (or, for
@@ -89,6 +88,8 @@ pub struct StallTable {
     rows: HashMap<u64, [u64; 7]>,
 }
 
+crisp_words::fields! { StallTable { rows as map } }
+
 impl StallTable {
     /// Charges one stall cycle to `pc` under `class`.
     #[inline]
@@ -168,46 +169,12 @@ impl StallTable {
         }
         out
     }
-
-    /// Serialises the table (sorted by PC, so equal tables encode
-    /// identically) for checkpointing.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut pcs: Vec<u64> = self.rows.keys().copied().collect();
-        pcs.sort_unstable();
-        let mut w = vec![pcs.len() as u64];
-        for pc in pcs {
-            w.push(pc);
-            w.extend_from_slice(&self.rows[&pc]);
-        }
-        w
-    }
-
-    /// Restores a snapshot produced by [`StallTable::snapshot_words`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the words are malformed.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = Reader::new(words, "stall-table");
-        let n = r.count()?;
-        self.rows.clear();
-        for _ in 0..n {
-            let pc = r.u64()?;
-            let mut cycles = [0u64; 7];
-            for c in &mut cycles {
-                *c = r.u64()?;
-            }
-            if self.rows.insert(pc, cycles).is_some() {
-                return Err(format!("stall-table snapshot: duplicate pc {pc:#x}"));
-            }
-        }
-        r.finish()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crisp_words::Snapshot;
 
     #[test]
     fn charges_sum_and_rank() {

@@ -3,7 +3,7 @@
 //! path); the log differences consecutive samples into per-interval
 //! deltas.
 
-use crate::wcodec::Reader;
+use crisp_words::{fields, Reader, Snapshot};
 
 /// The number of numeric fields in a [`TelemetrySample`].
 pub const SAMPLE_FIELDS: usize = 22;
@@ -82,49 +82,6 @@ pub struct TelemetryInputs {
     pub mshr: u64,
     /// Outstanding DRAM loads right now (instantaneous MLP).
     pub dram_outstanding: u64,
-}
-
-impl TelemetryInputs {
-    fn words(&self, out: &mut Vec<u64>) {
-        out.extend_from_slice(&[
-            self.cycle,
-            self.retired,
-            self.cond_branches,
-            self.mispredicts,
-            self.l1i_accesses,
-            self.l1i_misses,
-            self.l1d_accesses,
-            self.l1d_misses,
-            self.llc_accesses,
-            self.llc_misses,
-            self.issued_critical,
-            self.issued_noncritical,
-            self.pf_issued,
-            self.pf_useful,
-            self.pf_late,
-        ]);
-    }
-
-    fn read(r: &mut Reader) -> Result<TelemetryInputs, String> {
-        Ok(TelemetryInputs {
-            cycle: r.u64()?,
-            retired: r.u64()?,
-            cond_branches: r.u64()?,
-            mispredicts: r.u64()?,
-            l1i_accesses: r.u64()?,
-            l1i_misses: r.u64()?,
-            l1d_accesses: r.u64()?,
-            l1d_misses: r.u64()?,
-            llc_accesses: r.u64()?,
-            llc_misses: r.u64()?,
-            issued_critical: r.u64()?,
-            issued_noncritical: r.u64()?,
-            pf_issued: r.u64()?,
-            pf_useful: r.u64()?,
-            pf_late: r.u64()?,
-            ..TelemetryInputs::default()
-        })
-    }
 }
 
 /// One interval sample: counter fields are deltas over the interval,
@@ -259,18 +216,6 @@ impl TelemetrySample {
         let total = self.issued_critical + self.issued_noncritical;
         self.issued_critical as f64 / total.max(1) as f64
     }
-
-    fn words(&self, out: &mut Vec<u64>) {
-        out.extend_from_slice(&self.values());
-    }
-
-    fn read(r: &mut Reader) -> Result<TelemetrySample, String> {
-        let mut v = [0u64; SAMPLE_FIELDS];
-        for x in &mut v {
-            *x = r.u64()?;
-        }
-        Ok(TelemetrySample::from_values(v))
-    }
 }
 
 /// The interval-telemetry log: the samples taken so far plus the previous
@@ -282,6 +227,28 @@ impl TelemetrySample {
 pub struct TelemetryLog {
     prev: TelemetryInputs,
     samples: Vec<TelemetrySample>,
+}
+
+// The baseline's occupancies are always zero (see `record`), so only its
+// cumulative counters are captured.
+fields! { TelemetryInputs {
+    cycle, retired, cond_branches, mispredicts, l1i_accesses, l1i_misses, l1d_accesses, l1d_misses,
+    llc_accesses, llc_misses, issued_critical, issued_noncritical, pf_issued, pf_useful, pf_late
+} }
+fields! { TelemetryLog { prev, samples as list } }
+
+/// The sample's fields in [`TelemetrySample::values`] order.
+impl Snapshot for TelemetrySample {
+    fn put(&self, out: &mut Vec<u64>) {
+        self.values().put(out);
+    }
+
+    fn take(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        let mut v = [0; SAMPLE_FIELDS];
+        v.take(r)?;
+        *self = TelemetrySample::from_values(v);
+        Ok(())
+    }
 }
 
 impl TelemetryLog {
@@ -340,33 +307,6 @@ impl TelemetryLog {
     /// Whether any sample has been taken.
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// Serialises the log for checkpointing.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = Vec::new();
-        self.prev.words(&mut w);
-        w.push(self.samples.len() as u64);
-        for s in &self.samples {
-            s.words(&mut w);
-        }
-        w
-    }
-
-    /// Restores a snapshot produced by [`TelemetryLog::snapshot_words`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the words are malformed.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = Reader::new(words, "telemetry");
-        self.prev = TelemetryInputs::read(&mut r)?;
-        let n = r.count()?;
-        self.samples.clear();
-        for _ in 0..n {
-            self.samples.push(TelemetrySample::read(&mut r)?);
-        }
-        r.finish()
     }
 }
 

@@ -7,6 +7,8 @@
 //! non-empty the pick happens within it, otherwise the baseline pick
 //! applies — exactly the multiplexer the paper adds in blue in Figure 6.
 
+use crisp_words::{echo, section, Reader, Snapshot};
+
 /// A fixed-capacity bitset over issue-queue slots.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BitSet {
@@ -74,39 +76,6 @@ impl BitSet {
         self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
     }
 
-    /// Serialises the capacity echo and bit words as a word vector.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = vec![self.capacity as u64];
-        w.extend_from_slice(&self.words);
-        w
-    }
-
-    /// Restores state captured by [`BitSet::snapshot_words`] into a bitset
-    /// of the same capacity.
-    ///
-    /// # Errors
-    ///
-    /// Rejects capacity mismatches, stray bits beyond the capacity, and
-    /// malformed input.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = crate::wcodec::Reader::new(words, "bitset");
-        let cap = r.usize()?;
-        if cap != self.capacity {
-            return Err(format!(
-                "bitset snapshot: capacity {cap}, expected {}",
-                self.capacity
-            ));
-        }
-        for w in &mut self.words {
-            *w = r.u64()?;
-        }
-        let tail = self.capacity % 64;
-        if tail != 0 && self.words.last().copied().unwrap_or(0) >> tail != 0 {
-            return Err("bitset snapshot: bits set beyond capacity".to_string());
-        }
-        r.finish()
-    }
-
     /// Iterates over set bit indices in ascending order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -121,6 +90,25 @@ impl BitSet {
                 }
             })
         })
+    }
+}
+
+/// The capacity echo, then the bit words (no length word: the capacity
+/// fixes it).
+impl Snapshot for BitSet {
+    fn put(&self, out: &mut Vec<u64>) {
+        out.push(self.capacity as u64);
+        self.words.as_slice().put(out);
+    }
+
+    fn take(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        echo::take(&mut self.capacity, r).map_err(|e| format!("capacity {e}"))?;
+        self.words.as_mut_slice().take(r)?;
+        let tail = self.capacity % 64;
+        if tail != 0 && self.words.last().copied().unwrap_or(0) >> tail != 0 {
+            return Err("bits set beyond capacity".to_string());
+        }
+        Ok(())
     }
 }
 
@@ -146,6 +134,22 @@ pub struct AgeMatrix {
     age: Vec<BitSet>,
     valid: BitSet,
     capacity: usize,
+}
+
+/// The capacity echo, the valid vector, then every slot's age vector, each
+/// as a section.
+impl Snapshot for AgeMatrix {
+    fn put(&self, out: &mut Vec<u64>) {
+        out.push(self.capacity as u64);
+        section::put(&self.valid, out);
+        self.age.iter().for_each(|a| section::put(a, out));
+    }
+
+    fn take(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        echo::take(&mut self.capacity, r).map_err(|e| format!("capacity {e}"))?;
+        section::take(&mut self.valid, r)?;
+        self.age.iter_mut().try_for_each(|a| section::take(a, r))
+    }
 }
 
 impl AgeMatrix {
@@ -216,38 +220,6 @@ impl AgeMatrix {
             Some(slot) => Some(slot),
             None => self.pick_oldest(ready),
         }
-    }
-
-    /// Serialises the valid vector and every slot's age vector.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = vec![self.capacity as u64];
-        crate::wcodec::push_section(&mut w, self.valid.snapshot_words());
-        for a in &self.age {
-            crate::wcodec::push_section(&mut w, a.snapshot_words());
-        }
-        w
-    }
-
-    /// Restores state captured by [`AgeMatrix::snapshot_words`] into a
-    /// matrix of the same capacity.
-    ///
-    /// # Errors
-    ///
-    /// Rejects capacity mismatches and malformed input.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = crate::wcodec::Reader::new(words, "age-matrix");
-        let cap = r.usize()?;
-        if cap != self.capacity {
-            return Err(format!(
-                "age-matrix snapshot: capacity {cap}, expected {}",
-                self.capacity
-            ));
-        }
-        self.valid.restore_words(r.section()?)?;
-        for a in &mut self.age {
-            a.restore_words(r.section()?)?;
-        }
-        r.finish()
     }
 }
 

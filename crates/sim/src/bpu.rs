@@ -58,6 +58,11 @@ pub struct BranchPredictionUnit {
     ras_mispredicts: u64,
 }
 
+crisp_words::fields! { BranchPredictionUnit {
+    cond_branches, cond_mispredicts, indirect_mispredicts, ras_mispredicts, tage as section,
+    btb as section, ras as section, indirect as section
+} }
+
 impl BranchPredictionUnit {
     /// Builds the BPU.
     pub fn new(config: BpuConfig) -> BranchPredictionUnit {
@@ -141,42 +146,6 @@ impl BranchPredictionUnit {
         out
     }
 
-    /// Serialises all four predictors and the misprediction counters as a
-    /// word vector.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = vec![
-            self.cond_branches,
-            self.cond_mispredicts,
-            self.indirect_mispredicts,
-            self.ras_mispredicts,
-        ];
-        crate::wcodec::push_section(&mut w, self.tage.snapshot_words());
-        crate::wcodec::push_section(&mut w, self.btb.snapshot_words());
-        crate::wcodec::push_section(&mut w, self.ras.snapshot_words());
-        crate::wcodec::push_section(&mut w, self.indirect.snapshot_words());
-        w
-    }
-
-    /// Restores state captured by
-    /// [`BranchPredictionUnit::snapshot_words`] into an identically
-    /// configured unit. On error the unit's state is unspecified.
-    ///
-    /// # Errors
-    ///
-    /// Rejects predictor-geometry mismatches and malformed input.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = crate::wcodec::Reader::new(words, "bpu");
-        self.cond_branches = r.u64()?;
-        self.cond_mispredicts = r.u64()?;
-        self.indirect_mispredicts = r.u64()?;
-        self.ras_mispredicts = r.u64()?;
-        self.tage.restore_words(r.section()?)?;
-        self.btb.restore_words(r.section()?)?;
-        self.ras.restore_words(r.section()?)?;
-        self.indirect.restore_words(r.section()?)?;
-        r.finish()
-    }
-
     /// `(conditional branches, conditional mispredicts, indirect
     /// mispredicts, return mispredicts)`.
     pub fn stats(&self) -> (u64, u64, u64, u64) {
@@ -193,6 +162,7 @@ impl BranchPredictionUnit {
 mod tests {
     use super::*;
     use crisp_isa::{Cond, Opcode, StaticInst};
+    use crisp_words::Snapshot;
 
     fn branch_inst() -> StaticInst {
         StaticInst::nullary(Opcode::Branch(Cond::Eq))

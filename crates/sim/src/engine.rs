@@ -5,17 +5,17 @@ use crate::config::{SchedulerKind, SimConfig};
 use crate::error::{DeadlockReport, HeadState, SimError};
 use crate::snapshot::{CheckpointSink, RestoreAudit, SimSnapshot};
 use crate::stats::{PipeRecord, SimResult, UpcTimeline};
-use crate::wcodec::{push_opt_u64, push_opt_usize, push_section, Reader};
 use crisp_isa::{FuClass, Layout, Pc, Program, Trace};
 use crisp_mem::{HitLevel, MemoryHierarchy};
 use crisp_obs::{
     EventKind, FillLevel, HostProf, Phase as HostPhase, StallClass, TelemetryInputs, Tracer,
 };
+use crisp_words::{echo, list, section, Reader, Snapshot};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// One in-flight instruction (a ROB entry).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct Entry {
     pc: Pc,
     fu: FuClass,
@@ -40,14 +40,62 @@ struct Entry {
     fill: Option<FillLevel>,
 }
 
+/// The functional-unit classes in snapshot-code order.
+const FU_CLASSES: [FuClass; 3] = [FuClass::Alu, FuClass::Load, FuClass::Store];
+
+/// The booleans and the fill level share one flags word: bits 0..=4 the
+/// booleans, bit 5 fill present, bits 6..=7 the fill level code.
+impl Snapshot for Entry {
+    fn put(&self, out: &mut Vec<u64>) {
+        let fu = FU_CLASSES.iter().position(|&f| f == self.fu);
+        let fill = self.fill.map_or(0, |level| 1 << 5 | level.code() << 6);
+        let flags = u64::from(self.unpipelined)
+            | u64::from(self.critical) << 1
+            | u64::from(self.is_load) << 2
+            | u64::from(self.is_store) << 3
+            | u64::from(self.mispredicted) << 4
+            | fill;
+        let fu = fu.expect("every FU class has a code") as u64;
+        out.extend([u64::from(self.pc), fu, self.latency, flags]);
+        (self.deps, self.mem_dep).put(out);
+        out.extend([self.addr, self.fetched_at, self.visible_at]);
+        (self.issued_at, self.complete_at, self.rs_slot).put(out);
+    }
+
+    fn take(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        self.pc.take(r)?;
+        let fu = r.u64()?;
+        self.fu = *usize::try_from(fu)
+            .ok()
+            .and_then(|i| FU_CLASSES.get(i))
+            .ok_or_else(|| format!("bad FU class {fu}"))?;
+        self.latency.take(r)?;
+        let flags = r.u64()?;
+        self.fill = match (flags >> 5 & 1, flags >> 6) {
+            (1, code @ 0..=3) => Some(FillLevel::from_code(code)?),
+            (0, 0) => None,
+            _ => return Err(format!("bad entry flags {flags:#x}")),
+        };
+        let bit = |i: u32| flags >> i & 1 != 0;
+        (self.unpipelined, self.critical, self.is_load) = (bit(0), bit(1), bit(2));
+        (self.is_store, self.mispredicted) = (bit(3), bit(4));
+        (self.deps, self.mem_dep) = r.read()?;
+        (self.addr, self.fetched_at, self.visible_at) = r.read()?;
+        (self.issued_at, self.complete_at, self.rs_slot) = r.read()?;
+        Ok(())
+    }
+}
+
 /// A fetched instruction waiting in the decoupled fetch buffer.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Fetched {
     trace_idx: usize,
     fetched_at: u64,
     visible_at: u64,
     mispredicted: bool,
 }
+
+crisp_words::fields! { Fetched { trace_idx, fetched_at, visible_at, mispredicted } }
 
 /// The cycle-level out-of-order core simulator. See the crate docs for an
 /// overview and an example.
@@ -257,6 +305,79 @@ struct Engine<'a> {
 
     // Host-side self-profiler (`HostProf::Off` unless `cfg.hostprof`).
     prof: HostProf,
+}
+
+/// The `engine` section of a checkpoint: frontend, window, scheduler and
+/// execution resources (the hierarchy, predictors and statistics are
+/// sections of their own). The trace length is echoed so a snapshot from a
+/// different workload is rejected.
+impl Snapshot for Engine<'_> {
+    fn put(&self, out: &mut Vec<u64>) {
+        (self.now, self.trace.len(), self.fetch_idx).put(out);
+        list::put(&self.fetch_buffer, out);
+        (self.fetch_blocked_by, self.fetch_blocked_until).put(out);
+        (self.icache_wait, self.current_line, self.ftq_cursor).put(out);
+        (self.last_prefetched_line, self.rob_base, self.next_seq).put(out);
+        list::put(&self.rob, out);
+        self.reg_producer.put(out);
+        list::put(&self.store_queue, out);
+        (self.loads_in_flight, self.stores_in_flight).put(out);
+        self.rs.put(out);
+        list::put(&self.rs_free, out);
+        section::put(&self.age, out);
+        self.rr_cursor.put(out);
+        self.alu_busy.put(out);
+        list::put(&self.outstanding_dram, out);
+    }
+
+    fn take(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        self.now.take(r)?;
+        echo::take(&mut self.trace.len(), r)
+            .map_err(|e| format!("trace length {e}: snapshot was taken on a different workload"))?;
+        self.fetch_idx.take(r)?;
+        list::take(&mut self.fetch_buffer, r)?;
+        (self.fetch_blocked_by, self.fetch_blocked_until) = r.read()?;
+        (self.icache_wait, self.current_line, self.ftq_cursor) = r.read()?;
+        (self.last_prefetched_line, self.rob_base, self.next_seq) = r.read()?;
+        list::take(&mut self.rob, r)?;
+        self.reg_producer.take(r)?;
+        list::take(&mut self.store_queue, r)?;
+        (self.loads_in_flight, self.stores_in_flight) = r.read()?;
+        self.rs.take(r).map_err(|e| format!("RS slots: {e}"))?;
+        list::take(&mut self.rs_free, r)?;
+        section::take(&mut self.age, r)?;
+        self.rr_cursor.take(r)?;
+        let ports = self.alu_busy.take(r);
+        ports.map_err(|e| format!("ALU ports: {e}"))?;
+        list::take(&mut self.outstanding_dram, r)?;
+
+        let (n, rs) = (self.trace.len(), self.cfg.rs_entries);
+        if self.fetch_idx > n || self.fetch_buffer.iter().any(|f| f.trace_idx >= n) {
+            return Err(format!("fetch index beyond the {n}-instruction trace"));
+        }
+        if self.fetch_buffer.len() > self.cfg.fetch_queue_entries
+            || self.rob.len() > self.cfg.rob_entries
+            || self.rs_free.len() > rs
+        {
+            return Err("fetch buffer, ROB or RS free list over capacity".to_string());
+        }
+        if self.rob_base.checked_add(self.rob.len() as u64) != Some(self.next_seq) {
+            return Err(format!(
+                "next_seq {} inconsistent with rob_base {} + {} entries",
+                self.next_seq,
+                self.rob_base,
+                self.rob.len()
+            ));
+        }
+        let slots = self.rob.iter().filter_map(|e| e.rs_slot);
+        match slots
+            .chain(self.rs_free.iter().copied())
+            .find(|&slot| slot >= rs)
+        {
+            Some(slot) => Err(format!("RS slot {slot} out of range")),
+            None => Ok(()),
+        }
+    }
 }
 
 impl<'a> Engine<'a> {
@@ -512,7 +633,7 @@ impl<'a> Engine<'a> {
         SimSnapshot {
             cycle: self.now,
             sections: vec![
-                ("engine".to_string(), self.engine_words()),
+                ("engine".to_string(), self.snapshot_words()),
                 ("mem".to_string(), self.mem.snapshot_words()),
                 ("bpu".to_string(), self.bpu.snapshot_words()),
                 ("stats".to_string(), self.res.snapshot_words()),
@@ -520,302 +641,36 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Applies a snapshot to a freshly constructed engine. On error the
-    /// engine must be discarded.
+    /// Applies a snapshot to a freshly constructed engine, then runs the
+    /// invariant checker over the restored machine: the word-level checks
+    /// cannot see cross-structure consistency (an RS slot naming a
+    /// sequence number outside the ROB would panic on the next cycle). On
+    /// error the engine must be discarded.
     fn restore(&mut self, snapshot: &SimSnapshot) -> Result<(), SimError> {
-        fn wrap(section: &str) -> impl Fn(String) -> SimError + '_ {
-            move |message| SimError::SnapshotRestore {
-                section: section.to_string(),
-                message,
-            }
-        }
-        let section = |name: &str| {
+        let fail = |section: &str| {
+            let section = section.to_string();
+            move |message| SimError::SnapshotRestore { section, message }
+        };
+        let words = |name: &str| {
             snapshot
                 .section(name)
-                .ok_or_else(|| SimError::SnapshotRestore {
-                    section: name.to_string(),
-                    message: "section missing from snapshot".to_string(),
-                })
+                .ok_or_else(|| fail(name)("section missing from snapshot".to_string()))
         };
-        self.restore_engine_words(section("engine")?)
-            .map_err(wrap("engine"))?;
-        self.mem
-            .restore_words(section("mem")?)
-            .map_err(wrap("mem"))?;
-        self.bpu
-            .restore_words(section("bpu")?)
-            .map_err(wrap("bpu"))?;
+        self.restore_words(words("engine")?)
+            .map_err(fail("engine"))?;
+        self.mem.restore_words(words("mem")?).map_err(fail("mem"))?;
+        self.bpu.restore_words(words("bpu")?).map_err(fail("bpu"))?;
         self.res
-            .restore_words(section("stats")?)
-            .map_err(wrap("stats"))?;
+            .restore_words(words("stats")?)
+            .map_err(fail("stats"))?;
         if self.now != snapshot.cycle {
-            return Err(SimError::SnapshotRestore {
-                section: "engine".to_string(),
-                message: format!(
-                    "engine cycle {} disagrees with snapshot header cycle {}",
-                    self.now, snapshot.cycle
-                ),
-            });
+            return Err(fail("engine")(format!(
+                "engine cycle {} disagrees with snapshot header cycle {}",
+                self.now, snapshot.cycle
+            )));
         }
-        Ok(())
-    }
-
-    /// Serialises the engine-local state (frontend, window, scheduler,
-    /// execution resources) as the snapshot's `engine` section.
-    fn engine_words(&self) -> Vec<u64> {
-        let mut w = vec![self.now, self.trace.len() as u64, self.fetch_idx as u64];
-        w.push(self.fetch_buffer.len() as u64);
-        for f in &self.fetch_buffer {
-            w.extend_from_slice(&[
-                f.trace_idx as u64,
-                f.fetched_at,
-                f.visible_at,
-                u64::from(f.mispredicted),
-            ]);
-        }
-        push_opt_u64(&mut w, self.fetch_blocked_by);
-        w.push(self.fetch_blocked_until);
-        match self.icache_wait {
-            Some((line, ready)) => w.extend_from_slice(&[1, line, ready]),
-            None => w.extend_from_slice(&[0, 0, 0]),
-        }
-        push_opt_u64(&mut w, self.current_line);
-        w.push(self.ftq_cursor as u64);
-        push_opt_u64(&mut w, self.last_prefetched_line);
-        w.push(self.rob_base);
-        w.push(self.next_seq);
-        w.push(self.rob.len() as u64);
-        for e in &self.rob {
-            w.push(u64::from(e.pc));
-            w.push(match e.fu {
-                FuClass::Alu => 0,
-                FuClass::Load => 1,
-                FuClass::Store => 2,
-            });
-            w.push(e.latency);
-            // Bits 0..=4: booleans; bit 5: fill present; bits 6..=7: fill
-            // level code.
-            w.push(
-                u64::from(e.unpipelined)
-                    | u64::from(e.critical) << 1
-                    | u64::from(e.is_load) << 2
-                    | u64::from(e.is_store) << 3
-                    | u64::from(e.mispredicted) << 4
-                    | match e.fill {
-                        Some(level) => 1 << 5 | level.code() << 6,
-                        None => 0,
-                    },
-            );
-            for d in e.deps {
-                push_opt_u64(&mut w, d);
-            }
-            push_opt_u64(&mut w, e.mem_dep);
-            w.extend_from_slice(&[e.addr, e.fetched_at, e.visible_at]);
-            push_opt_u64(&mut w, e.issued_at);
-            push_opt_u64(&mut w, e.complete_at);
-            push_opt_usize(&mut w, e.rs_slot);
-        }
-        for p in self.reg_producer {
-            push_opt_u64(&mut w, p);
-        }
-        w.push(self.store_queue.len() as u64);
-        for &(seq, addr, width) in &self.store_queue {
-            w.extend_from_slice(&[seq, addr, width]);
-        }
-        w.push(self.loads_in_flight as u64);
-        w.push(self.stores_in_flight as u64);
-        w.push(self.rs.len() as u64);
-        for s in &self.rs {
-            push_opt_u64(&mut w, *s);
-        }
-        w.push(self.rs_free.len() as u64);
-        w.extend(self.rs_free.iter().map(|&s| s as u64));
-        push_section(&mut w, self.age.snapshot_words());
-        w.push(self.rr_cursor as u64);
-        w.push(self.alu_busy.len() as u64);
-        w.extend_from_slice(&self.alu_busy);
-        w.push(self.outstanding_dram.len() as u64);
-        w.extend_from_slice(&self.outstanding_dram);
-        w
-    }
-
-    /// Restores the `engine` section, validating the structural echoes
-    /// (trace length, window/port geometry) against the live inputs so a
-    /// snapshot from a different workload or machine shape is rejected.
-    fn restore_engine_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = Reader::new(words, "engine");
-        self.now = r.u64()?;
-        let trace_len = r.usize()?;
-        if trace_len != self.trace.len() {
-            return Err(format!(
-                "engine snapshot: trace of {trace_len} instructions, expected {} — \
-                 snapshot was taken on a different workload",
-                self.trace.len()
-            ));
-        }
-        self.fetch_idx = r.usize()?;
-        if self.fetch_idx > self.trace.len() {
-            return Err(format!(
-                "engine snapshot: fetch index {} beyond trace end",
-                self.fetch_idx
-            ));
-        }
-        let n = r.count()?;
-        if n > self.cfg.fetch_queue_entries {
-            return Err(format!("engine snapshot: fetch buffer over capacity ({n})"));
-        }
-        self.fetch_buffer.clear();
-        for _ in 0..n {
-            let trace_idx = r.usize()?;
-            if trace_idx >= self.trace.len() {
-                return Err(format!(
-                    "engine snapshot: fetched trace index {trace_idx} OOB"
-                ));
-            }
-            self.fetch_buffer.push_back(Fetched {
-                trace_idx,
-                fetched_at: r.u64()?,
-                visible_at: r.u64()?,
-                mispredicted: r.bool()?,
-            });
-        }
-        self.fetch_blocked_by = r.opt_u64()?;
-        self.fetch_blocked_until = r.u64()?;
-        let waiting = r.bool()?;
-        let line = r.u64()?;
-        let ready = r.u64()?;
-        self.icache_wait = waiting.then_some((line, ready));
-        self.current_line = r.opt_u64()?;
-        self.ftq_cursor = r.usize()?;
-        self.last_prefetched_line = r.opt_u64()?;
-        self.rob_base = r.u64()?;
-        self.next_seq = r.u64()?;
-        let n = r.count()?;
-        if n > self.cfg.rob_entries {
-            return Err(format!("engine snapshot: ROB over capacity ({n})"));
-        }
-        if self.next_seq != self.rob_base + n as u64 {
-            return Err(format!(
-                "engine snapshot: next_seq {} inconsistent with rob_base {} + {n} entries",
-                self.next_seq, self.rob_base
-            ));
-        }
-        self.rob.clear();
-        for _ in 0..n {
-            let pc = r.u64()?;
-            let pc = Pc::try_from(pc).map_err(|_| format!("engine snapshot: bad pc {pc}"))?;
-            let fu = match r.u64()? {
-                0 => FuClass::Alu,
-                1 => FuClass::Load,
-                2 => FuClass::Store,
-                v => return Err(format!("engine snapshot: bad FU class {v}")),
-            };
-            let latency = r.u64()?;
-            let flags = r.u64()?;
-            if flags >> 8 != 0 {
-                return Err(format!("engine snapshot: bad entry flags {flags:#x}"));
-            }
-            let fill = if flags >> 5 & 1 != 0 {
-                Some(
-                    FillLevel::from_code(flags >> 6 & 0b11)
-                        .map_err(|e| format!("engine snapshot: {e}"))?,
-                )
-            } else if flags >> 6 != 0 {
-                return Err(format!(
-                    "engine snapshot: fill level bits set without presence bit in {flags:#x}"
-                ));
-            } else {
-                None
-            };
-            let mut deps = [None; 3];
-            for d in &mut deps {
-                *d = r.opt_u64()?;
-            }
-            let mem_dep = r.opt_u64()?;
-            let addr = r.u64()?;
-            let fetched_at = r.u64()?;
-            let visible_at = r.u64()?;
-            let issued_at = r.opt_u64()?;
-            let complete_at = r.opt_u64()?;
-            let rs_slot = r.opt_usize()?;
-            if let Some(slot) = rs_slot {
-                if slot >= self.cfg.rs_entries {
-                    return Err(format!("engine snapshot: RS slot {slot} OOB"));
-                }
-            }
-            self.rob.push_back(Entry {
-                pc,
-                fu,
-                latency,
-                unpipelined: flags & 1 != 0,
-                critical: flags >> 1 & 1 != 0,
-                is_load: flags >> 2 & 1 != 0,
-                is_store: flags >> 3 & 1 != 0,
-                mispredicted: flags >> 4 & 1 != 0,
-                deps,
-                mem_dep,
-                addr,
-                fetched_at,
-                visible_at,
-                issued_at,
-                complete_at,
-                rs_slot,
-                fill,
-            });
-        }
-        for p in &mut self.reg_producer {
-            *p = r.opt_u64()?;
-        }
-        let n = r.count()?;
-        self.store_queue.clear();
-        for _ in 0..n {
-            let seq = r.u64()?;
-            let addr = r.u64()?;
-            let width = r.u64()?;
-            self.store_queue.push_back((seq, addr, width));
-        }
-        self.loads_in_flight = r.usize()?;
-        self.stores_in_flight = r.usize()?;
-        let n = r.usize()?;
-        if n != self.cfg.rs_entries {
-            return Err(format!(
-                "engine snapshot: {n} RS slots, expected {}",
-                self.cfg.rs_entries
-            ));
-        }
-        for s in &mut self.rs {
-            *s = r.opt_u64()?;
-        }
-        let n = r.count()?;
-        if n > self.cfg.rs_entries {
-            return Err(format!("engine snapshot: free list over capacity ({n})"));
-        }
-        self.rs_free.clear();
-        for _ in 0..n {
-            let slot = r.usize()?;
-            if slot >= self.cfg.rs_entries {
-                return Err(format!("engine snapshot: free slot {slot} OOB"));
-            }
-            self.rs_free.push(slot);
-        }
-        self.age.restore_words(r.section()?)?;
-        self.rr_cursor = r.usize()?;
-        let n = r.usize()?;
-        if n != self.cfg.alu_ports {
-            return Err(format!(
-                "engine snapshot: {n} ALU ports, expected {}",
-                self.cfg.alu_ports
-            ));
-        }
-        for b in &mut self.alu_busy {
-            *b = r.u64()?;
-        }
-        let n = r.count()?;
-        self.outstanding_dram.clear();
-        for _ in 0..n {
-            self.outstanding_dram.push(r.u64()?);
-        }
-        r.finish()
+        self.check_invariants()
+            .map_err(|e| fail("engine")(e.to_string()))
     }
 
     /// Snapshots the stuck machine for the watchdog's diagnostic dump.
@@ -915,11 +770,37 @@ impl<'a> Engine<'a> {
                 }
             }
         }
+        // The load/store buffers hold exactly the window's loads and stores.
+        let loads = self.rob.iter().filter(|e| e.is_load).count();
+        let stores = self.rob.iter().filter(|e| e.is_store).count();
+        if (loads, stores) != (self.loads_in_flight, self.stores_in_flight) {
+            return fail(format!(
+                "{} loads / {} stores in flight but the ROB holds {loads} / {stores}",
+                self.loads_in_flight, self.stores_in_flight
+            ));
+        }
         // Per-instruction stage ordering: fetch <= dispatch <= issue <=
         // complete (retire is checked implicitly: commit only pops
-        // completed heads in order).
+        // completed heads in order). Each entry also mirrors its trace
+        // record and static instruction.
         for (i, e) in self.rob.iter().enumerate() {
             let seq = self.rob_base + i as u64;
+            let Some(rec) = self.trace.get(seq as usize) else {
+                return fail(format!(
+                    "seq {seq} beyond the {}-instruction trace",
+                    self.trace.len()
+                ));
+            };
+            let inst = self.program.inst(rec.pc);
+            if (e.pc, e.addr) != (rec.pc, rec.addr)
+                || (e.fu, e.latency) != (inst.fu_class(), u64::from(inst.op.latency()))
+                || (e.is_load, e.is_store) != (inst.is_load(), inst.is_store())
+            {
+                return fail(format!(
+                    "seq {seq} (pc {}): entry disagrees with its trace record",
+                    e.pc
+                ));
+            }
             if e.fetched_at > e.visible_at {
                 return fail(format!(
                     "seq {seq} (pc {}): fetched at {} after dispatch-visible at {}",

@@ -63,15 +63,15 @@ mod engine;
 mod error;
 mod snapshot;
 mod stats;
-mod wcodec;
 
 pub use age_matrix::{AgeMatrix, BitSet};
 pub use bpu::{BpuConfig, BranchOutcome, BranchPredictionUnit};
 pub use cancel::{AbortReason, CancelToken, ProgressBeacon};
 pub use config::{SchedulerKind, SimConfig};
+pub use crisp_words::Snapshot;
 pub use engine::Simulator;
 pub use error::{ConfigError, DeadlockReport, HeadState, SimError};
-pub use snapshot::{CheckpointSink, RestoreAudit, SimSnapshot, Snapshot};
+pub use snapshot::{CheckpointSink, RestoreAudit, SimSnapshot};
 pub use stats::{BranchPcStats, LoadPcStats, PipeRecord, Pipeview, SimResult, UpcTimeline};
 
 // Re-exported for convenience: the memory config lives in crisp-mem.

@@ -1,87 +1,16 @@
-//! Mid-run checkpoint/restore: the [`Snapshot`] trait, the in-memory
-//! [`SimSnapshot`] container the engine emits, and the [`CheckpointSink`]
-//! callback that delivers checkpoints while a simulation is running.
+//! Mid-run checkpoint/restore: the in-memory [`SimSnapshot`] container
+//! the engine emits and the [`CheckpointSink`] callback that delivers
+//! checkpoints while a simulation is running.
 //!
 //! Every stateful simulator structure — schedulers, predictors, caches,
-//! DRAM, the emulator, statistics — serialises its complete mutable state
-//! as a flat `Vec<u64>` and restores it into an identically-configured
-//! instance. Configuration-derived values (table geometries, capacities)
-//! are never serialised; restore validates them against the live instance
-//! and rejects mismatches, so a snapshot can only land in a machine shaped
-//! exactly like the one that produced it. Durable on-disk framing
-//! (versioning, checksums, fingerprints) lives in `crisp-harness`.
+//! DRAM, the emulator, statistics — implements the workspace's one
+//! snapshot codec, [`crisp_words::Snapshot`] (re-exported as
+//! [`crate::Snapshot`]). Durable on-disk framing (versioning, checksums,
+//! fingerprints) lives in `crisp-harness`.
 
 use crate::stats::SimResult;
 use std::fmt;
 use std::sync::Arc;
-
-/// Uniform word-vector serialisation for stateful simulator structures.
-///
-/// `restore_words(snapshot_words())` into an identically-configured
-/// instance is an exact state transfer: a subsequent `snapshot_words` is
-/// byte-identical, and all future behaviour matches the original. On
-/// error the target's state is unspecified (callers restore into fresh
-/// instances and discard on failure).
-pub trait Snapshot {
-    /// Serialises the structure's complete mutable state.
-    fn snapshot_words(&self) -> Vec<u64>;
-
-    /// Restores state captured by [`Snapshot::snapshot_words`] into a
-    /// structure of identical configuration.
-    ///
-    /// # Errors
-    ///
-    /// Rejects malformed input and snapshots taken from a differently
-    /// configured instance, naming the offending structure.
-    fn restore_words(&mut self, words: &[u64]) -> Result<(), String>;
-}
-
-/// Wires a type's inherent `snapshot_words`/`restore_words` pair into the
-/// [`Snapshot`] trait (inherent methods win name resolution, so the
-/// delegation below is not self-recursive).
-macro_rules! delegate_snapshot {
-    ($($t:ty),* $(,)?) => {$(
-        impl Snapshot for $t {
-            fn snapshot_words(&self) -> Vec<u64> {
-                <$t>::snapshot_words(self)
-            }
-            fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-                <$t>::restore_words(self, words)
-            }
-        }
-    )*};
-}
-
-delegate_snapshot!(
-    crate::age_matrix::BitSet,
-    crate::age_matrix::AgeMatrix,
-    crate::bpu::BranchPredictionUnit,
-    crate::stats::UpcTimeline,
-    crate::stats::Pipeview,
-    crate::stats::SimResult,
-    crisp_uarch::Bimodal,
-    crisp_uarch::Gshare,
-    crisp_uarch::Tage,
-    crisp_uarch::Btb,
-    crisp_uarch::Ras,
-    crisp_uarch::IndirectPredictor,
-    crisp_mem::Cache,
-    crisp_mem::Dram,
-    crisp_mem::StreamPrefetcher,
-    crisp_mem::StridePrefetcher,
-    crisp_mem::Bop,
-    crisp_mem::Ghb,
-    crisp_mem::GhbWidth,
-    crisp_mem::Sisb,
-    crisp_mem::Spp,
-    crisp_mem::MemoryHierarchy,
-    crisp_emu::Memory,
-    crisp_emu::Emulator<'_>,
-    crisp_obs::Tracer,
-    crisp_obs::FlightRecorder,
-    crisp_obs::StallTable,
-    crisp_obs::TelemetryLog,
-);
 
 /// One full-machine checkpoint, taken at a cycle boundary on the engine's
 /// cooperative poll path.
@@ -189,19 +118,5 @@ mod tests {
         sink.emit(&snap);
         assert_eq!(*seen.lock().expect("lock"), vec![7, 7]);
         assert_eq!(format!("{sink:?}"), "CheckpointSink(..)");
-    }
-
-    #[test]
-    fn trait_objects_round_trip_through_dyn() {
-        // The trait is object-safe and the delegation reaches the inherent
-        // implementations.
-        let mut ras = crisp_uarch::Ras::new(4);
-        ras.push(0x10);
-        let dyn_ras: &dyn Snapshot = &ras;
-        let words = dyn_ras.snapshot_words();
-        let mut fresh = crisp_uarch::Ras::new(4);
-        let dyn_fresh: &mut dyn Snapshot = &mut fresh;
-        dyn_fresh.restore_words(&words).unwrap();
-        assert_eq!(fresh.pop(), Some(0x10));
     }
 }

@@ -50,6 +50,10 @@ impl LoadPcStats {
     }
 }
 
+crisp_words::fields! { LoadPcStats {
+    execs, l1_hits, llc_hits, llc_misses, total_latency, mlp_sum
+} }
+
 /// Per-static-branch statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BranchPcStats {
@@ -70,11 +74,15 @@ impl BranchPcStats {
     }
 }
 
+crisp_words::fields! { BranchPcStats { execs, mispredicts } }
+
 /// The per-cycle retired-instruction timeline of Figure 1.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct UpcTimeline {
     counts: Vec<u8>,
 }
+
+crisp_words::fields! { UpcTimeline { counts as list } }
 
 impl UpcTimeline {
     pub(crate) fn push(&mut self, retired: usize) {
@@ -96,34 +104,6 @@ impl UpcTimeline {
         sum as f64 / (to - from) as f64
     }
 
-    /// Serialises the per-cycle counts as a word vector.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = vec![self.counts.len() as u64];
-        w.extend(self.counts.iter().map(|&c| u64::from(c)));
-        w
-    }
-
-    /// Restores state captured by [`UpcTimeline::snapshot_words`],
-    /// replacing the current timeline.
-    ///
-    /// # Errors
-    ///
-    /// Rejects malformed input.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = crate::wcodec::Reader::new(words, "upc-timeline");
-        let n = r.count()?;
-        let mut counts = Vec::with_capacity(n);
-        for _ in 0..n {
-            let v = r.u64()?;
-            counts.push(
-                u8::try_from(v).map_err(|_| format!("upc-timeline snapshot: count {v} > 255"))?,
-            );
-        }
-        r.finish()?;
-        self.counts = counts;
-        Ok(())
-    }
-
     /// Downsamples the timeline into `buckets` averages (for plotting).
     pub fn bucketed(&self, buckets: usize) -> Vec<f64> {
         if self.counts.is_empty() || buckets == 0 {
@@ -138,7 +118,7 @@ impl UpcTimeline {
 }
 
 /// Per-instruction pipeline timestamps for the pipeline viewer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipeRecord {
     /// Dynamic sequence number.
     pub seq: u64,
@@ -166,6 +146,9 @@ pub struct Pipeview {
     records: Vec<PipeRecord>,
 }
 
+crisp_words::fields! { PipeRecord { seq, pc, fetch, dispatch, issue, complete, retire } }
+crisp_words::fields! { Pipeview { records as list } }
+
 impl Pipeview {
     pub(crate) fn push(&mut self, rec: PipeRecord) {
         self.records.push(rec);
@@ -174,52 +157,6 @@ impl Pipeview {
     /// The raw records.
     pub fn records(&self) -> &[PipeRecord] {
         &self.records
-    }
-
-    /// Serialises the records as a word vector.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = vec![self.records.len() as u64];
-        for r in &self.records {
-            w.extend_from_slice(&[
-                r.seq,
-                u64::from(r.pc),
-                r.fetch,
-                r.dispatch,
-                r.issue,
-                r.complete,
-                r.retire,
-            ]);
-        }
-        w
-    }
-
-    /// Restores state captured by [`Pipeview::snapshot_words`], replacing
-    /// the current records.
-    ///
-    /// # Errors
-    ///
-    /// Rejects malformed input.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = crate::wcodec::Reader::new(words, "pipeview");
-        let n = r.count()?;
-        let mut records = Vec::with_capacity(n);
-        for _ in 0..n {
-            let seq = r.u64()?;
-            let pc = r.u64()?;
-            let pc = Pc::try_from(pc).map_err(|_| format!("pipeview snapshot: bad pc {pc}"))?;
-            records.push(PipeRecord {
-                seq,
-                pc,
-                fetch: r.u64()?,
-                dispatch: r.u64()?,
-                issue: r.u64()?,
-                complete: r.u64()?,
-                retire: r.u64()?,
-            });
-        }
-        r.finish()?;
-        self.records = records;
-        Ok(())
     }
 
     /// Renders the instructions whose sequence numbers fall in
@@ -316,6 +253,16 @@ pub struct SimResult {
     pub hostprof: crisp_obs::HostProfReport,
 }
 
+// The per-PC maps are emitted sorted by PC, so equal results encode
+// identically. `hostprof` is deliberately left out (see its doc).
+crisp_words::fields! { SimResult {
+    cycles, retired, rob_head_stall_cycles, fetch_stall_mispredict_cycles,
+    fetch_stall_icache_cycles, cond_branches, cond_mispredicts, indirect_mispredicts, mem,
+    load_pc_stats as map, branch_pc_stats as map, upc as section, pipeview as section,
+    issued_critical, issued_noncritical, tracer as section, stall_table as section,
+    telemetry as section
+} }
+
 impl SimResult {
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
@@ -401,164 +348,18 @@ impl SimResult {
         }
     }
 
-    /// Serialises every counter, the per-PC maps (sorted by PC so the
-    /// encoding is deterministic), the UPC timeline and the pipeview
-    /// records as a word vector.
+    /// The result's snapshot words (see the [`crisp_words::Snapshot`]
+    /// impl): the byte-identity witness of `--audit-restore`, callable
+    /// without importing the trait.
     pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = vec![
-            self.cycles,
-            self.retired,
-            self.rob_head_stall_cycles,
-            self.fetch_stall_mispredict_cycles,
-            self.fetch_stall_icache_cycles,
-            self.cond_branches,
-            self.cond_mispredicts,
-            self.indirect_mispredicts,
-        ];
-        w.extend_from_slice(&[
-            self.mem.loads,
-            self.mem.stores,
-            self.mem.fetches,
-            self.mem.load_llc_misses,
-            self.mem.load_merges,
-            self.mem.prefetches_issued,
-        ]);
-        for c in [&self.mem.l1i, &self.mem.l1d, &self.mem.llc] {
-            w.extend_from_slice(&[
-                c.accesses,
-                c.misses,
-                c.prefetch_fills,
-                c.prefetch_hits,
-                c.prefetch_probes,
-                c.prefetch_misses,
-            ]);
-        }
-        for e in &self.mem.prefetch {
-            w.extend_from_slice(&[e.issued, e.useful, e.late, e.polluting]);
-        }
-        w.extend_from_slice(&[
-            self.mem.dram.requests,
-            self.mem.dram.row_hits,
-            self.mem.dram.row_misses,
-            self.mem.dram.row_conflicts,
-            self.mem.dram.total_latency,
-        ]);
-        let mut loads: Vec<(&Pc, &LoadPcStats)> = self.load_pc_stats.iter().collect();
-        loads.sort_by_key(|(pc, _)| **pc);
-        w.push(loads.len() as u64);
-        for (pc, s) in loads {
-            w.extend_from_slice(&[
-                u64::from(*pc),
-                s.execs,
-                s.l1_hits,
-                s.llc_hits,
-                s.llc_misses,
-                s.total_latency,
-                s.mlp_sum,
-            ]);
-        }
-        let mut branches: Vec<(&Pc, &BranchPcStats)> = self.branch_pc_stats.iter().collect();
-        branches.sort_by_key(|(pc, _)| **pc);
-        w.push(branches.len() as u64);
-        for (pc, s) in branches {
-            w.extend_from_slice(&[u64::from(*pc), s.execs, s.mispredicts]);
-        }
-        crate::wcodec::push_section(&mut w, self.upc.snapshot_words());
-        crate::wcodec::push_section(&mut w, self.pipeview.snapshot_words());
-        w.push(self.issued_critical);
-        w.push(self.issued_noncritical);
-        crate::wcodec::push_section(&mut w, self.tracer.snapshot_words());
-        crate::wcodec::push_section(&mut w, self.stall_table.snapshot_words());
-        crate::wcodec::push_section(&mut w, self.telemetry.snapshot_words());
-        w
-    }
-
-    /// Restores state captured by [`SimResult::snapshot_words`]. On error
-    /// the result's state is unspecified.
-    ///
-    /// # Errors
-    ///
-    /// Rejects malformed input, including duplicate per-PC entries.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = crate::wcodec::Reader::new(words, "sim-result");
-        self.cycles = r.u64()?;
-        self.retired = r.u64()?;
-        self.rob_head_stall_cycles = r.u64()?;
-        self.fetch_stall_mispredict_cycles = r.u64()?;
-        self.fetch_stall_icache_cycles = r.u64()?;
-        self.cond_branches = r.u64()?;
-        self.cond_mispredicts = r.u64()?;
-        self.indirect_mispredicts = r.u64()?;
-        self.mem.loads = r.u64()?;
-        self.mem.stores = r.u64()?;
-        self.mem.fetches = r.u64()?;
-        self.mem.load_llc_misses = r.u64()?;
-        self.mem.load_merges = r.u64()?;
-        self.mem.prefetches_issued = r.u64()?;
-        for c in [&mut self.mem.l1i, &mut self.mem.l1d, &mut self.mem.llc] {
-            c.accesses = r.u64()?;
-            c.misses = r.u64()?;
-            c.prefetch_fills = r.u64()?;
-            c.prefetch_hits = r.u64()?;
-            c.prefetch_probes = r.u64()?;
-            c.prefetch_misses = r.u64()?;
-        }
-        for e in &mut self.mem.prefetch {
-            e.issued = r.u64()?;
-            e.useful = r.u64()?;
-            e.late = r.u64()?;
-            e.polluting = r.u64()?;
-        }
-        self.mem.dram.requests = r.u64()?;
-        self.mem.dram.row_hits = r.u64()?;
-        self.mem.dram.row_misses = r.u64()?;
-        self.mem.dram.row_conflicts = r.u64()?;
-        self.mem.dram.total_latency = r.u64()?;
-        let bad_pc = |pc: u64| format!("sim-result snapshot: bad pc {pc}");
-        let n = r.count()?;
-        self.load_pc_stats = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let pc = r.u64()?;
-            let pc = Pc::try_from(pc).map_err(|_| bad_pc(pc))?;
-            let s = LoadPcStats {
-                execs: r.u64()?,
-                l1_hits: r.u64()?,
-                llc_hits: r.u64()?,
-                llc_misses: r.u64()?,
-                total_latency: r.u64()?,
-                mlp_sum: r.u64()?,
-            };
-            if self.load_pc_stats.insert(pc, s).is_some() {
-                return Err(format!("sim-result snapshot: duplicate load pc {pc}"));
-            }
-        }
-        let n = r.count()?;
-        self.branch_pc_stats = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let pc = r.u64()?;
-            let pc = Pc::try_from(pc).map_err(|_| bad_pc(pc))?;
-            let s = BranchPcStats {
-                execs: r.u64()?,
-                mispredicts: r.u64()?,
-            };
-            if self.branch_pc_stats.insert(pc, s).is_some() {
-                return Err(format!("sim-result snapshot: duplicate branch pc {pc}"));
-            }
-        }
-        self.upc.restore_words(r.section()?)?;
-        self.pipeview.restore_words(r.section()?)?;
-        self.issued_critical = r.u64()?;
-        self.issued_noncritical = r.u64()?;
-        self.tracer.restore_words(r.section()?)?;
-        self.stall_table.restore_words(r.section()?)?;
-        self.telemetry.restore_words(r.section()?)?;
-        r.finish()
+        crisp_words::Snapshot::snapshot_words(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crisp_words::Snapshot;
 
     #[test]
     fn load_pc_stats_ratios() {

@@ -22,6 +22,8 @@ pub struct Bimodal {
     mask: u64,
 }
 
+crisp_words::fields! { Bimodal { table } }
+
 impl Bimodal {
     /// Creates a predictor with `entries` counters.
     ///
@@ -45,34 +47,6 @@ impl Bimodal {
     /// Direct read of the counter state for a pc (diagnostics).
     pub fn counter(&self, pc: u64) -> i8 {
         self.table[self.index(pc)].get()
-    }
-
-    /// Serialises the counter table as a flat word vector.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = vec![self.table.len() as u64];
-        w.extend(self.table.iter().map(|c| c.to_word()));
-        w
-    }
-
-    /// Restores state captured by [`Bimodal::snapshot_words`] into an
-    /// identically-sized predictor.
-    ///
-    /// # Errors
-    ///
-    /// Rejects table-size mismatches and malformed input.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = crate::wcodec::Reader::new(words, "bimodal");
-        let n = r.usize()?;
-        if n != self.table.len() {
-            return Err(format!(
-                "bimodal snapshot: {n} counters, expected {}",
-                self.table.len()
-            ));
-        }
-        for c in &mut self.table {
-            *c = SatCounter::from_word(r.u64()?)?;
-        }
-        r.finish()
     }
 }
 

@@ -1,7 +1,7 @@
 use crisp_isa::CtrlKind;
 
 /// One branch-target-buffer entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BtbEntry {
     /// Full tag (the branch byte address).
     pub pc: u64,
@@ -10,6 +10,37 @@ pub struct BtbEntry {
     /// Kind of control transfer, so the frontend knows whether to consult
     /// the direction predictor, the RAS or the indirect predictor.
     pub kind: CtrlKind,
+}
+
+/// The control kinds in snapshot-code order.
+const KINDS: [CtrlKind; 5] = [
+    CtrlKind::CondBranch,
+    CtrlKind::Jump,
+    CtrlKind::IndirectJump,
+    CtrlKind::Call,
+    CtrlKind::Ret,
+];
+
+impl crisp_words::Snapshot for BtbEntry {
+    fn put(&self, out: &mut Vec<u64>) {
+        let code = KINDS.iter().position(|&k| k == self.kind);
+        out.extend([
+            self.pc,
+            self.target,
+            code.expect("every kind has a code") as u64,
+        ]);
+    }
+
+    fn take(&mut self, r: &mut crisp_words::Reader<'_>) -> Result<(), String> {
+        self.pc = r.u64()?;
+        self.target = r.u64()?;
+        let code = r.u64()?;
+        self.kind = *usize::try_from(code)
+            .ok()
+            .and_then(|i| KINDS.get(i))
+            .ok_or_else(|| format!("bad control kind {code}"))?;
+        Ok(())
+    }
 }
 
 /// A set-associative branch target buffer.
@@ -36,6 +67,13 @@ pub struct Btb {
     lookups: u64,
     misses: u64,
 }
+
+crisp_words::fields! { Btb { stamp, lookups, misses, sets as lists } check |b| {
+    match b.sets.iter().find(|set| set.len() > b.ways) {
+        Some(set) => Err(format!("{} ways in a set, expected at most {}", set.len(), b.ways)),
+        None => Ok(()),
+    }
+} }
 
 impl Btb {
     /// Creates a BTB with `entries` total entries and `ways` associativity.
@@ -107,85 +145,12 @@ impl Btb {
     pub fn stats(&self) -> (u64, u64) {
         (self.lookups, self.misses)
     }
-
-    /// Serialises tags, targets, LRU stamps and counters as a word vector.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = vec![
-            self.stamp,
-            self.lookups,
-            self.misses,
-            self.sets.len() as u64,
-        ];
-        for set in &self.sets {
-            w.push(set.len() as u64);
-            for (stamp, e) in set {
-                w.push(*stamp);
-                w.push(e.pc);
-                w.push(e.target);
-                w.push(match e.kind {
-                    CtrlKind::CondBranch => 0,
-                    CtrlKind::Jump => 1,
-                    CtrlKind::IndirectJump => 2,
-                    CtrlKind::Call => 3,
-                    CtrlKind::Ret => 4,
-                });
-            }
-        }
-        w
-    }
-
-    /// Restores state captured by [`Btb::snapshot_words`] into a BTB of
-    /// the same geometry.
-    ///
-    /// # Errors
-    ///
-    /// Rejects geometry mismatches and malformed input.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = crate::wcodec::Reader::new(words, "btb");
-        let stamp = r.u64()?;
-        let lookups = r.u64()?;
-        let misses = r.u64()?;
-        let n_sets = r.usize()?;
-        if n_sets != self.sets.len() {
-            return Err(format!(
-                "btb snapshot: {n_sets} sets, expected {}",
-                self.sets.len()
-            ));
-        }
-        self.stamp = stamp;
-        self.lookups = lookups;
-        self.misses = misses;
-        for set in &mut self.sets {
-            let n = r.usize()?;
-            if n > self.ways {
-                return Err(format!(
-                    "btb snapshot: {n} ways in a set, expected at most {}",
-                    self.ways
-                ));
-            }
-            set.clear();
-            for _ in 0..n {
-                let stamp = r.u64()?;
-                let pc = r.u64()?;
-                let target = r.u64()?;
-                let kind = match r.u64()? {
-                    0 => CtrlKind::CondBranch,
-                    1 => CtrlKind::Jump,
-                    2 => CtrlKind::IndirectJump,
-                    3 => CtrlKind::Call,
-                    4 => CtrlKind::Ret,
-                    v => return Err(format!("btb snapshot: bad control kind {v}")),
-                };
-                set.push((stamp, BtbEntry { pc, target, kind }));
-            }
-        }
-        r.finish()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crisp_words::Snapshot;
 
     #[test]
     fn miss_then_hit_after_insert() {

@@ -29,6 +29,14 @@ pub struct Gshare {
     hist_mask: u64,
 }
 
+crisp_words::fields! { Gshare { history, table } check |g| {
+    if g.history & !g.hist_mask == 0 {
+        Ok(())
+    } else {
+        Err(format!("history {:#x} wider than configured", g.history))
+    }
+} }
+
 impl Gshare {
     /// Creates a predictor with `entries` counters and `hist_bits` bits of
     /// global history.
@@ -56,39 +64,6 @@ impl Gshare {
     pub fn history(&self) -> u64 {
         self.history
     }
-
-    /// Serialises the history register and counter table as a word vector.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = vec![self.history, self.table.len() as u64];
-        w.extend(self.table.iter().map(|c| c.to_word()));
-        w
-    }
-
-    /// Restores state captured by [`Gshare::snapshot_words`] into an
-    /// identically-sized predictor.
-    ///
-    /// # Errors
-    ///
-    /// Rejects table-size or history-width mismatches and malformed input.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = crate::wcodec::Reader::new(words, "gshare");
-        let history = r.u64()?;
-        if history & !self.hist_mask != 0 {
-            return Err("gshare snapshot: history wider than configured".to_string());
-        }
-        let n = r.usize()?;
-        if n != self.table.len() {
-            return Err(format!(
-                "gshare snapshot: {n} counters, expected {}",
-                self.table.len()
-            ));
-        }
-        self.history = history;
-        for c in &mut self.table {
-            *c = SatCounter::from_word(r.u64()?)?;
-        }
-        r.finish()
-    }
 }
 
 impl DirectionPredictor for Gshare {
@@ -106,6 +81,7 @@ impl DirectionPredictor for Gshare {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crisp_words::Snapshot;
 
     #[test]
     fn learns_alternating_pattern() {

@@ -24,6 +24,8 @@ pub struct IndirectPredictor {
     hist_bits: u32,
 }
 
+crisp_words::fields! { IndirectPredictor { history, table } }
+
 impl IndirectPredictor {
     /// Creates a predictor with `entries` slots and `hist_bits` bits of
     /// path history.
@@ -62,62 +64,12 @@ impl IndirectPredictor {
         let mask = (1u64 << self.hist_bits) - 1;
         self.history = ((self.history << 2) ^ (target >> 2)) & mask;
     }
-
-    /// Serialises the path history and target table as a word vector.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = vec![self.history, self.table.len() as u64];
-        for e in &self.table {
-            match e {
-                Some((tag, target)) => {
-                    w.push(1);
-                    w.push(*tag);
-                    w.push(*target);
-                }
-                None => {
-                    w.push(0);
-                    w.push(0);
-                    w.push(0);
-                }
-            }
-        }
-        w
-    }
-
-    /// Restores state captured by
-    /// [`IndirectPredictor::snapshot_words`] into an identically-sized
-    /// predictor.
-    ///
-    /// # Errors
-    ///
-    /// Rejects table-size mismatches and malformed input.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = crate::wcodec::Reader::new(words, "indirect-predictor");
-        let history = r.u64()?;
-        let n = r.usize()?;
-        if n != self.table.len() {
-            return Err(format!(
-                "indirect-predictor snapshot: {n} entries, expected {}",
-                self.table.len()
-            ));
-        }
-        self.history = history;
-        for e in &mut self.table {
-            let present = match r.u64()? {
-                0 => false,
-                1 => true,
-                v => return Err(format!("indirect-predictor snapshot: bad flag {v}")),
-            };
-            let tag = r.u64()?;
-            let target = r.u64()?;
-            *e = present.then_some((tag, target));
-        }
-        r.finish()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crisp_words::Snapshot;
 
     #[test]
     fn monomorphic_target_is_predicted() {

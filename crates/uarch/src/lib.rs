@@ -33,7 +33,6 @@ mod gshare;
 mod indirect;
 mod ras;
 mod tage;
-mod wcodec;
 
 pub use bimodal::Bimodal;
 pub use btb::{Btb, BtbEntry};
@@ -123,27 +122,22 @@ impl SatCounter {
     pub(crate) fn is_weak(self) -> bool {
         self.value == 0 || self.value == -1
     }
+}
 
-    /// Packs the counter (value and saturation bound) into one snapshot
-    /// word.
-    pub(crate) fn to_word(self) -> u64 {
-        u64::from(self.value as u8) | (u64::from(self.max as u8) << 8)
+/// One word: the value's byte, then the saturation bound's byte.
+impl crisp_words::Snapshot for SatCounter {
+    fn put(&self, out: &mut Vec<u64>) {
+        out.push(u64::from(self.value as u8) | u64::from(self.max as u8) << 8);
     }
 
-    /// Rebuilds a counter from [`SatCounter::to_word`] output, validating
-    /// that the value sits inside the saturation range.
-    pub(crate) fn from_word(w: u64) -> Result<SatCounter, String> {
-        if w >> 16 != 0 {
-            return Err(format!("sat-counter snapshot: bad word {w:#x}"));
+    fn take(&mut self, r: &mut crisp_words::Reader<'_>) -> Result<(), String> {
+        let w = r.u64()?;
+        let (value, max) = (w as u8 as i8, (w >> 8) as u8 as i8);
+        if w >> 16 != 0 || max < 0 || !(-max - 1..=max).contains(&value) {
+            return Err(format!("bad saturating counter {w:#x}"));
         }
-        let value = (w & 0xFF) as u8 as i8;
-        let max = ((w >> 8) & 0xFF) as u8 as i8;
-        if max < 0 || !(-max - 1..=max).contains(&value) {
-            return Err(format!(
-                "sat-counter snapshot: value {value} outside range of max {max}"
-            ));
-        }
-        Ok(SatCounter { value, max })
+        *self = SatCounter { value, max };
+        Ok(())
     }
 }
 

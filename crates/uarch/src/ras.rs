@@ -20,6 +20,14 @@ pub struct Ras {
     capacity: usize,
 }
 
+crisp_words::fields! { Ras { top, depth, stack } check |r| {
+    if r.top < r.capacity && r.depth <= r.capacity {
+        Ok(())
+    } else {
+        Err(format!("top {} / depth {} outside capacity {}", r.top, r.depth, r.capacity))
+    }
+} }
+
 impl Ras {
     /// Creates a RAS holding up to `capacity` return addresses.
     ///
@@ -66,44 +74,12 @@ impl Ras {
     pub fn clear(&mut self) {
         self.depth = 0;
     }
-
-    /// Serialises the stack contents and cursor as a word vector.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = vec![self.top as u64, self.depth as u64, self.stack.len() as u64];
-        w.extend_from_slice(&self.stack);
-        w
-    }
-
-    /// Restores state captured by [`Ras::snapshot_words`] into a RAS of
-    /// the same capacity.
-    ///
-    /// # Errors
-    ///
-    /// Rejects capacity mismatches, out-of-range cursors and malformed
-    /// input.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = crate::wcodec::Reader::new(words, "ras");
-        let top = r.usize()?;
-        let depth = r.usize()?;
-        let n = r.usize()?;
-        if n != self.capacity || top >= self.capacity || depth > self.capacity {
-            return Err(format!(
-                "ras snapshot: capacity {n} / top {top} / depth {depth}, expected capacity {}",
-                self.capacity
-            ));
-        }
-        self.top = top;
-        self.depth = depth;
-        for slot in &mut self.stack {
-            *slot = r.u64()?;
-        }
-        r.finish()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crisp_words::Snapshot;
 
     #[test]
     fn lifo_order() {

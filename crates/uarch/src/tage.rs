@@ -59,6 +59,14 @@ struct FoldedHistory {
     out_point: u32,
 }
 
+crisp_words::fields! { FoldedHistory { comp } check |f| {
+    if f.comp >> f.comp_len == 0 {
+        Ok(())
+    } else {
+        Err(format!("folded history {:#x} wider than {} bits", f.comp, f.comp_len))
+    }
+} }
+
 impl FoldedHistory {
     fn new(orig_len: u32, comp_len: u32) -> FoldedHistory {
         FoldedHistory {
@@ -87,6 +95,8 @@ struct TageEntry {
     useful: u8,
 }
 
+crisp_words::fields! { TageEntry { tag, ctr, useful } }
+
 /// The TAGE conditional-branch predictor (Seznec, "A case for
 /// (partially)-tagged geometric history length predictors", JILP 2006).
 ///
@@ -114,6 +124,22 @@ pub struct Tage {
     // Per-prediction bookkeeping (filled by `predict`, consumed by `update`).
     last: PredState,
 }
+
+// The per-prediction scratch (`last`) is not captured: snapshots are
+// taken at instruction boundaries, never between a predict and its
+// update, and `predict` rewrites it whole.
+crisp_words::fields! { Tage {
+    base, tables, history, hist_pos, index_fold, tag_fold0, tag_fold1, use_alt_on_na, lfsr, updates
+} check |t| {
+    let tag_mask = !((1u16 << t.config.tag_bits) - 1);
+    if let Some(e) = t.tables.iter().flatten().find(|e| e.tag & tag_mask != 0) {
+        return Err(format!("tag {:#x} wider than configured", e.tag));
+    }
+    if t.hist_pos >= t.history.len() {
+        return Err(format!("history cursor {} out of range", t.hist_pos));
+    }
+    Ok(())
+} }
 
 #[derive(Clone, Copy, Debug, Default)]
 struct PredState {
@@ -182,132 +208,6 @@ impl Tage {
     /// The predictor's configuration.
     pub fn config(&self) -> &TageConfig {
         &self.config
-    }
-
-    /// Serialises the full learned state — base counters, tagged tables,
-    /// the raw outcome history ring, the folded-history registers, the
-    /// use-alt policy counter, the allocation LFSR and the update count —
-    /// as a flat word vector.
-    ///
-    /// The per-prediction scratch (provider/alternate bookkeeping between
-    /// `predict` and `update`) is *not* captured: snapshots are taken at
-    /// instruction boundaries, never between a predict and its update.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut w = vec![self.base.len() as u64];
-        w.extend(self.base.iter().map(|c| c.to_word()));
-        w.push(self.tables.len() as u64);
-        for table in &self.tables {
-            w.push(table.len() as u64);
-            for e in table {
-                w.push(u64::from(e.tag));
-                w.push(e.ctr.to_word());
-                w.push(u64::from(e.useful));
-            }
-        }
-        w.push(self.history.len() as u64);
-        w.extend(self.history.iter().map(|&b| u64::from(b)));
-        w.push(self.hist_pos as u64);
-        for folds in [&self.index_fold, &self.tag_fold0, &self.tag_fold1] {
-            w.push(folds.len() as u64);
-            w.extend(folds.iter().map(|f| u64::from(f.comp)));
-        }
-        w.push(self.use_alt_on_na.to_word());
-        w.push(u64::from(self.lfsr));
-        w.push(self.updates);
-        w
-    }
-
-    /// Restores state captured by [`Tage::snapshot_words`] into a
-    /// predictor built from the same configuration. Resets the
-    /// per-prediction scratch.
-    ///
-    /// # Errors
-    ///
-    /// Rejects geometry mismatches, out-of-range folded histories and
-    /// malformed input; the predictor should be discarded on error.
-    pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut r = crate::wcodec::Reader::new(words, "tage");
-        let n_base = r.usize()?;
-        if n_base != self.base.len() {
-            return Err(format!(
-                "tage snapshot: {n_base} base counters, expected {}",
-                self.base.len()
-            ));
-        }
-        for c in &mut self.base {
-            *c = SatCounter::from_word(r.u64()?)?;
-        }
-        let n_tables = r.usize()?;
-        if n_tables != self.tables.len() {
-            return Err(format!(
-                "tage snapshot: {n_tables} tagged tables, expected {}",
-                self.tables.len()
-            ));
-        }
-        let tag_mask = !((1u64 << self.config.tag_bits) - 1);
-        for table in &mut self.tables {
-            let n = r.usize()?;
-            if n != table.len() {
-                return Err(format!(
-                    "tage snapshot: {n} entries in a table, expected {}",
-                    table.len()
-                ));
-            }
-            for e in table.iter_mut() {
-                let tag = r.u64()?;
-                if tag & tag_mask != 0 {
-                    return Err(format!("tage snapshot: tag {tag:#x} wider than configured"));
-                }
-                e.tag = tag as u16;
-                e.ctr = SatCounter::from_word(r.u64()?)?;
-                e.useful = r.u8()?;
-            }
-        }
-        let n_hist = r.usize()?;
-        if n_hist != self.history.len() {
-            return Err(format!(
-                "tage snapshot: {n_hist} history bits, expected {}",
-                self.history.len()
-            ));
-        }
-        for b in &mut self.history {
-            *b = r.bool()?;
-        }
-        let hist_pos = r.usize()?;
-        if hist_pos >= self.history.len() {
-            return Err(format!(
-                "tage snapshot: history cursor {hist_pos} out of range"
-            ));
-        }
-        self.hist_pos = hist_pos;
-        for folds in [
-            &mut self.index_fold,
-            &mut self.tag_fold0,
-            &mut self.tag_fold1,
-        ] {
-            let n = r.usize()?;
-            if n != folds.len() {
-                return Err(format!(
-                    "tage snapshot: {n} folded histories, expected {}",
-                    folds.len()
-                ));
-            }
-            for f in folds.iter_mut() {
-                let comp = r.u64()?;
-                if comp >> f.comp_len != 0 {
-                    return Err(format!(
-                        "tage snapshot: folded history {comp:#x} wider than {} bits",
-                        f.comp_len
-                    ));
-                }
-                f.comp = comp as u32;
-            }
-        }
-        self.use_alt_on_na = SatCounter::from_word(r.u64()?)?;
-        self.lfsr = u32::try_from(r.u64()?).map_err(|_| "tage snapshot: lfsr overflow")?;
-        self.updates = r.u64()?;
-        self.last = PredState::default();
-        r.finish()
     }
 
     fn index(&self, pc: u64, table: usize) -> usize {
@@ -479,6 +379,7 @@ impl DirectionPredictor for Tage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crisp_words::Snapshot;
 
     fn run_pattern(tage: &mut Tage, pc: u64, pattern: &[bool], reps: usize) -> (u64, u64) {
         let mut total = 0;

@@ -3,19 +3,30 @@
 //! restored into a freshly constructed instance, and re-serialised — the
 //! two word vectors must be byte-identical, and (where the type is
 //! executable) the restored instance must behave identically afterwards.
+//! Below them, truncation/corruption sweeps and a layout pin.
 
 use crisp_bench::sweep::{run_supervised_sweep, SweepConfig};
 use crisp_bench::ExperimentScale;
 use crisp_emu::{Emulator, Memory};
 use crisp_harness::JobOutcome;
 use crisp_isa::{AluOp, Cond, CtrlKind, ProgramBuilder, Reg};
+use crisp_isa::{Opcode, Program, StaticInst, Trace};
 use crisp_mem::{
     Bop, Cache, CacheConfig, Dram, DramConfig, Ghb, GhbWidth, HierarchyConfig, MemoryHierarchy,
     Prefetcher, Sisb, Spp, StreamPrefetcher, StridePrefetcher,
 };
-use crisp_sim::{AgeMatrix, BitSet, CheckpointSink, SimConfig, SimSnapshot, Simulator, Snapshot};
-use crisp_uarch::{Bimodal, Btb, DirectionPredictor, Gshare, IndirectPredictor, Ras, Tage};
+use crisp_obs::FlightRecorder;
+use crisp_sim::{
+    AgeMatrix, BitSet, BpuConfig, BranchPredictionUnit, CheckpointSink, Pipeview, SimConfig,
+    SimError, SimResult, SimSnapshot, Simulator, Snapshot, StallTable, TelemetryLog, Tracer,
+    UpcTimeline,
+};
+use crisp_uarch::{
+    Bimodal, Btb, DirectionPredictor, Gshare, IndirectPredictor, Ras, Tage, TageConfig,
+};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
 
 /// Serialise `driven`, restore into `fresh`, and require the re-serialised
@@ -586,4 +597,458 @@ fn prefzoo_store_warm_rerun_is_byte_identical() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---- restore robustness and layout pin ------------------------------------
+
+/// One snapshot implementor in a driven state: its words and a factory
+/// for the fresh, identically configured instance they restore into.
+struct Case {
+    name: &'static str,
+    words: Vec<u64>,
+    fresh: Box<dyn Fn() -> Box<dyn Snapshot>>,
+}
+
+fn case<T: Snapshot + 'static>(
+    name: &'static str,
+    driven: &T,
+    fresh: impl Fn() -> T + 'static,
+) -> Case {
+    Case {
+        name,
+        words: driven.snapshot_words(),
+        fresh: Box::new(move || Box::new(fresh())),
+    }
+}
+
+fn small_tage() -> Tage {
+    Tage::new(TageConfig {
+        num_tables: 2,
+        base_entries: 16,
+        table_entries: 16,
+        tag_bits: 8,
+        min_hist: 2,
+        max_hist: 12,
+        u_reset_period: 64,
+    })
+}
+
+fn small_bpu() -> BranchPredictionUnit {
+    BranchPredictionUnit::new(BpuConfig {
+        tage: *small_tage().config(),
+        btb_entries: 16,
+        btb_ways: 4,
+        ras_depth: 4,
+        indirect_entries: 16,
+    })
+}
+
+/// A hierarchy small enough for exhaustive prefix/mutation sweeps, with
+/// two zoo units so the nested prefetcher sections are covered.
+fn small_hierarchy() -> HierarchyConfig {
+    HierarchyConfig {
+        l1i: CacheConfig::new(512, 2, 64),
+        l1d: CacheConfig::new(512, 2, 64),
+        llc: CacheConfig::new(2048, 4, 64),
+        dram: DramConfig {
+            banks: 4,
+            ..DramConfig::default()
+        },
+        prefetcher: "ghbw:entries=8,ait=4+spp:st=4,pt=4,filter=8"
+            .parse()
+            .expect("zoo spec"),
+        ..HierarchyConfig::skylake_like()
+    }
+}
+
+/// A small load/store loop: loads walk one array, stores fill another.
+fn load_store_loop(iters: i64) -> Program {
+    let mut b = ProgramBuilder::new();
+    b.li(Reg::new(1), 0x1000);
+    b.li(Reg::new(29), iters);
+    let top = b.label();
+    b.bind(top);
+    b.load(Reg::new(2), Reg::new(1), 0, 8);
+    b.alu_ri(AluOp::Add, Reg::new(3), Reg::new(2), 7);
+    b.store(Reg::new(1), 0x4000, Reg::new(3), 8);
+    b.mul(Reg::new(4), Reg::new(3), Reg::new(2));
+    b.alu_ri(AluOp::Add, Reg::new(1), Reg::new(1), 72);
+    b.alu_ri(AluOp::Sub, Reg::new(29), Reg::new(29), 1);
+    b.branch(Cond::Ne, Reg::new(29), Reg::ZERO, top);
+    b.halt();
+    b.build()
+}
+
+/// A reduced machine with every recording surface on, so one run fills
+/// every `SimResult` field the snapshot carries.
+fn small_machine() -> SimConfig {
+    let mut cfg = SimConfig::skylake();
+    cfg.rob_entries = 32;
+    cfg.rs_entries = 12;
+    cfg.issue_width = 4;
+    cfg.load_buffer = 8;
+    cfg.store_buffer = 8;
+    cfg.fetch_queue_entries = 8;
+    cfg.ftq_entries = 16;
+    cfg.memory = small_hierarchy();
+    cfg.cancel_check_interval = 16;
+    cfg.record_upc_timeline = true;
+    cfg.record_pipeview = true;
+    cfg.tracer_capacity = Some(24);
+    cfg.telemetry_interval = Some(64);
+    cfg.stall_attribution = true;
+    cfg
+}
+
+/// Every snapshot implementor, driven into a non-trivial state.
+fn driven_cases() -> Vec<Case> {
+    // A fixed seed, not proptest: the layout pin needs the same states on
+    // every run.
+    let mut rng = SmallRng::seed_from_u64(0x5eed);
+    let mut next = |bound: u64| rng.gen_range(0..bound);
+    let mut cases = Vec::new();
+
+    let (mut bimodal, mut gshare, mut tage) = (Bimodal::new(16), Gshare::new(16, 4), small_tage());
+    for _ in 0..300 {
+        let pc = 0x1000 + next(24) * 4;
+        let taken = next(3) != 0;
+        let p = bimodal.predict(pc);
+        bimodal.update(pc, taken, p);
+        let p = gshare.predict(pc);
+        gshare.update(pc, taken, p);
+        let p = tage.predict(pc);
+        tage.update(pc, taken, p);
+    }
+    cases.push(case("bimodal", &bimodal, || Bimodal::new(16)));
+    cases.push(case("gshare", &gshare, || Gshare::new(16, 4)));
+    cases.push(case("tage", &tage, small_tage));
+
+    use CtrlKind::{CondBranch, IndirectJump, Jump, Ret};
+    let kinds = [CondBranch, Jump, IndirectJump, CtrlKind::Call, Ret];
+    let (mut btb, mut ras, mut ind) = (Btb::new(16, 4), Ras::new(4), IndirectPredictor::new(16, 4));
+    for i in 0..60u64 {
+        let pc = 0x4000 + next(40) * 4;
+        btb.insert(pc, pc + 64, kinds[next(5) as usize]);
+        btb.lookup(0x4000 + next(40) * 4);
+        if i % 3 == 0 {
+            ras.pop();
+        } else {
+            ras.push(pc);
+        }
+        ind.update(pc, pc + next(4) * 8);
+    }
+    cases.push(case("btb", &btb, || Btb::new(16, 4)));
+    cases.push(case("ras", &ras, || Ras::new(4)));
+    cases.push(case("indirect", &ind, || IndirectPredictor::new(16, 4)));
+
+    let mut bpu = small_bpu();
+    use Opcode::{Call, JumpInd};
+    let ctrl = [
+        Opcode::Branch(Cond::Eq),
+        Opcode::Jump,
+        JumpInd,
+        Call,
+        Opcode::Ret,
+    ];
+    for _ in 0..120 {
+        let inst = StaticInst::nullary(ctrl[next(5) as usize]);
+        let pc = 0x400 + next(24) * 4;
+        let target = 0x800 + next(6) * 4;
+        bpu.observe(&inst, pc, next(3) != 0, target, pc + 4);
+    }
+    cases.push(case("bpu", &bpu, small_bpu));
+
+    let cache_cfg = CacheConfig::new(512, 2, 64);
+    let mut cache = Cache::new(cache_cfg);
+    let dram_cfg = DramConfig {
+        banks: 4,
+        ..DramConfig::default()
+    };
+    let mut dram = Dram::new(dram_cfg);
+    for now in 0..80u64 {
+        let line = next(24);
+        let _ = match next(3) {
+            0 => cache.access(line),
+            1 => cache.fill_pf(line, next(3) as u8).evicted.is_some(),
+            _ => cache.invalidate(line),
+        };
+        dram.request(line * 4096, now * 3);
+    }
+    cases.push(case("cache", &cache, move || Cache::new(cache_cfg)));
+    cases.push(case("dram", &dram, move || Dram::new(dram_cfg)));
+
+    let mut stream = StreamPrefetcher::new(4, 4, 2);
+    let mut stride = StridePrefetcher::new(8, 2);
+    let mut bop = Bop::with_params(vec![1, 2, 3, 4], 8, 4, 6, 1);
+    let mut ghb = Ghb::new(8, 4, 2);
+    let mut ghbw = GhbWidth::new(8, 4, 2, 2, 2);
+    let mut sisb = Sisb::new(4, 8, 2);
+    let mut spp = Spp::new(4, 4, 8, 3, 100);
+    let mut out = Vec::new();
+    let mut line = 100u64;
+    for _ in 0..120 {
+        line = (line as i64 + [1i64, 2, -3, 1, 5][next(5) as usize]).max(0) as u64;
+        let pc = 0x7000 + next(6) * 4;
+        let hit = next(4) == 0;
+        for p in [
+            &mut stream as &mut dyn Prefetcher,
+            &mut stride,
+            &mut bop,
+            &mut ghb,
+            &mut ghbw,
+            &mut sisb,
+            &mut spp,
+        ] {
+            out.clear();
+            p.on_access(line, pc, hit, &mut out);
+            p.on_fill(line);
+        }
+    }
+    cases.push(case("stream", &stream, || StreamPrefetcher::new(4, 4, 2)));
+    cases.push(case("stride", &stride, || StridePrefetcher::new(8, 2)));
+    cases.push(case("bop", &bop, || {
+        Bop::with_params(vec![1, 2, 3, 4], 8, 4, 6, 1)
+    }));
+    cases.push(case("ghb", &ghb, || Ghb::new(8, 4, 2)));
+    cases.push(case("ghbw", &ghbw, || GhbWidth::new(8, 4, 2, 2, 2)));
+    cases.push(case("sisb", &sisb, || Sisb::new(4, 8, 2)));
+    cases.push(case("spp", &spp, || Spp::new(4, 4, 8, 3, 100)));
+
+    let mut mem = MemoryHierarchy::new(small_hierarchy());
+    for now in 0..150u64 {
+        let addr = 0x10_0000 + next(48) * 64;
+        let _ = match next(3) {
+            0 => mem.load(addr, 0x100 + next(4) * 4, now * 2),
+            1 => mem.store(addr, 0x200, now * 2),
+            _ => mem.fetch(addr, now * 2),
+        };
+    }
+    cases.push(case("hierarchy", &mem, || {
+        MemoryHierarchy::new(small_hierarchy())
+    }));
+
+    let mut bits = BitSet::new(70);
+    let mut age = AgeMatrix::new(6);
+    for slot in [3usize, 0, 5, 1] {
+        bits.set(slot * 13);
+        age.insert(slot);
+    }
+    age.remove(0);
+    cases.push(case("bitset", &bits, || BitSet::new(70)));
+    cases.push(case("age-matrix", &age, || AgeMatrix::new(6)));
+
+    let program: &'static Program = Box::leak(Box::new(load_store_loop(6)));
+    let mut image = Memory::new();
+    image.write_u64_slice(0x1000, &[3, 1, 4, 1, 5, 9, 2, 6]);
+    let mut emu = Emulator::new(program, image);
+    for _ in 0..20 {
+        emu.step().expect("loop step");
+    }
+    cases.push(case("memory", emu.memory(), Memory::new));
+    cases.push(case("emulator", &emu, move || {
+        Emulator::new(program, Memory::new())
+    }));
+
+    let t = Emulator::new(program, Memory::new()).run(10_000);
+    let res = Simulator::new(small_machine()).run(program, &t, None);
+    cases.push(case("upc-timeline", &res.upc, UpcTimeline::default));
+    cases.push(case("pipeview", &res.pipeview, Pipeview::default));
+    cases.push(case("tracer", &res.tracer, || Tracer::ring(24)));
+    let Tracer::Ring(ring) = &res.tracer else {
+        panic!("tracing was configured on");
+    };
+    cases.push(case("flight-recorder", ring, || FlightRecorder::new(24)));
+    cases.push(case("stall-table", &res.stall_table, StallTable::default));
+    cases.push(case("telemetry", &res.telemetry, TelemetryLog::default));
+    let ring_result = || SimResult {
+        tracer: Tracer::ring(24),
+        ..SimResult::default()
+    };
+    cases.push(case("sim-result", &res, ring_result));
+    cases
+}
+
+/// Requires `restores` to reject every strict prefix of `words` (every
+/// `step`th length, and the longest) and the words plus a trailing word;
+/// with `corrupt`, also feeds it every single-word corruption of `words`
+/// and returns those it panicked on (it may accept or reject them).
+fn sweep(
+    name: &str,
+    words: &[u64],
+    step: usize,
+    corrupt: bool,
+    restores: impl Fn(Vec<u64>) -> bool,
+) -> Vec<String> {
+    for len in (0..words.len()).step_by(step).chain([words.len() - 1]) {
+        let n = words.len();
+        assert!(
+            !restores(words[..len].to_vec()),
+            "{name}: prefix {len}/{n} accepted"
+        );
+    }
+    assert!(
+        !restores([words, &[0]].concat()),
+        "{name}: trailing word accepted"
+    );
+    let mut panics = Vec::new();
+    for i in (0..words.len()).filter(|_| corrupt) {
+        for v in [u64::MAX, words[i].wrapping_add(1), 1 << 40, 2, 0] {
+            let mut bad = words.to_vec();
+            bad[i] = v;
+            let run = std::panic::AssertUnwindSafe(|| restores(bad));
+            if std::panic::catch_unwind(run).is_err() {
+                panics.push(format!("{name} word {i} = {v:#x}"));
+            }
+        }
+    }
+    panics
+}
+
+/// Restore must reject every truncation and trailing garbage, and must
+/// never panic on single-word corruption, for every implementor.
+#[test]
+fn every_implementor_rejects_truncation_and_survives_corruption() {
+    let mut panics = Vec::new();
+    for c in driven_cases() {
+        let restores = |w: Vec<u64>| (c.fresh)().restore_words(&w).is_ok();
+        assert!(
+            restores(c.words.clone()),
+            "{}: clean restore failed",
+            c.name
+        );
+        panics.extend(sweep(c.name, &c.words, 1, true, restores));
+    }
+    assert!(panics.is_empty(), "restore panicked on: {panics:#?}");
+}
+
+/// A late mid-run checkpoint of the reduced machine running the load/store
+/// loop, with the straight-through result it must resume to.
+fn engine_fixture() -> (Program, Trace, SimSnapshot, Vec<u64>) {
+    let p = load_store_loop(30);
+    let t = Emulator::new(&p, Memory::new()).run(10_000);
+    let captured: Arc<Mutex<Vec<SimSnapshot>>> = Arc::new(Mutex::new(Vec::new()));
+    let store = Arc::clone(&captured);
+    let mut cfg = small_machine();
+    cfg.checkpoint_interval = Some(64);
+    cfg.checkpoint_sink = Some(CheckpointSink::new(move |s| {
+        store.lock().expect("sink lock").push(s.clone());
+    }));
+    let reference = Simulator::new(cfg).run(&p, &t, None).snapshot_words();
+    let mut snapshots = std::mem::take(&mut *captured.lock().expect("sink lock"));
+    assert!(snapshots.len() >= 4, "expected several checkpoints");
+    // Late enough that each resumed run is short, early enough that the
+    // window is still full of in-flight loads and stores.
+    let late = snapshots.swap_remove(snapshots.len() - 3);
+    (p, t, late, reference)
+}
+
+/// Restores `snapshot` into the reduced machine and runs it out, with a
+/// tight watchdog and cycle budget so corrupted timing fails fast.
+fn resume(p: &Program, t: &Trace, snapshot: SimSnapshot) -> Result<SimResult, SimError> {
+    let mut cfg = small_machine();
+    cfg.watchdog_cycles = 500;
+    cfg.cycle_budget = Some(snapshot.cycle.saturating_add(2_000));
+    cfg.restore = Some(Arc::new(snapshot));
+    Simulator::new(cfg).try_run(p, t, None)
+}
+
+/// The whole-engine case: every section of a mid-run checkpoint rejects
+/// truncation and trailing words, and single-word corruption of the
+/// `engine` section either fails restore with an error or runs to an
+/// `Ok`/`Err` end — never a panic inside the engine.
+#[test]
+fn engine_restore_rejects_truncation_and_survives_corruption() {
+    let (p, t, snap, reference) = engine_fixture();
+    let resumed = resume(&p, &t, snap.clone()).expect("clean resume");
+    assert_eq!(resumed.snapshot_words(), reference, "clean resume diverged");
+
+    let with_section = |name: &str, words: Vec<u64>| {
+        let mut s = snap.clone();
+        let slot = s.sections.iter_mut().find(|(n, _)| n == name);
+        slot.expect("section present").1 = words;
+        s
+    };
+    let mut panics = Vec::new();
+    for (name, words) in &snap.sections {
+        let restores = |w: Vec<u64>| resume(&p, &t, with_section(name, w)).is_ok();
+        // The per-structure sweep covers every prefix of the predictor
+        // tables; here the large `bpu` section is sampled.
+        let step = (words.len() / 400).max(1);
+        panics.extend(sweep(name, words, step, name == "engine", restores));
+    }
+    assert!(panics.is_empty(), "engine panicked on: {panics:#?}");
+}
+
+/// 64-bit FNV-1a over the little-endian bytes of a word vector.
+fn digest(words: &[u64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// Layout pin: FNV-1a digests of every driven structure's words and of
+/// each section of the engine fixture's checkpoint.
+///
+/// Checkpoints written by earlier builds must keep restoring, so these
+/// words may only change together with the on-disk format: any change
+/// that moves a digest must bump `crisp_harness::CHECKPOINT_VERSION` and
+/// re-bless this table (the failure message prints the new one).
+#[test]
+fn snapshot_layouts_are_pinned() {
+    const BLESSED: &[(&str, u64)] = &[
+        ("bimodal", 0x31c5e698283044d5),
+        ("gshare", 0x9080c9f370edad3c),
+        ("tage", 0xa4ad6c750ad0fe7f),
+        ("btb", 0x90f887fe6c726551),
+        ("ras", 0x4f57ca78ff29ab54),
+        ("indirect", 0x4c9ae9ff7907245f),
+        ("bpu", 0xb3b7f039dbb64157),
+        ("cache", 0x1be794788deaa521),
+        ("dram", 0xbb099eed2f9d245d),
+        ("stream", 0x4b5ef63a416718e5),
+        ("stride", 0xe400acf57fdbd9ac),
+        ("bop", 0xf69f97ae45269809),
+        ("ghb", 0x199cc37da621451c),
+        ("ghbw", 0xb70c9f13531ff05e),
+        ("sisb", 0x942aaf17855efd8e),
+        ("spp", 0x4e16433497439332),
+        ("hierarchy", 0x8b2367de099839ae),
+        ("bitset", 0x731082a159035a20),
+        ("age-matrix", 0x9526772f879c6465),
+        ("memory", 0x46c864fa73884406),
+        ("emulator", 0x74a6d0d4afddc197),
+        ("upc-timeline", 0xc8bd1d35ac2be798),
+        ("pipeview", 0x6dc709cadaf9209d),
+        ("tracer", 0x879f37baf73392e8),
+        ("flight-recorder", 0x598d20d5b7942359),
+        ("stall-table", 0xbf0b74de4986b7f4),
+        ("telemetry", 0xbd5906555167d762),
+        ("sim-result", 0xf44a761f3df7e3e3),
+        ("checkpoint/engine", 0x8adb79366f3807e8),
+        ("checkpoint/mem", 0xedb890ef76bc7a61),
+        ("checkpoint/bpu", 0xbfdd362f0feca3f4),
+        ("checkpoint/stats", 0xd18b3b67245a72cc),
+        ("checkpoint/final-result", 0x300e53c2c60861e5),
+    ];
+    let mut actual: Vec<(String, u64)> = driven_cases()
+        .iter()
+        .map(|c| (c.name.to_string(), digest(&c.words)))
+        .collect();
+    let (_, _, snap, reference) = engine_fixture();
+    for (name, words) in &snap.sections {
+        actual.push((format!("checkpoint/{name}"), digest(words)));
+    }
+    actual.push(("checkpoint/final-result".to_string(), digest(&reference)));
+    let table: String = actual
+        .iter()
+        .map(|(n, d)| format!("        (\"{n}\", {d:#018x}),\n"))
+        .collect();
+    let blessed: Vec<(String, u64)> = BLESSED.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+    assert_eq!(
+        blessed, actual,
+        "snapshot layout changed; if intended, bump CHECKPOINT_VERSION and re-bless:\n{table}"
+    );
 }
