@@ -13,9 +13,9 @@
 //! under [`Phase::Other`]).
 //!
 //! Alongside wall time the profiler tallies *structure-scan* counters —
-//! RS slots walked per wakeup, age-matrix candidates examined per
-//! select, LSQ disambiguation probes, MSHR/cache-port probes — the
-//! work-per-cycle numbers that explain why a phase is hot.
+//! RS entries the wakeup logic makes ready, age-matrix candidates
+//! examined per select, LSQ disambiguation probes, MSHR/cache-port
+//! probes — the work-per-cycle numbers that explain why a phase is hot.
 //!
 //! The disabled path is a single predicted branch per mark (the same
 //! enum-dispatch pattern as [`crate::Tracer::Off`]) and is gated by the
@@ -37,7 +37,9 @@ pub enum Phase {
     Rename,
     /// Dispatch: ROB/RS allocation and entry construction.
     Dispatch,
-    /// Wakeup: the full reservation-station readiness scan.
+    /// Wakeup: draining operands that complete this cycle into the ready
+    /// vector, walking an issued instruction's consumer list, and
+    /// fast-forwarding over idle cycles to the next wakeup event.
     Wakeup,
     /// Select: age-matrix / priority picking and port binding.
     Select,
@@ -154,7 +156,9 @@ impl HostProf {
         }
     }
 
-    /// Tallies reservation-station slots walked by a wakeup scan.
+    /// Tallies reservation-station entries the wakeup logic touched. The
+    /// engine counts each entry once, when it enters the ready vector, so
+    /// a complete run tallies exactly its retired instructions.
     #[inline]
     pub fn rs_scanned(&mut self, n: u64) {
         if let HostProf::On(s) = self {
@@ -224,7 +228,8 @@ pub struct HostProfReport {
     pub cycles: u64,
     /// Instructions retired over the profile.
     pub retired: u64,
-    /// Reservation-station slots walked by wakeup scans.
+    /// Reservation-station entries the wakeup logic made ready: one per
+    /// instruction over a complete run.
     pub rs_slots_scanned: u64,
     /// Age-matrix candidates examined by select picks.
     pub age_compares: u64,

@@ -94,7 +94,13 @@ impl StallTable {
     /// Charges one stall cycle to `pc` under `class`.
     #[inline]
     pub fn charge(&mut self, pc: u64, class: StallClass) {
-        self.rows.entry(pc).or_default()[class.index()] += 1;
+        self.charge_cycles(pc, class, 1);
+    }
+
+    /// Charges `cycles` stall cycles to `pc` under `class` at once.
+    #[inline]
+    pub fn charge_cycles(&mut self, pc: u64, class: StallClass, cycles: u64) {
+        self.rows.entry(pc).or_default()[class.index()] += cycles;
     }
 
     /// Cycles charged to backend classes (everything except frontend):

@@ -54,6 +54,16 @@ impl BitSet {
         i < self.capacity && self.words[i / 64] & (1u64 << (i % 64)) != 0
     }
 
+    /// Overwrites every bit with `other`'s, reusing the allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacities differ.
+    pub fn copy_from(&mut self, other: &BitSet) {
+        assert_eq!(self.capacity, other.capacity, "bitset capacities differ");
+        self.words.copy_from_slice(&other.words);
+    }
+
     /// Clears all bits.
     pub fn clear_all(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
@@ -74,6 +84,14 @@ impl BitSet {
     #[inline]
     pub fn disjoint(&self, other: &BitSet) -> bool {
         self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
+    }
+
+    /// The lowest set bit at or after `start`, else the lowest set bit:
+    /// a rotating-priority pick.
+    pub fn next_one_wrapping(&self, start: usize) -> Option<usize> {
+        self.iter_ones()
+            .find(|&i| i >= start)
+            .or_else(|| self.iter_ones().next())
     }
 
     /// Iterates over set bit indices in ascending order.
@@ -187,7 +205,7 @@ impl AgeMatrix {
     /// Panics if the slot is already occupied.
     pub fn insert(&mut self, slot: usize) {
         assert!(!self.valid.get(slot), "slot {slot} already occupied");
-        self.age[slot] = self.valid.clone();
+        self.age[slot].copy_from(&self.valid);
         self.valid.set(slot);
     }
 
@@ -251,6 +269,20 @@ mod tests {
         assert_eq!(ones, vec![0, 129]);
         b.clear_all();
         assert!(!b.any());
+    }
+
+    #[test]
+    fn bitset_copy_and_wrapping_pick() {
+        let src = bits(130, &[5, 70, 129]);
+        let mut b = BitSet::new(130);
+        b.set(1);
+        b.copy_from(&src);
+        assert_eq!(b, src);
+        assert_eq!(b.next_one_wrapping(0), Some(5));
+        assert_eq!(b.next_one_wrapping(6), Some(70));
+        assert_eq!(b.next_one_wrapping(129), Some(129));
+        assert_eq!(b.next_one_wrapping(130), Some(5));
+        assert_eq!(BitSet::new(130).next_one_wrapping(3), None);
     }
 
     #[test]

@@ -76,10 +76,13 @@ pub struct SimConfig {
     /// [`crate::DeadlockReport`] if no instruction retires for this many
     /// cycles. Must be nonzero.
     pub watchdog_cycles: u64,
-    /// Opt-in invariant checker (`crisp --check`): verify per-instruction
-    /// stage ordering, ROB/RS/LSQ occupancy bounds, age-matrix/RS
-    /// consistency every cycle and MSHR leak-freedom at drain. Costs
-    /// roughly one extra window scan per cycle; off by default.
+    /// Opt-in invariant checker (`crisp --check`), the engine's reference
+    /// path: step every cycle (no idle-cycle skip) and verify each one —
+    /// the live ready/PRIO vectors equal a full `slot_ready` rescan of the
+    /// RS, per-instruction stage ordering, ROB/RS/LSQ occupancy bounds and
+    /// age-matrix/RS consistency — then MSHR leak-freedom at drain. Results
+    /// are identical with it off; it costs a full RS rescan and a window
+    /// scan per simulated cycle. Off by default.
     pub check_invariants: bool,
     /// Fault-injection hook for testing the watchdog: the scheduler stops
     /// issuing once this many instructions have retired, freezing the

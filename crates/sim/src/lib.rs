@@ -12,7 +12,8 @@
 //!   station;
 //! * an **age-matrix scheduler** (paper Section 4.2 / Figure 6) with the
 //!   one-bit CRISP PRIO extension, plus an oldest-ready-first baseline and
-//!   a random-pick ablation;
+//!   a random-pick ablation; its ready and PRIO vectors are live, set by
+//!   producer→consumer wakeup lists as in the paper's hardware;
 //! * per-class functional units (4 ALU, 2 load, 1 store — Table 1),
 //!   unpipelined dividers;
 //! * exact memory disambiguation with store-to-load forwarding, load/store
@@ -21,6 +22,11 @@
 //! * retirement with ROB-head stall accounting (the paper's Section 5.2
 //!   confirmation metric) and an optional per-cycle UPC timeline
 //!   (Figure 1).
+//!
+//! Cycles in which no stage can make progress are fast-forwarded to the
+//! next event, with their stall bookkeeping replayed in bulk; results are
+//! identical to stepping every cycle, which the invariant checker
+//! ([`SimConfig::check_invariants`]) still does.
 //!
 //! The simulator consumes the *correct-path* dynamic instruction stream
 //! produced by `crisp-emu`; branch mispredictions are modelled by stalling
@@ -63,6 +69,7 @@ mod engine;
 mod error;
 mod snapshot;
 mod stats;
+mod wakeup;
 
 pub use age_matrix::{AgeMatrix, BitSet};
 pub use bpu::{BpuConfig, BranchOutcome, BranchPredictionUnit};

@@ -89,6 +89,12 @@ impl UpcTimeline {
         self.counts.push(retired.min(255) as u8);
     }
 
+    /// Appends `cycles` cycles that retired nothing.
+    pub(crate) fn push_idle(&mut self, cycles: u64) {
+        let len = self.counts.len() + cycles as usize;
+        self.counts.resize(len, 0);
+    }
+
     /// Retired instructions at each cycle.
     pub fn as_slice(&self) -> &[u8] {
         &self.counts

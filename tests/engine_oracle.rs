@@ -1,0 +1,164 @@
+//! Differential test of the engine's fast path against its reference path.
+//!
+//! With `check_invariants` off, the scheduler keeps its ready and PRIO
+//! vectors live through wakeup lists and the cycle loop fast-forwards over
+//! idle cycles. With it on, the engine steps every cycle and asserts each
+//! cycle that the live vectors equal a full `slot_ready` rescan of the
+//! reservation station. Both runs must produce the same `SimResult` word
+//! for word: cycle counts, per-PC maps, the per-cycle UPC timeline, the
+//! stall table, the pipeview, the flight recorder and the telemetry log.
+//!
+//! Every case runs at the default cancellation poll interval and at a
+//! short one: a skip never crosses a poll, so only the long interval lets
+//! a skip run for thousands of cycles.
+//!
+//! The digests in `BLESSED` pin the tier-1 subset to the results of the
+//! per-cycle rescan engine that the event-driven scheduler replaced, so a
+//! pass proves byte-identity with it, not just self-consistency.
+
+use crisp_core::{build, Input};
+use crisp_emu::Emulator;
+use crisp_isa::{Program, Trace};
+use crisp_sim::{SchedulerKind, SimConfig, Simulator};
+
+/// Instructions per case: long enough for DRAM-bound idle stretches,
+/// branch-mispredict recoveries and several telemetry samples.
+const INSTRS: u64 = 4_000;
+
+/// Cancellation poll intervals: the default and a short one.
+const POLLS: [u64; 2] = [8192, 128];
+
+const SCHEDULERS: [SchedulerKind; 3] = [
+    SchedulerKind::OldestReadyFirst,
+    SchedulerKind::Crisp,
+    SchedulerKind::RandomReady,
+];
+
+/// `(workload, scheduler, poll interval, FNV-1a of the result words)`.
+const BLESSED: &[(&str, &str, u64, u64)] = &[
+    ("pointer_chase", "oldest", 8192, 0x5af33c21c101ca74),
+    ("pointer_chase", "oldest", 128, 0xc6f9e1ad615c3c70),
+    ("pointer_chase", "crisp", 8192, 0xd85646972f92a19e),
+    ("pointer_chase", "crisp", 128, 0x5b8f9c9fe2f5090e),
+    ("pointer_chase", "random", 8192, 0x1425dd81cb0ba0b1),
+    ("pointer_chase", "random", 128, 0x2e3b383a4339dc16),
+    ("mcf", "oldest", 8192, 0x364eb5003632d376),
+    ("mcf", "oldest", 128, 0xe34a316890bef4c8),
+    ("mcf", "crisp", 8192, 0x4eedae56e0457b30),
+    ("mcf", "crisp", 128, 0xb3dd704b344f8070),
+    ("mcf", "random", 8192, 0xe57469725c1daf89),
+    ("mcf", "random", 128, 0x6782d124534d7534),
+    ("gcc", "oldest", 8192, 0x0d76b62b7299a80d),
+    ("gcc", "oldest", 128, 0x95bea5d94aec9026),
+    ("gcc", "crisp", 8192, 0xba256e2fa4c97335),
+    ("gcc", "crisp", 128, 0x377ebada136cf3bd),
+    ("gcc", "random", 8192, 0xd53a245783aeb268),
+    ("gcc", "random", 128, 0x54a6ed5fe90fb2ae),
+];
+
+/// The tier-1 subset: a latency-bound chase, a cache-hostile kernel with
+/// stores and a branchy one.
+const TIER1: [&str; 3] = ["pointer_chase", "mcf", "gcc"];
+
+fn scheduler_name(s: SchedulerKind) -> &'static str {
+    match s {
+        SchedulerKind::OldestReadyFirst => "oldest",
+        SchedulerKind::Crisp => "crisp",
+        SchedulerKind::RandomReady => "random",
+    }
+}
+
+fn digest(words: &[u64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// A short ref-input trace of `name`.
+fn workload(name: &str) -> (Program, Trace) {
+    let w = build(name, Input::Ref).expect("registered workload");
+    let trace = Emulator::new(&w.program, w.memory.clone()).run(INSTRS);
+    (w.program, trace)
+}
+
+/// Every recorder on, so the result words witness every cycle.
+fn config(scheduler: SchedulerKind, poll: u64, check: bool) -> SimConfig {
+    let mut cfg = SimConfig::skylake().with_scheduler(scheduler);
+    cfg.cancel_check_interval = poll;
+    cfg.check_invariants = check;
+    cfg.stall_attribution = true;
+    cfg.record_upc_timeline = true;
+    cfg.record_pipeview = true;
+    cfg.tracer_capacity = Some(1 << 15);
+    cfg.telemetry_interval = Some(1024);
+    cfg
+}
+
+/// Runs one case with the reference path and the fast path, requires
+/// identical result words, and returns their digest.
+fn run_case(name: &str, program: &Program, trace: &Trace, s: SchedulerKind, poll: u64) -> u64 {
+    // CRISP tags every load, so the PRIO vector is busy all run long.
+    let map: Vec<bool> = (0..program.len())
+        .map(|pc| program.inst(pc as u32).is_load())
+        .collect();
+    let map = (s == SchedulerKind::Crisp).then_some(map.as_slice());
+    let run = |check: bool| {
+        Simulator::new(config(s, poll, check))
+            .try_run(program, trace, map)
+            .unwrap_or_else(|e| panic!("{name}/{}/{poll}: {e}", scheduler_name(s)))
+    };
+    let reference = run(true);
+    let fast = run(false);
+    assert_eq!(reference.retired, trace.len() as u64, "{name}");
+    assert_eq!(
+        (fast.cycles, fast.rob_head_stall_cycles),
+        (reference.cycles, reference.rob_head_stall_cycles),
+        "{name}/{}/{poll}: fast path diverged from the reference",
+        scheduler_name(s)
+    );
+    let words = reference.snapshot_words();
+    assert!(
+        fast.snapshot_words() == words,
+        "{name}/{}/{poll}: result words diverged from the reference",
+        scheduler_name(s)
+    );
+    digest(&words)
+}
+
+#[test]
+fn fast_path_matches_reference_and_pinned_digests() {
+    let mut actual = Vec::new();
+    for name in TIER1 {
+        let (program, trace) = workload(name);
+        for s in SCHEDULERS {
+            for poll in POLLS {
+                let d = run_case(name, &program, &trace, s, poll);
+                actual.push((name, scheduler_name(s), poll, d));
+            }
+        }
+    }
+    let table: String = actual
+        .iter()
+        .map(|(w, s, p, d)| format!("    (\"{w}\", \"{s}\", {p}, {d:#018x}),\n"))
+        .collect();
+    assert_eq!(
+        BLESSED, actual,
+        "result digests moved; the engine no longer reproduces the pinned results:\n{table}"
+    );
+}
+
+#[test]
+#[ignore = "every workload; CI runs it with --ignored in release"]
+fn fast_path_matches_reference_on_every_workload() {
+    for &name in crisp_workloads::all_names() {
+        let (program, trace) = workload(name);
+        for s in SCHEDULERS {
+            for poll in POLLS {
+                run_case(name, &program, &trace, s, poll);
+            }
+        }
+    }
+}
