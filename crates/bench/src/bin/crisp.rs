@@ -10,7 +10,6 @@
 //! crisp pipeline <workload> [--fast] [--loads-only|--branches-only] [--check]
 //! crisp pipeview <workload> [--crisp] [-n INSTRS] [--from SEQ] [--len COUNT]
 //! crisp obs summarize <FILE...>
-//! crisp obs hotspots <BENCH.json...>
 //! crisp obs spans <spans.jsonl...>
 //! crisp cache stats|verify|gc|evict <KEY> --store DIR [--max-age-days D] [--max-entries N]
 //! crisp submit <TARGET...> --addr HOST:PORT [--fast|--tiny] [--workloads A,B,C]
@@ -103,7 +102,6 @@ fn usage_text() -> String {
          crisp pipeline <workload> [--fast] [--loads-only|--branches-only] [--check]\n  \
          crisp pipeview <workload> [--crisp] [-n INSTRS] [--from SEQ] [--len COUNT]\n  \
          crisp obs summarize <FILE...>\n  \
-         crisp obs hotspots <BENCH.json...>\n  \
          crisp obs spans <spans.jsonl...>\n  \
          crisp cache stats|verify|gc|evict <KEY> --store DIR [--max-age-days D] [--max-entries N]\n  \
          crisp submit <TARGET...> --addr HOST:PORT [--fast|--tiny] [--workloads A,B,C]\n  \
@@ -130,7 +128,7 @@ struct Args {
     trace_pc: Option<u64>,
     stalls: Option<usize>,
     store: Option<String>,
-    max_age_days: Option<f64>,
+    max_age: Option<std::time::Duration>,
     max_entries: Option<usize>,
     addr: Option<String>,
     workloads: Option<Vec<String>>,
@@ -172,7 +170,7 @@ fn parse(args: &[String]) -> Result<Args, Failure> {
         trace_pc: None,
         stalls: None,
         store: None,
-        max_age_days: None,
+        max_age: None,
         max_entries: None,
         addr: None,
         workloads: None,
@@ -266,10 +264,10 @@ fn parse(args: &[String]) -> Result<Args, Failure> {
             }
             "--max-age-days" => {
                 let v = value("--max-age-days")?;
-                out.max_age_days = Some(
+                out.max_age = Some(
                     v.parse::<f64>()
                         .ok()
-                        .filter(|d| d.is_finite() && *d >= 0.0)
+                        .and_then(|d| std::time::Duration::try_from_secs_f64(d * 86_400.0).ok())
                         .ok_or_else(|| {
                             Failure::usage(format!("--max-age-days expects days, got `{v}`"))
                         })?,
@@ -462,7 +460,7 @@ fn run(cmd: &str, args: &Args) -> Result<(), Failure> {
         "obs" => {
             args.allow_flags(cmd, &[])?;
             let (sub, files) = args.positional.split_first().ok_or_else(|| {
-                Failure::usage("`crisp obs` needs a subcommand: summarize | hotspots | spans")
+                Failure::usage("`crisp obs` needs a subcommand: summarize | spans")
             })?;
             if files.is_empty() {
                 return Err(Failure::usage(format!(
@@ -490,28 +488,6 @@ fn run(cmd: &str, args: &Args) -> Result<(), Failure> {
                     }
                     Ok(())
                 }
-                "hotspots" => {
-                    // Host-time attribution from a sim-bench report
-                    // (BENCH_9.json) or any JSON file carrying a
-                    // `hostprof` object.
-                    for (i, path) in files.iter().enumerate() {
-                        let doc =
-                            crisp_harness::json::parse(&read(path)?).map_err(|e| Failure {
-                                code: EXIT_RUNTIME,
-                                message: format!("{path}: {e}"),
-                            })?;
-                        let report = hostprof_from_value(&doc).ok_or_else(|| Failure {
-                            code: EXIT_RUNTIME,
-                            message: format!("{path}: no hostprof object found"),
-                        })?;
-                        if i > 0 {
-                            println!();
-                        }
-                        println!("{path}:");
-                        print!("{}", report.render());
-                    }
-                    Ok(())
-                }
                 "spans" => {
                     // Cross-process span tree from a job's spans.jsonl
                     // (<data>/jobs/<id>/spans.jsonl under crisp-serve).
@@ -532,15 +508,20 @@ fn run(cmd: &str, args: &Args) -> Result<(), Failure> {
                     Ok(())
                 }
                 other => Err(Failure::usage(format!(
-                    "unknown `crisp obs` subcommand: {other} (expected: summarize | hotspots | spans)"
+                    "unknown `crisp obs` subcommand: {other} (expected: summarize | spans)"
                 ))),
             }
         }
         "pipeview" => {
             args.allow_flags(cmd, &["--crisp"])?;
             let name = workload_arg(args, cmd)?;
-            let w = build_workload(&name, Input::Train)?;
             let n = args.n.min(20_000);
+            let from = args.from.unwrap_or(n / 2);
+            let len = args.len.unwrap_or(40);
+            let to = from.checked_add(len).ok_or_else(|| {
+                Failure::usage(format!("--from {from} plus --len {len} overflows"))
+            })?;
+            let w = build_workload(&name, Input::Train)?;
             let trace = Emulator::new(&w.program, w.memory.clone()).run(n);
             let mut cfg = SimConfig::skylake();
             cfg.record_pipeview = true;
@@ -552,14 +533,12 @@ fn run(cmd: &str, args: &Args) -> Result<(), Failure> {
             let critical = vec![true; w.program.len()];
             let map = use_crisp.then_some(critical.as_slice());
             let res = Simulator::try_new(cfg)?.try_run(&w.program, &trace, map)?;
-            let from = args.from.unwrap_or(n / 2);
-            let len = args.len.unwrap_or(40);
             println!(
                 "{name} [{}] seq {from}..{} (f=fetch d=dispatch-wait i=issue ==execute .=await-retire r=retire)\n",
                 if use_crisp { "CRISP" } else { "OOO" },
-                from + len
+                to
             );
-            print!("{}", res.pipeview.render(from, from + len));
+            print!("{}", res.pipeview.render(from, to));
             Ok(())
         }
         "pipeline" => {
@@ -611,34 +590,6 @@ fn run(cmd: &str, args: &Args) -> Result<(), Failure> {
             usage_text()
         ))),
     }
-}
-
-/// Rebuilds a [`crisp_obs::HostProfReport`] from a sim-bench JSON
-/// document: the `hostprof` member if present, else the document
-/// itself. Unknown phase names are ignored (forward compatibility).
-fn hostprof_from_value(doc: &crisp_harness::json::Value) -> Option<crisp_obs::HostProfReport> {
-    use crisp_harness::json::Value;
-    let node = doc.get("hostprof").unwrap_or(doc);
-    let Some(Value::Obj(phases)) = node.get("phase_ns") else {
-        return None;
-    };
-    let count = |k: &str| node.get(k).and_then(Value::as_u64).unwrap_or(0);
-    let mut report = crisp_obs::HostProfReport {
-        enabled: node.get("enabled") != Some(&Value::Bool(false)),
-        cycles: count("cycles"),
-        retired: count("retired"),
-        rs_slots_scanned: count("rs_slots_scanned"),
-        age_compares: count("age_compares"),
-        lsq_probes: count("lsq_probes"),
-        mshr_probes: count("mshr_probes"),
-        ..crisp_obs::HostProfReport::default()
-    };
-    for (name, ns) in phases {
-        if let Some(ns) = ns.as_u64() {
-            report.set_phase_ns(name, ns);
-        }
-    }
-    Some(report)
 }
 
 /// `crisp cache stats|verify|gc|evict` — operate on a content-addressed
@@ -702,9 +653,7 @@ fn run_cache(args: &Args) -> Result<(), Failure> {
                 return Err(Failure::usage("`crisp cache gc` takes no arguments"));
             }
             let policy = crisp_store::GcPolicy {
-                max_age: args
-                    .max_age_days
-                    .map(|d| std::time::Duration::from_secs_f64(d * 86_400.0)),
+                max_age: args.max_age,
                 max_entries: args.max_entries,
             };
             if policy.max_age.is_none() && policy.max_entries.is_none() {

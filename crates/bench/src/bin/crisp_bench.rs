@@ -141,14 +141,15 @@ fn parse_args(args: &[String]) -> Result<SweepConfig, UsageError> {
             }
             "--deadline" => {
                 let v = value(&mut it, "--deadline")?;
-                let secs = v
+                let deadline = v
                     .parse::<f64>()
                     .ok()
-                    .filter(|s| s.is_finite() && *s > 0.0)
+                    .filter(|s| *s > 0.0)
+                    .and_then(|s| Duration::try_from_secs_f64(s).ok())
                     .ok_or_else(|| {
                         UsageError(format!("--deadline expects positive seconds, got `{v}`"))
                     })?;
-                cfg.deadline = Some(Duration::from_secs_f64(secs));
+                cfg.deadline = Some(deadline);
             }
             "--max-retries" => {
                 let v = value(&mut it, "--max-retries")?;

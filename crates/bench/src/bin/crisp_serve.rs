@@ -133,14 +133,15 @@ fn parse_args(args: &[String]) -> Result<(DaemonConfig, ServeOptions), UsageErro
             }
             "--deadline" => {
                 let v = value("--deadline", &mut it)?;
-                let secs = v
+                let deadline = v
                     .parse::<f64>()
                     .ok()
-                    .filter(|s| s.is_finite() && *s > 0.0)
+                    .filter(|s| *s > 0.0)
+                    .and_then(|s| Duration::try_from_secs_f64(s).ok())
                     .ok_or_else(|| {
                         UsageError(format!("--deadline expects positive seconds, got `{v}`"))
                     })?;
-                opts.deadline = Some(Duration::from_secs_f64(secs));
+                opts.deadline = Some(deadline);
             }
             "--heartbeat" => {
                 let v = value("--heartbeat", &mut it)?;

@@ -1,17 +1,7 @@
-//! One regeneration function per paper table/figure.
-//!
-//! Each figure decomposes into independent (workload, config) cells (see
-//! [`crate::cells`]); the functions here run those cells *serially and
-//! fail-fast* — the legacy path the `figures` binary uses — and render
-//! through the same [`crate::render`] code as the supervised `crisp-bench`
-//! sweep, so both entry points produce identical reports.
+//! Experiment scale, Table 1, and helpers shared by the figure cells
+//! ([`crate::cells`]) and their renderers ([`crate::render`]).
 
-use crate::cells;
-use crate::render::render_figure;
-use crisp_core::{CrispError, PipelineConfig, SimConfig, Table};
-use crisp_harness::{JobOutcome, RunContext};
-use crisp_sim::CancelToken;
-use std::collections::BTreeMap;
+use crisp_core::{PipelineConfig, SimConfig, Table};
 
 /// How much simulation to spend per experiment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,84 +57,6 @@ pub(crate) fn figure_workloads() -> Vec<&'static str> {
         .copied()
         .filter(|n| !matches!(*n, "pointer_chase" | "omnetpp" | "xalancbmk"))
         .collect()
-}
-
-/// Runs one figure's cells serially (fail-fast) and renders the report.
-fn figure_report(figure: &str, scale: ExperimentScale) -> Result<String, CrispError> {
-    let cell_list = cells::catalog(figure, scale, None, None);
-    let mut outcomes = BTreeMap::new();
-    for job in &cell_list {
-        let ctx = RunContext {
-            attempt: 1,
-            cancel: CancelToken::new(),
-            progress: crisp_sim::ProgressBeacon::new(),
-            lease: crisp_harness::LeaseGuard::default(),
-        };
-        let payload = cells::run_cell(job, &ctx, scale, false, None, None, None)?;
-        outcomes.insert(
-            job.id.clone(),
-            JobOutcome::Completed {
-                payload,
-                attempts: 1,
-                resumed: false,
-                cached: false,
-            },
-        );
-    }
-    Ok(render_figure(figure, &cell_list, &outcomes))
-}
-
-/// **Figure 1** — µops retired per cycle over the pointer-chase
-/// microbenchmark, OOO vs CRISP, plus the average-UPC improvement.
-pub fn fig1(scale: ExperimentScale) -> Result<String, CrispError> {
-    figure_report("fig1", scale)
-}
-
-/// **Figure 4** — average (unfiltered) load-slice size per application.
-pub fn fig4(scale: ExperimentScale) -> Result<String, CrispError> {
-    figure_report("fig4", scale)
-}
-
-/// **Figure 7** — IPC improvement of CRISP and IBDA (1K/8K/64K/∞ IST)
-/// over the OOO baseline.
-pub fn fig7(scale: ExperimentScale) -> Result<String, CrispError> {
-    figure_report("fig7", scale)
-}
-
-/// **Figure 8** — load slices vs branch slices vs both.
-pub fn fig8(scale: ExperimentScale) -> Result<String, CrispError> {
-    figure_report("fig8", scale)
-}
-
-/// **Figure 9** — RS/ROB size sensitivity: 64/180, 96/224 (Skylake),
-/// 144/336 (+50 %), 192/448 (+100 %).
-pub fn fig9(scale: ExperimentScale) -> Result<String, CrispError> {
-    figure_report("fig9", scale)
-}
-
-/// **Figure 10** — sensitivity to the miss-contribution threshold `T`
-/// (5 %, 1 %, 0.2 %).
-pub fn fig10(scale: ExperimentScale) -> Result<String, CrispError> {
-    figure_report("fig10", scale)
-}
-
-/// **Figure 11** — total number of unique critical instructions.
-pub fn fig11(scale: ExperimentScale) -> Result<String, CrispError> {
-    figure_report("fig11", scale)
-}
-
-/// **Figure 12** — static and dynamic code-footprint overhead of the
-/// one-byte prefix, and the worst-case icache MPKI impact.
-pub fn fig12(scale: ExperimentScale) -> Result<String, CrispError> {
-    figure_report("fig12", scale)
-}
-
-/// **Ablations** — the design-choice studies DESIGN.md calls out:
-/// scheduler policy (random / oldest-ready / CRISP), dependencies through
-/// memory on/off in the slicer, the critical-path keep fraction, and the
-/// Section 5.3 perfect-branch-prediction analysis.
-pub fn ablations(scale: ExperimentScale) -> Result<String, CrispError> {
-    figure_report("ablations", scale)
 }
 
 /// **Table 1** — the simulated system.

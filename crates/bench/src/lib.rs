@@ -2,14 +2,15 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! paper's evaluation (Section 5). Each figure decomposes into
-//! (workload, config) *cells* ([`cells`]); the `fig*` functions run them
-//! serially (fail-fast), while the `crisp-bench` binary runs the full
-//! sweep under the `crisp-harness` supervisor — worker pool, panic
-//! isolation, per-job deadlines, retries with backoff, and a resumable
-//! JSONL run manifest — salvaging partial results into `DEGRADED`
-//! reports when cells fail permanently. The legacy `figures` binary
-//! remains the serial entry point, and Criterion benchmarks (in
-//! `benches/`) cover component and end-to-end throughput.
+//! (workload, config) *cells* ([`cells`]). The `crisp-bench` binary is
+//! the one way to regenerate them: it runs the sweep ([`sweep`]) under
+//! the `crisp-harness` supervisor — worker pool, panic isolation,
+//! per-job deadlines, retries with backoff, and a resumable JSONL run
+//! manifest — salvaging partial results into `DEGRADED` reports when
+//! cells fail permanently. The same sweep backs the `crisp-serve`
+//! daemon. Criterion benchmarks (in `benches/`) cover component and
+//! end-to-end throughput; the end-to-end performance benchmark is
+//! `perfbench/` at the repository root.
 //!
 //! Absolute numbers differ from the paper (this substrate is a from-
 //! scratch simulator, not the authors' Scarab checkout and trace set);
@@ -27,9 +28,7 @@ pub mod render;
 pub mod sweep;
 
 pub use audit::{run_restore_audit, AuditLine};
-pub use experiments::{
-    ablations, fig1, fig10, fig11, fig12, fig4, fig7, fig8, fig9, table1, ExperimentScale,
-};
+pub use experiments::{table1, ExperimentScale};
 pub use sweep::{
     all_targets, checkpoint_dir, run_supervised_sweep, Chaos, SweepConfig, SweepOutput,
 };

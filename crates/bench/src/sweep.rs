@@ -362,7 +362,7 @@ pub fn run_supervised_sweep(cfg: &SweepConfig) -> Result<SweepOutput, HarnessErr
                 );
                 render_figure(target, &cell_list, &report.outcomes)
             };
-            // Matches the legacy binary's `println!("{report}\n")` spacing.
+            // Each report ends with a blank line.
             rendered.push_str(&body);
             rendered.push_str("\n\n");
         }

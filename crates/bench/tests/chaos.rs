@@ -189,18 +189,69 @@ fn audit_restore_mode_passes_at_tiny_scale() {
     }
 }
 
-/// Flag validation: checkpointing without a manifest is a usage error
-/// (exit 2), not a silent no-op.
+/// Flag validation: a flag value a binary cannot honour is a usage
+/// error (exit 2, the reason on stderr), never a silent no-op, a panic
+/// or a wrapped-around number. The rows: checkpointing without a
+/// manifest, deadlines and ages beyond `Duration`'s range, and a
+/// pipeview window whose end overflows `u64`.
 #[test]
 fn checkpoint_interval_without_manifest_is_a_usage_error() {
-    let out = Command::new(BIN)
-        .args(["--tiny", "--checkpoint-interval", "2000", "fig1"])
-        .output()
-        .expect("spawn crisp-bench");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("requires --manifest"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    const CRISP_BIN: &str = env!("CARGO_BIN_EXE_crisp");
+    const SERVE_BIN: &str = env!("CARGO_BIN_EXE_crisp-serve");
+    let dir = temp_dir("usage");
+    let (data, store) = (dir.join("data"), dir.join("store"));
+    let (data, store) = (data.to_str().unwrap(), store.to_str().unwrap());
+    let rows: [(&str, &[&str], &str); 5] = [
+        (
+            BIN,
+            &["--tiny", "--checkpoint-interval", "2000", "fig1"],
+            "requires --manifest",
+        ),
+        (
+            BIN,
+            &["--tiny", "--deadline", "1e300", "table1"],
+            "--deadline expects positive seconds",
+        ),
+        (
+            SERVE_BIN,
+            &["--data", data, "--deadline", "1e300"],
+            "--deadline expects positive seconds",
+        ),
+        (
+            CRISP_BIN,
+            &["cache", "gc", "--store", store, "--max-age-days", "1e300"],
+            "--max-age-days expects days",
+        ),
+        (
+            CRISP_BIN,
+            &[
+                "pipeview",
+                "pointer_chase",
+                "-n",
+                "2000",
+                "--from",
+                "18446744073709551600",
+            ],
+            "overflows",
+        ),
+    ];
+    for (bin, args, needle) in rows {
+        let mut child = Command::new(bin)
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn binary");
+        // A value that slips through would start a daemon or a sweep.
+        wait_for(&mut child, || false, Duration::from_secs(60));
+        if child.try_wait().expect("try_wait").is_none() {
+            child.kill().ok();
+            panic!("{bin} {args:?} accepted its arguments and kept running");
+        }
+        let out = child.wait_with_output().expect("collect output");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{bin} {args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

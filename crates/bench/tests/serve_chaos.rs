@@ -6,7 +6,9 @@
 //!   polls through to tables byte-identical to an unchaosed reference
 //!   run, with each unique cell simulated at most once across both
 //!   daemon lifetimes (manifest-verified) and a clean `crisp cache
-//!   verify`.
+//!   verify`. A second daemon with a fresh job registry over the warm
+//!   reference store serves the same sweep with every cell warm, zero
+//!   simulations and byte-identical tables.
 //! - **Queue-full storm**: with an admission cap of 1, a burst of
 //!   distinct submissions yields exactly one 202 and 429s (with
 //!   `Retry-After`) for the rest; no admitted job is lost or run twice,
@@ -190,6 +192,25 @@ fn sigkill_mid_cell_then_restart_resumes_to_byte_identical_tables() {
         tables
     };
     assert!(ref_tables.contains("Figure 11"), "{ref_tables}");
+
+    // A second daemon with a fresh job registry over the warm reference
+    // store serves the same sweep without simulating anything.
+    {
+        let warm_data = root.join("warm-data");
+        let mut d = spawn_daemon(&warm_data, &root.join("ref-store"), &[]);
+        let ack = d.submit(&targets, &workloads);
+        let cells = ack.get("cells").cloned();
+        assert!(matches!(cells, Some(Value::Num(n)) if n > 0.0), "{ack:?}");
+        assert_eq!(ack.get("warm_cells").cloned(), cells, "{ack:?}");
+        let id = id_of(&ack);
+        let tables = rendered(&d.wait_result(&id));
+        let computed = computed_counts(&warm_data.join("jobs").join(&id).join("run.jsonl"));
+        assert!(computed.is_empty(), "warm daemon simulated {computed:?}");
+        assert_eq!(tables, ref_tables, "warm tables must be byte-identical");
+        d.sigterm();
+        let status = d.child.wait().expect("wait daemon");
+        assert_eq!(status.code(), Some(0), "drain must exit 0");
+    }
 
     // Chaos lifetime: wide mid-cell windows, then SIGKILL while running.
     let data = root.join("data");

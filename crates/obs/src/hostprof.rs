@@ -62,27 +62,11 @@ pub enum Phase {
 pub const PHASE_COUNT: usize = 11;
 
 /// Phase names, indexed by `Phase as usize` — stable identifiers used
-/// in reports and JSON artifacts.
+/// in reports.
 pub const PHASE_NAMES: [&str; PHASE_COUNT] = [
     "fetch", "rename", "dispatch", "wakeup", "select", "execute", "lsq", "mshr", "dram", "retire",
     "other",
 ];
-
-impl Phase {
-    /// The phase's stable report name.
-    pub fn name(self) -> &'static str {
-        PHASE_NAMES[self as usize]
-    }
-
-    /// Parses a report name back into a phase (for artifact readers).
-    pub fn from_name(name: &str) -> Option<Phase> {
-        use Phase::*;
-        const ALL: [Phase; PHASE_COUNT] = [
-            Fetch, Rename, Dispatch, Wakeup, Select, Execute, Lsq, Mshr, Dram, Retire, Other,
-        ];
-        PHASE_NAMES.iter().position(|&n| n == name).map(|i| ALL[i])
-    }
-}
 
 /// Live profiling state (boxed so the disabled variant stays one word).
 #[derive(Clone, Debug)]
@@ -256,19 +240,6 @@ impl HostProfReport {
         PHASE_NAMES.iter().zip(self.phase_ns).map(|(&n, v)| (n, v))
     }
 
-    /// Sets one phase's time by report name (for artifact readers
-    /// reconstructing a report from JSON). Returns `false` for unknown
-    /// names, which readers should skip — forward compatibility.
-    pub fn set_phase_ns(&mut self, name: &str, ns: u64) -> bool {
-        match Phase::from_name(name) {
-            Some(p) => {
-                self.phase_ns[p as usize] = ns;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Renders the hotspot table: phases sorted by time, share of
     /// total, per-cycle cost, then the scan-rate counters.
     pub fn render(&self) -> String {
@@ -362,22 +333,21 @@ mod tests {
             ),
             (97, 12, 3, 5)
         );
+        // Report names are indexed by `Phase as usize` and distinct.
+        let rows: Vec<(&str, u64)> = r.phases().collect();
+        assert_eq!(rows.len(), PHASE_COUNT);
+        assert_eq!(
+            rows[Phase::Retire as usize],
+            ("retire", r.phase_ns[Phase::Retire as usize])
+        );
+        assert_eq!(PHASE_NAMES[Phase::Dram as usize], "dram");
+        assert_eq!(PHASE_NAMES[Phase::Other as usize], "other");
+        let mut names = PHASE_NAMES.to_vec();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), PHASE_COUNT);
         let txt = r.render();
         assert!(txt.contains("retire"), "{txt}");
         assert!(txt.contains("scans/cycle"), "{txt}");
-    }
-
-    #[test]
-    fn phase_names_round_trip() {
-        for (i, name) in PHASE_NAMES.iter().enumerate() {
-            let p = Phase::from_name(name).unwrap();
-            assert_eq!(p as usize, i);
-            assert_eq!(p.name(), *name);
-        }
-        assert_eq!(Phase::from_name("warp-drive"), None);
-        let mut r = HostProfReport::default();
-        assert!(r.set_phase_ns("dram", 42));
-        assert_eq!(r.phase_ns[Phase::Dram as usize], 42);
-        assert!(!r.set_phase_ns("warp-drive", 1));
     }
 }

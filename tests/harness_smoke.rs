@@ -1,6 +1,6 @@
-//! Smoke tests for the experiment harness: the figure-regeneration
-//! functions produce well-formed reports (content checks only — the
-//! full-scale numbers live in EXPERIMENTS.md).
+//! Smoke tests for the experiment harness: Table 1 and the experiment
+//! scale are well formed (content checks only — the full-scale numbers
+//! live in EXPERIMENTS.md).
 
 use crisp_bench::table1;
 
