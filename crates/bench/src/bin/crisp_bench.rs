@@ -355,6 +355,12 @@ fn main() -> ExitCode {
         report.outcomes.len(),
         report.resumed
     );
+    eprintln!(
+        "[crisp-bench] stages: {} simulations run, {} computed, {} shared",
+        out.stages.simulations,
+        out.stages.sweep_computed(),
+        out.stages.sweep_shared()
+    );
     if cfg.store.is_some() {
         eprintln!(
             "[crisp-bench] store: {} hit(s), {} computed, {} quarantined",

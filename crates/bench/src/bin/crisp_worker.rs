@@ -24,8 +24,9 @@
 //! Exit codes: `0` clean shutdown, `3` refused handshake, `5` protocol
 //! failure.
 
-use crisp_bench::cells;
+use crisp_bench::cells::{self, CellOptions};
 use crisp_bench::ExperimentScale;
+use crisp_core::StageMemo;
 use crisp_harness::json::Value;
 use crisp_harness::supervisor::LeaseGuard;
 use crisp_harness::{
@@ -142,6 +143,11 @@ fn handle_run(frame: &Value, out: &mut Stdout) -> Result<(), ExitCode> {
     let progress = ctx.progress.clone();
     let done = Arc::new(AtomicBool::new(false));
     let done_flag = Arc::clone(&done);
+    // Stage spans hang under this process's `simulate` span.
+    let stage_scope = span_scope.as_ref().map(|s| crisp_harness::SpanScope {
+        parent: crisp_harness::span_id(&s.trace, &format!("simulate {id}#{attempt}")),
+        ..s.clone()
+    });
     let simulate_started_ns = crisp_harness::unix_ns();
     // Compute on a side thread; the main thread owns stdout and streams
     // heartbeats, so the pool's lease clock keeps advancing even while
@@ -155,8 +161,23 @@ fn handle_run(frame: &Value, out: &mut Stdout) -> Result<(), ExitCode> {
             }
             // Mid-cell machine checkpoints and telemetry sinks stay
             // daemon-side concerns; the pool's unit of recovery is the
-            // whole cell.
-            cells::run_cell(&job, &ctx, scale, stall, None, None, prefetcher)
+            // whole cell, over a memo of its own.
+            let memo = StageMemo::new();
+            let stages = memo.cell(Some(ctx.cancel.clone()));
+            let proc_name = format!("worker:{}", std::process::id());
+            let stages = match &stage_scope {
+                Some(scope) => {
+                    stages.observed(scope.stage_observer(&job.id, ctx.attempt, &proc_name))
+                }
+                None => stages,
+            };
+            let opts = CellOptions {
+                scale,
+                ckpt: None,
+                obs: None,
+                prefetcher,
+            };
+            cells::run_cell_in(&stages, &job, &ctx, stall, &opts)
         }));
         done_flag.store(true, Ordering::SeqCst);
         result

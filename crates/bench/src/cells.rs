@@ -6,19 +6,22 @@
 //! documented on the per-figure cell functions below and are versioned by
 //! [`CELL_FORMAT`] — bump it when a layout changes, so `--resume` refuses
 //! stale manifests via the spec fingerprint instead of rendering garbage.
+//!
+//! A cell body is a list of requests for pipeline stages
+//! ([`crisp_core::stages`]). The cells of one sweep share one
+//! [`StageMemo`], so a stage that several cells request runs once and
+//! every payload stays bit-identical to the cell run alone.
 
 use crate::experiments::{figure_workloads, ExperimentScale};
-use crisp_core::SchedulerKind;
 use crisp_core::{
-    build, run_crisp_pipeline, run_ibda_many, ClassifierConfig, ConfigError, CrispError,
-    IbdaConfig, Input, PipelineConfig, SimConfig, SliceConfig, SliceMode,
+    ClassifierConfig, ConfigError, CrispError, IbdaConfig, Input, PipelineConfig, SchedulerKind,
+    SimConfig, SliceConfig, SliceMode, StageMemo, Stages,
 };
-use crisp_emu::Emulator;
 use crisp_harness::json::Value;
 use crisp_harness::{checkpoint_file_name, newest_valid_checkpoint, write_checkpoint};
 use crisp_harness::{JobSpec, RunContext};
 use crisp_obs::{render_kanata, TelemetrySample, TraceFilter, FIELD_NAMES};
-use crisp_sim::{CheckpointSink, PrefetcherSpec, SimResult, Simulator};
+use crisp_sim::{CheckpointSink, PrefetcherSpec, SimResult};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -273,7 +276,23 @@ fn arm_checkpoints(
     Ok(())
 }
 
-/// Runs one cell to its payload.
+/// What every cell of one sweep shares: its scale, its mid-run
+/// checkpoint and observability policies, and its `--prefetcher`
+/// override.
+#[derive(Clone, Copy, Debug)]
+pub struct CellOptions<'a> {
+    /// Simulation scale.
+    pub scale: ExperimentScale,
+    /// Mid-run checkpoint/restore, for the cells that drive their
+    /// simulations directly (Figure 1).
+    pub ckpt: Option<&'a CheckpointPolicy>,
+    /// Telemetry/trace collection, for the same cells.
+    pub obs: Option<&'a ObsPolicy>,
+    /// The sweep's data-prefetcher override.
+    pub prefetcher: Option<PrefetcherSpec>,
+}
+
+/// Runs one cell to its payload over a fresh [`StageMemo`].
 ///
 /// `stall` is the chaos-injection hook (`--inject-stall`): it freezes the
 /// scheduler early so the watchdog fires, exercising the deadlock-retry
@@ -296,15 +315,40 @@ pub fn run_cell(
     obs: Option<&ObsPolicy>,
     prefetcher: Option<PrefetcherSpec>,
 ) -> Result<Vec<f64>, CrispError> {
+    let memo = StageMemo::new();
+    let opts = CellOptions {
+        scale,
+        ckpt,
+        obs,
+        prefetcher,
+    };
+    let stages = memo.cell(Some(ctx.cancel.clone()));
+    run_cell_in(&stages, job, ctx, stall, &opts)
+}
+
+/// Runs one cell to its payload as requests for pipeline stages, which
+/// `stages` serves from its sweep's memo when another cell already
+/// computed them (see [`run_cell`] for the arguments).
+///
+/// # Errors
+///
+/// As [`run_cell`].
+pub fn run_cell_in(
+    st: &Stages<'_>,
+    job: &JobSpec,
+    ctx: &RunContext,
+    stall: bool,
+    opts: &CellOptions<'_>,
+) -> Result<Vec<f64>, CrispError> {
     let (figure, workload) = split_id(&job.id).ok_or_else(|| {
         CrispError::Config(ConfigError::new(
             "cell",
             format!("malformed job id `{}`", job.id),
         ))
     })?;
-    let mut cfg = scale.pipeline();
+    let mut cfg = opts.scale.pipeline();
     arm(&mut cfg.sim, ctx, stall);
-    if let Some(spec) = prefetcher {
+    if let Some(spec) = opts.prefetcher {
         // The `--prefetcher` axis: every simulation this cell runs —
         // pipeline baselines included — uses the overridden zoo. In
         // `prefzoo` only the `base` reference row tracks the override;
@@ -312,16 +356,16 @@ pub fn run_cell(
         cfg.sim.memory.prefetcher = spec;
     }
     match figure {
-        "fig1" => cell_fig1(job, workload, &cfg, ckpt, obs),
-        "fig4" => cell_fig4(workload, &cfg),
-        "fig7" => cell_fig7(workload, &cfg),
-        "fig8" => cell_fig8(workload, &cfg),
-        "fig9" => cell_fig9(workload, &cfg, ctx, stall),
-        "fig10" => cell_fig10(workload, &cfg),
-        "fig11" => cell_fig11(workload, &cfg),
-        "fig12" => cell_fig12(workload, &cfg),
-        "ablations" => cell_ablations(workload, &cfg),
-        "prefzoo" => cell_prefzoo(workload, &cfg),
+        "fig1" => cell_fig1(st, job, workload, &cfg, opts),
+        "fig4" => cell_fig4(st, workload, &cfg),
+        "fig7" => cell_fig7(st, workload, &cfg),
+        "fig8" => cell_fig8(st, workload, &cfg),
+        "fig9" => cell_fig9(st, workload, &cfg),
+        "fig10" => cell_fig10(st, workload, &cfg),
+        "fig11" => cell_fig11(st, workload, &cfg),
+        "fig12" => cell_fig12(st, workload, &cfg),
+        "ablations" => cell_ablations(st, workload, &cfg),
+        "prefzoo" => cell_prefzoo(st, workload, &cfg),
         other => Err(CrispError::Config(ConfigError::new(
             "cell",
             format!("unknown figure `{other}` in job id `{}`", job.id),
@@ -332,23 +376,24 @@ pub fn run_cell(
 /// Figure 1 payload: `[ooo_ipc, crisp_ipc, speedup_pct, k,
 /// ooo_upc[0..k], crisp_upc[0..k]]` (UPC timeline, k buckets).
 ///
-/// The two evaluation simulations are driven directly (not via the shared
-/// pipeline), so this is the cell that exercises *mid-run* checkpoint/
-/// restore: under a [`CheckpointPolicy`] each sim emits checkpoints keyed
-/// by its sub-run label (`ooo` / `crisp`) and, on resume, continues its
-/// workload from the newest valid one.
+/// The two evaluation simulations are driven directly (never memoized),
+/// so this is the cell that exercises *mid-run* checkpoint/restore: under
+/// a [`CheckpointPolicy`] each sim emits checkpoints keyed by its sub-run
+/// label (`ooo` / `crisp`) and, on resume, continues its workload from
+/// the newest valid one.
 fn cell_fig1(
+    st: &Stages<'_>,
     job: &JobSpec,
     name: &str,
     cfg: &PipelineConfig,
-    ckpt: Option<&CheckpointPolicy>,
-    obs: Option<&ObsPolicy>,
+    opts: &CellOptions<'_>,
 ) -> Result<Vec<f64>, CrispError> {
-    let w = build(name, Input::Ref)?;
-    let trace = Emulator::new(&w.program, w.memory.clone()).run(cfg.eval_instructions / 2);
+    let (ckpt, obs) = (opts.ckpt, opts.obs);
+    let eval = st.trace(name, Input::Ref, cfg.eval_instructions / 2)?;
+    let (program, trace) = (&eval.workload.program, &eval.trace);
 
     // Profile + annotate via the pipeline on the train input.
-    let pres = run_crisp_pipeline(name, cfg)?;
+    let pres = st.pipeline(name, cfg)?;
 
     let mut sim_cfg = cfg.sim.clone();
     sim_cfg.record_upc_timeline = true;
@@ -358,13 +403,12 @@ fn cell_fig1(
         .with_scheduler(SchedulerKind::OldestReadyFirst);
     arm_checkpoints(&mut ooo_cfg, job, ckpt, "ooo")?;
     arm_obs(&mut ooo_cfg, obs);
-    let ooo = Simulator::try_new(ooo_cfg)?.try_run(&w.program, &trace, None)?;
+    let ooo = st.simulate(ooo_cfg, program, trace, None)?;
     write_obs(obs, job, "ooo", &ooo);
     let mut crisp_cfg = sim_cfg.with_scheduler(SchedulerKind::Crisp);
     arm_checkpoints(&mut crisp_cfg, job, ckpt, "crisp")?;
     arm_obs(&mut crisp_cfg, obs);
-    let crisp =
-        Simulator::try_new(crisp_cfg)?.try_run(&w.program, &trace, Some(pres.map.as_slice()))?;
+    let crisp = st.simulate(crisp_cfg, program, trace, Some(pres.map.as_slice()))?;
     write_obs(obs, job, "crisp", &crisp);
 
     let buckets = 60;
@@ -378,15 +422,15 @@ fn cell_fig1(
 }
 
 /// Figure 4 payload: `[mean_load_slice_len, n_load_slices]`.
-fn cell_fig4(name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispError> {
-    let r = run_crisp_pipeline(name, cfg)?;
+fn cell_fig4(st: &Stages<'_>, name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispError> {
+    let r = st.pipeline(name, cfg)?;
     Ok(vec![r.mean_load_slice_len(), r.load_slices.len() as f64])
 }
 
 /// Figure 7 payload: `[crisp_pct, ibda_1k_pct, ibda_8k_pct, ibda_64k_pct,
 /// ibda_inf_pct]` (IPC improvement over the OOO baseline).
-fn cell_fig7(name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispError> {
-    let r = run_crisp_pipeline(name, cfg)?;
+fn cell_fig7(st: &Stages<'_>, name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispError> {
+    let r = st.pipeline(name, cfg)?;
     let base_ipc = r.baseline.ipc();
     let mut payload = vec![r.speedup_pct()];
     let ists = [
@@ -395,14 +439,14 @@ fn cell_fig7(name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispError> {
         IbdaConfig::ist_64k(),
         IbdaConfig::ist_infinite(),
     ];
-    for ir in run_ibda_many(name, &ists, cfg)? {
+    for ir in st.ibda(name, &ists, cfg)? {
         payload.push((ir.result.ipc() / base_ipc - 1.0) * 100.0);
     }
     Ok(payload)
 }
 
 /// Figure 8 payload: `[loads_pct, branches_pct, both_pct]`.
-fn cell_fig8(name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispError> {
+fn cell_fig8(st: &Stages<'_>, name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispError> {
     let mut payload = Vec::with_capacity(3);
     for mode in [
         SliceMode::LoadsOnly,
@@ -413,58 +457,51 @@ fn cell_fig8(name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispError> {
             mode,
             ..cfg.clone()
         };
-        let r = run_crisp_pipeline(name, &c)?;
-        payload.push(r.speedup_pct());
+        payload.push(st.pipeline(name, &c)?.speedup_pct());
     }
     Ok(payload)
 }
 
 /// Figure 9 payload: `[pct_64_180, pct_96_224, pct_144_336, pct_192_448]`
-/// (speedup per RS/ROB window).
-fn cell_fig9(
-    name: &str,
-    cfg: &PipelineConfig,
-    ctx: &RunContext,
-    stall: bool,
-) -> Result<Vec<f64>, CrispError> {
+/// (speedup per RS/ROB window). Each window resizes the cell's own
+/// machine, so it keeps the cell's arming and `--prefetcher` override, and
+/// the Table 1 window (96, 224) is the cell's default pipeline.
+fn cell_fig9(st: &Stages<'_>, name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispError> {
     let windows = [(64usize, 180usize), (96, 224), (144, 336), (192, 448)];
     let mut payload = Vec::with_capacity(windows.len());
     for (rs, rob) in windows {
-        // `with_window` builds a fresh SimConfig, so re-arm it.
-        let mut sim = SimConfig::with_window(rs, rob);
-        arm(&mut sim, ctx, stall);
-        let c = PipelineConfig { sim, ..cfg.clone() };
-        let r = run_crisp_pipeline(name, &c)?;
-        payload.push(r.speedup_pct());
+        let mut c = cfg.clone();
+        c.sim.rs_entries = rs;
+        c.sim.rob_entries = rob;
+        payload.push(st.pipeline(name, &c)?.speedup_pct());
     }
     Ok(payload)
 }
 
 /// Figure 10 payload: `[pct_t5, pct_t1, pct_t02]` (miss-contribution
 /// threshold sensitivity).
-fn cell_fig10(name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispError> {
+fn cell_fig10(st: &Stages<'_>, name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispError> {
     let mut payload = Vec::with_capacity(3);
     for thr in [0.05, 0.01, 0.002] {
         let c = PipelineConfig {
             classifier: ClassifierConfig::default().with_miss_threshold(thr),
             ..cfg.clone()
         };
-        let r = run_crisp_pipeline(name, &c)?;
-        payload.push(r.speedup_pct());
+        payload.push(st.pipeline(name, &c)?.speedup_pct());
     }
     Ok(payload)
 }
 
 /// Figure 11 payload: `[critical_inst_count, static_ratio]`.
-fn cell_fig11(name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispError> {
-    let r = run_crisp_pipeline(name, cfg)?;
+fn cell_fig11(st: &Stages<'_>, name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispError> {
+    let r = st.pipeline(name, cfg)?;
     Ok(vec![r.map.count() as f64, r.map.static_ratio()])
 }
 
 /// Figure 12 payload: `[static_ovh_pct, dynamic_ovh_pct, icache_mpki_base,
 /// icache_mpki_crisp]`.
-fn cell_fig12(name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispError> {
-    let r = run_crisp_pipeline(name, cfg)?;
+fn cell_fig12(st: &Stages<'_>, name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispError> {
+    let r = st.pipeline(name, cfg)?;
     Ok(vec![
         r.footprint.static_overhead_pct(),
         r.footprint.dynamic_overhead_pct(),
@@ -476,20 +513,21 @@ fn cell_fig12(name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispError> 
 /// Ablations payload: `[rand_pct, crisp_pct, reg_only_pct, reg_mem_pct,
 /// keep_all_pct, keep_05_pct, keep_09_pct, real_pct, perfect_pct]` —
 /// studies A (scheduler policy), B (memory deps), C (keep fraction) and
-/// D (perfect branch prediction) for one workload. The reference pipeline
-/// run is shared where the legacy code repeated it (identical by
-/// determinism).
-fn cell_ablations(name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispError> {
-    let r = run_crisp_pipeline(name, cfg)?;
+/// D (perfect branch prediction) for one workload.
+fn cell_ablations(
+    st: &Stages<'_>,
+    name: &str,
+    cfg: &PipelineConfig,
+) -> Result<Vec<f64>, CrispError> {
+    let r = st.pipeline(name, cfg)?;
 
     // (a) Scheduler policy: same annotation, random-ready issue policy.
-    let eval = build(name, Input::Ref)?;
-    let trace = Emulator::new(&eval.program, eval.memory.clone()).run(cfg.eval_instructions);
     let mut sim_cfg = cfg.sim.clone();
     sim_cfg.collect_pc_stats = false;
-    let rand = Simulator::try_new(sim_cfg.with_scheduler(SchedulerKind::RandomReady))?.try_run(
-        &eval.program,
-        &trace,
+    let rand = st.eval(
+        name,
+        cfg.eval_instructions,
+        &sim_cfg.with_scheduler(SchedulerKind::RandomReady),
         Some(r.map.as_slice()),
     )?;
     let rand_pct = (rand.ipc() / r.baseline.ipc() - 1.0) * 100.0;
@@ -502,7 +540,7 @@ fn cell_ablations(name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispErr
         },
         ..cfg.clone()
     };
-    let reg = run_crisp_pipeline(name, &reg_cfg)?;
+    let reg = st.pipeline(name, &reg_cfg)?;
 
     // (c) Critical-path keep fraction (Section 3.5).
     let mut keep = Vec::with_capacity(3);
@@ -511,7 +549,7 @@ fn cell_ablations(name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispErr
             critical_path_fraction: frac,
             ..cfg.clone()
         };
-        keep.push(run_crisp_pipeline(name, &c)?.speedup_pct());
+        keep.push(st.pipeline(name, &c)?.speedup_pct());
     }
 
     // (d) Perfect branch prediction (the Section 5.3 discovery experiment).
@@ -523,7 +561,7 @@ fn cell_ablations(name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispErr
         },
         ..cfg.clone()
     };
-    let perfect = run_crisp_pipeline(name, &perfect_cfg)?;
+    let perfect = st.pipeline(name, &perfect_cfg)?;
 
     Ok(vec![
         rand_pct,
@@ -548,19 +586,17 @@ fn cell_ablations(name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispErr
 /// issued/useful/late counters. The `ibda` and `crisp` rows run on top of
 /// the default hardware prefetchers, so their accuracy/coverage/timeliness
 /// describe that baseline zoo under criticality-driven scheduling.
-fn cell_prefzoo(name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispError> {
+fn cell_prefzoo(st: &Stages<'_>, name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispError> {
     // CRISP (and the shared OOO baseline the speedups are against) via the
     // standard pipeline.
-    let r = run_crisp_pipeline(name, cfg)?;
+    let r = st.pipeline(name, cfg)?;
 
-    // The pure-hardware rows share one eval trace — the same one the
-    // pipeline evaluates on, so the `base` row reproduces `r.baseline`.
-    let w = build(name, Input::Ref)?;
-    let trace = Emulator::new(&w.program, w.memory.clone()).run(cfg.eval_instructions);
+    // The pure-hardware rows evaluate on the pipeline's eval window, so
+    // the `base` row is the pipeline baseline's own simulation.
     let mut sim_cfg = cfg.sim.clone();
     sim_cfg.collect_pc_stats = false;
 
-    let mut hw: Vec<SimResult> = Vec::with_capacity(ZOO_SPECS.len());
+    let mut hw = Vec::with_capacity(ZOO_SPECS.len());
     for (mech, spec) in ZOO_SPECS {
         let mut c = sim_cfg.clone();
         // `base` is whatever the sweep configured (default `bop+stream`),
@@ -570,16 +606,17 @@ fn cell_prefzoo(name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispError
         } else {
             spec.parse().expect("builtin zoo spec")
         };
-        hw.push(Simulator::try_new(c)?.try_run(&w.program, &trace, None)?);
+        hw.push(st.eval(name, cfg.eval_instructions, &c, None)?);
     }
-    let ibda = run_ibda_many(name, &[IbdaConfig::ist_8k()], cfg)?
+    let ibda = st
+        .ibda(name, &[IbdaConfig::ist_8k()], cfg)?
         .pop()
         .expect("one IBDA config in, one result out")
         .result;
 
-    let nopf = hw[0].clone();
+    let nopf = &hw[0];
     let base = &r.baseline;
-    let rows: Vec<&SimResult> = hw.iter().chain([&ibda, &r.crisp]).collect();
+    let rows: Vec<&SimResult> = hw.iter().map(|h| &**h).chain([&ibda, &r.crisp]).collect();
     let mut payload = Vec::with_capacity(rows.len() * 8);
     for res in rows {
         let t = res.mem.prefetch_totals();
@@ -587,7 +624,7 @@ fn cell_prefzoo(name: &str, cfg: &PipelineConfig) -> Result<Vec<f64>, CrispError
             res.ipc(),
             res.speedup_over(base),
             res.prefetch_accuracy(),
-            res.prefetch_coverage_vs(&nopf),
+            res.prefetch_coverage_vs(nopf),
             res.prefetch_timeliness(),
             t.issued as f64,
             t.useful as f64,

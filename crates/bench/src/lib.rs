@@ -2,7 +2,9 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! paper's evaluation (Section 5). Each figure decomposes into
-//! (workload, config) *cells* ([`cells`]). The `crisp-bench` binary is
+//! (workload, config) *cells* ([`cells`]), each a set of requests for
+//! pipeline stages that the cells of one sweep share through a
+//! `crisp_core::StageMemo`. The `crisp-bench` binary is
 //! the one way to regenerate them: it runs the sweep ([`sweep`]) under
 //! the `crisp-harness` supervisor — worker pool, panic isolation,
 //! per-job deadlines, retries with backoff, and a resumable JSONL run

@@ -1,15 +1,16 @@
 //! The supervised sweep: figures × workloads on the crisp-harness
 //! worker pool, with chaos injection for testing the robustness paths.
 
-use crate::cells::{self, CheckpointPolicy, ObsPolicy, CELL_FORMAT, FIGURES};
+use crate::cells::{self, CellOptions, CheckpointPolicy, ObsPolicy, CELL_FORMAT, FIGURES};
 use crate::experiments::{table1, ExperimentScale};
 use crate::render::render_figure;
+use crisp_core::{StageCounts, StageMemo};
 use crisp_harness::json::Value;
 use crisp_harness::{
     run_sweep, EventSink, FailureClass, HarnessError, JobSpec, RetryPolicy, RunContext, RunError,
     SupervisorOptions, SweepReport, WorkerPool,
 };
-use crisp_sim::{AbortReason, CancelToken, PrefetcherSpec, SimError};
+use crisp_sim::{CancelToken, PrefetcherSpec};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -181,6 +182,10 @@ pub struct SweepOutput {
     pub report: SweepReport,
     /// The rendered reports, in target order — empty if the sweep crashed.
     pub rendered: String,
+    /// What the sweep's stage memo did: simulations run, and stage
+    /// requests computed and shared. In-process cells only: pooled cells
+    /// run in worker processes, each over its own memo.
+    pub stages: StageCounts,
 }
 
 impl SweepOutput {
@@ -265,6 +270,16 @@ pub fn run_supervised_sweep(cfg: &SweepConfig) -> Result<SweepOutput, HarnessErr
     let cell_delay = cfg.cell_delay;
     let spans = cfg.spans.clone();
     let prefetcher = cfg.prefetcher;
+    let cell_opts = CellOptions {
+        scale,
+        ckpt: ckpt.as_ref(),
+        obs: obs.as_ref(),
+        prefetcher,
+    };
+    // One memo per sweep, shared by the worker threads: each distinct
+    // pipeline stage runs once however many cells ask for it.
+    let memo = StageMemo::new();
+    let memo = &memo;
     let runner = move |job: &JobSpec, ctx: &RunContext| -> Result<Vec<f64>, RunError> {
         let stall = chaos.stall.iter().any(|s| job.id.contains(s.as_str()));
         if let Some(pool) = pool.as_deref() {
@@ -315,19 +330,7 @@ pub fn run_supervised_sweep(cfg: &SweepConfig) -> Result<SweepOutput, HarnessErr
             let until = Instant::now() + delay;
             while Instant::now() < until {
                 if let Some(reason) = ctx.cancel.should_abort() {
-                    return Err(crisp_core::CrispError::Simulation(match reason {
-                        AbortReason::Cancelled => SimError::Cancelled {
-                            cycle: 0,
-                            retired: 0,
-                            total: 0,
-                        },
-                        AbortReason::DeadlineExceeded => SimError::DeadlineExceeded {
-                            cycle: 0,
-                            retired: 0,
-                            total: 0,
-                        },
-                    })
-                    .into());
+                    return Err(crisp_core::CrispError::aborted(reason).into());
                 }
                 std::thread::sleep(Duration::from_millis(2));
             }
@@ -335,16 +338,19 @@ pub fn run_supervised_sweep(cfg: &SweepConfig) -> Result<SweepOutput, HarnessErr
         if ctx.attempt == 1 && chaos.panic_once.iter().any(|s| job.id.contains(s.as_str())) {
             panic!("injected fault: chaos panic for {}", job.id);
         }
-        cells::run_cell(
-            job,
-            ctx,
-            scale,
-            stall,
-            ckpt.as_ref(),
-            obs.as_ref(),
-            prefetcher,
-        )
-        .map_err(RunError::from)
+        // Stage spans hang under the supervisor's span for this attempt.
+        let scope = spans.as_ref().map(|s| crisp_harness::SpanScope {
+            parent: crisp_harness::span_id(&s.trace, &format!("cell {}#{}", job.id, ctx.attempt)),
+            ..s.clone()
+        });
+        let stages = memo.cell(Some(ctx.cancel.clone()));
+        let stages = match &scope {
+            Some(scope) => {
+                stages.observed(scope.stage_observer(&job.id, ctx.attempt, "supervisor"))
+            }
+            None => stages,
+        };
+        cells::run_cell_in(&stages, job, ctx, stall, &cell_opts).map_err(RunError::from)
     };
     let report = run_sweep(&jobs, &opts, &runner)?;
 
@@ -367,7 +373,11 @@ pub fn run_supervised_sweep(cfg: &SweepConfig) -> Result<SweepOutput, HarnessErr
             rendered.push_str("\n\n");
         }
     }
-    Ok(SweepOutput { report, rendered })
+    Ok(SweepOutput {
+        report,
+        rendered,
+        stages: memo.counts(),
+    })
 }
 
 #[cfg(test)]
@@ -430,6 +440,12 @@ mod tests {
     #[test]
     fn injected_stall_degrades_without_killing_the_sweep() {
         let mut cfg = tiny_cfg();
+        // A healthy cell on the stalled workload runs first (one worker
+        // fixes the order) and computes lbm's pipeline. The stall's chaos
+        // fields are part of every simulation's stage key, so the stalled
+        // cell must not be served those results.
+        cfg.targets = vec!["fig4".to_string(), "fig11".to_string()];
+        cfg.workers = 1;
         cfg.chaos.stall = vec!["fig11/lbm".to_string()];
         cfg.retry = RetryPolicy {
             max_retries: 1,
@@ -438,7 +454,17 @@ mod tests {
         };
         let out = run_supervised_sweep(&cfg).expect("no supervisor error");
         assert!(out.degraded());
-        assert_eq!(out.report.completed(), 1);
+        assert_eq!(out.report.completed(), 3, "fig4 on both, fig11 on mcf");
+        let ctx = RunContext {
+            attempt: 1,
+            cancel: CancelToken::new(),
+            progress: crisp_sim::ProgressBeacon::new(),
+            lease: crisp_harness::LeaseGuard::default(),
+        };
+        let fig4_lbm = cells::cell_spec("fig4", "lbm", ExperimentScale::Tiny);
+        let alone = cells::run_cell(&fig4_lbm, &ctx, cfg.scale, false, None, None, None)
+            .expect("fig4/lbm runs alone");
+        assert_eq!(out.report.payload("fig4/lbm"), Some(&alone[..]));
         assert!(
             out.rendered.contains("[DEGRADED (1/2 workloads)]"),
             "{}",

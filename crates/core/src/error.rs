@@ -4,7 +4,7 @@
 
 use crisp_emu::EmuError;
 use crisp_isa::ConfigError;
-use crisp_sim::SimError;
+use crisp_sim::{AbortReason, SimError};
 use crisp_workloads::UnknownWorkload;
 use std::fmt;
 
@@ -40,6 +40,26 @@ impl fmt::Display for CrispError {
 }
 
 impl std::error::Error for CrispError {}
+
+impl CrispError {
+    /// The error of work abandoned, outside any simulation, because its
+    /// cancel token fired: a cancellation, or an expired deadline.
+    pub fn aborted(reason: AbortReason) -> CrispError {
+        let (cycle, retired, total) = (0, 0, 0);
+        CrispError::Simulation(match reason {
+            AbortReason::Cancelled => SimError::Cancelled {
+                cycle,
+                retired,
+                total,
+            },
+            AbortReason::DeadlineExceeded => SimError::DeadlineExceeded {
+                cycle,
+                retired,
+                total,
+            },
+        })
+    }
+}
 
 impl From<ConfigError> for CrispError {
     fn from(e: ConfigError) -> CrispError {

@@ -20,6 +20,18 @@
 //! train window and evaluates it the same way, for the Figure 7
 //! comparison.
 //!
+//! ## Stages
+//!
+//! Each step is a stage of a graph: `trace`, `graph` and `index` (the
+//! train trace's dependence graph and root-instance index), `profile`,
+//! `roots`, one `slice` per root, one `filter` per slice, `map`, `ibda`
+//! and `eval`. Every stage is keyed by the `Debug` rendering of exactly
+//! the inputs it reads, so a [`StageMemo`] computes each distinct stage
+//! once however many requests ask for it: a sweep gives its cells one
+//! memo, and each cell's [`Stages`] handle adds that cell's trace-sized
+//! results. [`run_crisp_pipeline`] and [`run_ibda_many`] run over a fresh
+//! memo. See the [`stages`] module for the keys and scopes.
+//!
 //! ## Example
 //!
 //! ```no_run
@@ -40,8 +52,10 @@
 
 mod error;
 pub mod faults;
+mod memo;
 mod pipeline;
 mod report;
+pub mod stages;
 
 pub use error::CrispError;
 pub use pipeline::{
@@ -49,6 +63,7 @@ pub use pipeline::{
     PipelineResult, SliceMode,
 };
 pub use report::{Coverage, Table};
+pub use stages::{StageCounts, StageEvent, StageKind, StageMemo, Stages, Traced};
 
 // Re-export the pieces callers need to parameterise experiments.
 pub use crisp_ibda::IbdaConfig;

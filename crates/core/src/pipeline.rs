@@ -1,18 +1,10 @@
 use crate::error::CrispError;
-use crisp_emu::Emulator;
-use crisp_ibda::{Ibda, IbdaConfig};
-use crisp_isa::{ConfigError, Pc, Trace};
-use crisp_profile::{
-    amat_map, classify_branches, classify_loads, classify_slow_ops, ClassifierConfig,
-    DelinquentLoad, HardBranch,
-};
-use crisp_sim::{SchedulerKind, SimConfig, SimResult, Simulator};
-use crisp_slicer::{
-    critical_path_filter, extract_slices, Annotator, CriticalityMap, DepGraph, FootprintReport,
-    LatencyModel, Slice, SliceConfig,
-};
-use crisp_workloads::{build, Input, Workload};
-use std::collections::{HashMap, HashSet};
+use crate::stages::StageMemo;
+use crisp_ibda::IbdaConfig;
+use crisp_isa::ConfigError;
+use crisp_profile::{ClassifierConfig, DelinquentLoad, HardBranch};
+use crisp_sim::{SimConfig, SimResult};
+use crisp_slicer::{Annotator, CriticalityMap, FootprintReport, Slice, SliceConfig};
 
 /// Which slice families the pipeline tags (the Figure 8 ablation).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -176,22 +168,8 @@ impl PipelineResult {
     }
 }
 
-/// Traces a workload for `budget` instructions.
-fn trace_workload(w: &Workload, budget: u64) -> Trace {
-    Emulator::new(&w.program, w.memory.clone()).run(budget)
-}
-
-/// Per-PC dynamic execution counts of a trace (annotation budget input).
-fn exec_counts(trace: &Trace) -> HashMap<Pc, u64> {
-    let mut counts = HashMap::new();
-    for rec in trace {
-        *counts.entry(rec.pc).or_insert(0) += 1;
-    }
-    counts
-}
-
 /// Runs the full CRISP pipeline (profile → classify → slice → filter →
-/// annotate → evaluate) for one workload.
+/// annotate → evaluate) for one workload, over a fresh [`StageMemo`].
 ///
 /// # Errors
 ///
@@ -200,127 +178,9 @@ pub fn run_crisp_pipeline(
     name: &str,
     cfg: &PipelineConfig,
 ) -> Result<PipelineResult, PipelineError> {
-    cfg.validate()?;
-    let train = build(name, Input::Train)?;
-    let eval = build(name, Input::Ref)?;
-
-    // (1) Profile on the train input with the baseline scheduler.
-    let train_trace = trace_workload(&train, cfg.train_instructions);
-    let mut profile_sim = cfg.sim.clone();
-    profile_sim.scheduler = SchedulerKind::OldestReadyFirst;
-    profile_sim.collect_pc_stats = true;
-    let profile = Simulator::try_new(profile_sim)?.try_run(&train.program, &train_trace, None)?;
-
-    // (2) Classify.
-    let delinquent = classify_loads(&profile, &cfg.classifier);
-    let hard_branches = classify_branches(&profile, &cfg.classifier);
-
-    // (3) Slice.
-    let graph = DepGraph::build(&train.program, &train_trace);
-    let load_roots: Vec<Pc> = delinquent.iter().map(|d| d.pc).collect();
-    let branch_roots: Vec<Pc> = hard_branches.iter().map(|b| b.pc).collect();
-    let load_slices = extract_slices(
-        &train.program,
-        &train_trace,
-        &graph,
-        &load_roots,
-        &cfg.slice,
-    );
-    let branch_slices = extract_slices(
-        &train.program,
-        &train_trace,
-        &graph,
-        &branch_roots,
-        &cfg.slice,
-    );
-
-    // (4) Critical-path filter, (5) annotate under the budget. Slices are
-    // already importance-ordered by the classifier.
-    let model = LatencyModel::new(
-        amat_map(&profile),
-        f64::from(cfg.sim.memory.l1d_latency as u32),
-    );
-    let mut ordered: Vec<HashSet<Pc>> = Vec::new();
-    if cfg.mode != SliceMode::BranchesOnly {
-        for s in &load_slices {
-            ordered.push(critical_path_filter(
-                &train.program,
-                s,
-                &model,
-                cfg.critical_path_fraction,
-            ));
-        }
-    }
-    if cfg.mode != SliceMode::LoadsOnly {
-        for s in &branch_slices {
-            ordered.push(critical_path_filter(
-                &train.program,
-                s,
-                &model,
-                cfg.critical_path_fraction,
-            ));
-        }
-    }
-    if cfg.include_slow_ops {
-        // Section 6.1 extension: divides and their input slices.
-        let slow_roots: Vec<Pc> = classify_slow_ops(&train.program, &train_trace, 0.002)
-            .into_iter()
-            .map(|s| s.pc)
-            .collect();
-        for s in extract_slices(
-            &train.program,
-            &train_trace,
-            &graph,
-            &slow_roots,
-            &cfg.slice,
-        ) {
-            ordered.push(critical_path_filter(
-                &train.program,
-                &s,
-                &model,
-                cfg.critical_path_fraction,
-            ));
-        }
-    }
-    let counts = exec_counts(&train_trace);
-    let map = cfg.annotator.annotate(&train.program, &ordered, &counts);
-    let footprint = Annotator::footprint(&train.program, &map, &counts);
-
-    // (6) Evaluate on the ref input. The annotation was built for this
-    // very binary, so a length mismatch is a pipeline bug worth surfacing.
-    if map.len() != eval.program.len() {
-        return Err(PipelineError::Annotation(format!(
-            "criticality map covers {} instructions but the eval binary has {}",
-            map.len(),
-            eval.program.len()
-        )));
-    }
-    let eval_trace = trace_workload(&eval, cfg.eval_instructions);
-    let mut eval_sim = cfg.sim.clone();
-    eval_sim.collect_pc_stats = false;
-    let baseline = Simulator::try_new(
-        eval_sim
-            .clone()
-            .with_scheduler(SchedulerKind::OldestReadyFirst),
-    )?
-    .try_run(&eval.program, &eval_trace, None)?;
-    let crisp = Simulator::try_new(eval_sim.with_scheduler(SchedulerKind::Crisp))?.try_run(
-        &eval.program,
-        &eval_trace,
-        Some(map.as_slice()),
-    )?;
-
-    Ok(PipelineResult {
-        name: train.name,
-        profile,
-        baseline,
-        crisp,
-        delinquent,
-        hard_branches,
-        load_slices,
-        map,
-        footprint,
-    })
+    StageMemo::new()
+        .cell(cfg.sim.cancel.clone())
+        .pipeline(name, cfg)
 }
 
 /// Result of an IBDA baseline run.
@@ -351,7 +211,7 @@ pub fn run_ibda(
 
 /// Like [`run_ibda`] for several IST configurations at once, sharing the
 /// profiling run and the train/eval traces — the whole Figure 7 IBDA
-/// column set in one pass.
+/// column set in one pass, over a fresh [`StageMemo`].
 ///
 /// # Errors
 ///
@@ -361,45 +221,9 @@ pub fn run_ibda_many(
     ibda_configs: &[IbdaConfig],
     cfg: &PipelineConfig,
 ) -> Result<Vec<IbdaResult>, PipelineError> {
-    cfg.validate()?;
-    let train = build(name, Input::Train)?;
-    let eval = build(name, Input::Ref)?;
-
-    // The hardware observes its own cache misses: profile once to learn
-    // which loads miss at all (instance-level behaviour is frequency-
-    // approximated inside the DLT).
-    let train_trace = trace_workload(&train, cfg.train_instructions);
-    let mut profile_sim = cfg.sim.clone();
-    profile_sim.scheduler = SchedulerKind::OldestReadyFirst;
-    profile_sim.collect_pc_stats = true;
-    let profile = Simulator::try_new(profile_sim)?.try_run(&train.program, &train_trace, None)?;
-    let missing: Vec<Pc> = profile
-        .load_pc_stats
-        .iter()
-        .filter(|(_, s)| s.llc_misses > 0)
-        .map(|(&pc, _)| pc)
-        .collect();
-
-    let eval_trace = trace_workload(&eval, cfg.eval_instructions);
-    let mut eval_sim = cfg.sim.clone();
-    eval_sim.collect_pc_stats = false;
-    let sim = Simulator::try_new(eval_sim.with_scheduler(SchedulerKind::Crisp))?;
-
-    ibda_configs
-        .iter()
-        .map(|&ibda_config| {
-            let mut ibda = Ibda::new(ibda_config, &missing);
-            ibda.train(&train.program, &train_trace);
-            let map = ibda.criticality_map(eval.program.len());
-            let tagged = map.iter().filter(|&&b| b).count();
-            let result = sim.try_run(&eval.program, &eval_trace, Some(&map))?;
-            Ok(IbdaResult {
-                name: eval.name,
-                result,
-                tagged,
-            })
-        })
-        .collect()
+    StageMemo::new()
+        .cell(cfg.sim.cancel.clone())
+        .ibda(name, ibda_configs, cfg)
 }
 
 #[cfg(test)]

@@ -28,20 +28,11 @@
 use std::fs::OpenOptions;
 use std::io::{self, Write};
 use std::path::Path;
-use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::journal::fnv1a64;
 use crate::json::{parse, Value};
+pub use crisp_obs::unix_ns;
 use crisp_obs::SpanRec;
-
-/// Nanoseconds since the unix epoch — the one clock every process in a
-/// job shares, so spans from different pids nest correctly.
-pub fn unix_ns() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0)
-}
 
 /// Deterministic span id: FNV-1a over `trace|name`, remapped away from
 /// 0 (the reserved "no parent" sentinel).
@@ -99,6 +90,37 @@ impl SpanScope {
             },
         );
         span
+    }
+
+    /// A stage observer ([`crisp_core::Stages::observed`]) for attempt
+    /// `attempt` of cell `job`: one span per stage request, named
+    /// `<stage> <job>#<attempt>.<request>` so ids stay unique within the
+    /// trace, under this scope's parent or under the computing request
+    /// that made it. Requests served another request's result end in
+    /// ` (shared)`; their time is any single-flight wait.
+    pub fn stage_observer<'a>(
+        &'a self,
+        job: &str,
+        attempt: u32,
+        proc_name: &'a str,
+    ) -> impl Fn(&crisp_core::StageEvent) + 'a {
+        let cell = format!("{job}#{attempt}");
+        move |e| {
+            let name =
+                |kind: crisp_core::StageKind, seq: u32| format!("{} {cell}.{seq}", kind.name());
+            let parent = e.parent.map_or(self.parent, |(kind, seq)| {
+                span_id(&self.trace, &name(kind, seq))
+            });
+            let mut span_name = name(e.kind, e.seq);
+            if e.shared {
+                span_name.push_str(" (shared)");
+            }
+            SpanScope {
+                parent,
+                ..self.clone()
+            }
+            .emit(&span_name, proc_name, e.start_ns, e.end_ns);
+        }
     }
 }
 

@@ -42,7 +42,7 @@ mod telemetry;
 pub use hostprof::{HostProf, HostProfReport, HostProfState, Phase, PHASE_COUNT, PHASE_NAMES};
 pub use kanata::{render_kanata, TraceFilter, KANATA_HEADER};
 pub use recorder::{EventKind, FillLevel, FlightRecorder, TraceEvent, Tracer};
-pub use spans::{render_spans, SpanRec};
+pub use spans::{render_spans, unix_ns, SpanRec};
 pub use stall::{StallClass, StallRow, StallTable, STALL_CLASSES};
 pub use summarize::{parse_jsonl, render_sparkline, summarize};
 pub use telemetry::{TelemetryInputs, TelemetryLog, TelemetrySample, FIELD_NAMES, SAMPLE_FIELDS};

@@ -31,6 +31,15 @@ pub struct SpanRec {
     pub end_ns: u64,
 }
 
+/// Nanoseconds since the unix epoch — the one clock every process in a
+/// job shares, so spans from different pids nest correctly.
+pub fn unix_ns() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_nanos() as u64)
+        .unwrap_or(0)
+}
+
 impl SpanRec {
     /// The span's duration (0 for malformed end < start).
     pub fn dur_ns(&self) -> u64 {

@@ -87,14 +87,55 @@ pub struct Slice {
     pub edges: HashSet<(Pc, Pc)>,
 }
 
+/// Every dynamic instance of every static instruction, in trace order:
+/// the root-instance index slice extraction starts from. Building it is
+/// two passes over the trace, so callers that slice roots one at a time
+/// build it once per trace instead of rescanning the trace per root.
+#[derive(Clone, Debug)]
+pub struct InstanceIndex {
+    /// `seqs[starts[pc]..starts[pc + 1]]` are the instances of `pc`.
+    starts: Vec<u32>,
+    seqs: Vec<u32>,
+}
+
+impl InstanceIndex {
+    /// Indexes `trace`, a trace of `program` (a counting sort by PC).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace is longer than `u32::MAX` records or holds a
+    /// PC outside `program`.
+    pub fn build(program: &Program, trace: &Trace) -> InstanceIndex {
+        assert!(trace.len() < u32::MAX as usize, "trace too long");
+        let mut starts = vec![0u32; program.len() + 1];
+        for rec in trace {
+            starts[rec.pc as usize + 1] += 1;
+        }
+        for pc in 1..starts.len() {
+            starts[pc] += starts[pc - 1];
+        }
+        let mut next = starts.clone();
+        let mut seqs = vec![0u32; trace.len()];
+        for (seq, rec) in trace.iter().enumerate() {
+            let slot = &mut next[rec.pc as usize];
+            seqs[*slot as usize] = seq as u32;
+            *slot += 1;
+        }
+        InstanceIndex { starts, seqs }
+    }
+
+    /// The dynamic positions of `pc`, oldest first.
+    pub fn instances(&self, pc: Pc) -> &[u32] {
+        let pc = pc as usize;
+        match (self.starts.get(pc), self.starts.get(pc + 1)) {
+            (Some(&start), Some(&end)) => &self.seqs[start as usize..end as usize],
+            _ => &[],
+        }
+    }
+}
+
 /// Extracts backward slices for each root PC using the frontier algorithm
-/// of paper Section 3.3.
-///
-/// The walk starts at each dynamic instance of a root and repeatedly
-/// expands the oldest unexplored ancestor, terminating a path when (1) the
-/// ancestor is already in the slice, (2) the operand is a constant (no
-/// producer), or (3) the beginning of the trace is reached. (The paper's
-/// rule (3), system-call returns, has no analogue in the mini-ISA.)
+/// of paper Section 3.3 — [`extract_slice`] over one [`InstanceIndex`].
 ///
 /// See the crate-level example.
 pub fn extract_slices(
@@ -108,58 +149,65 @@ pub fn extract_slices(
         roots.iter().all(|&r| (r as usize) < program.len()),
         "root pc outside program"
     );
-    // Index root instances: last `instances_per_root` occurrences of each
-    // root PC (later instances have deeper history to slice through).
-    let root_set: HashSet<Pc> = roots.iter().copied().collect();
-    let mut instances: HashMap<Pc, Vec<u32>> = HashMap::new();
-    for (seq, rec) in trace.iter().enumerate() {
-        if root_set.contains(&rec.pc) {
-            instances.entry(rec.pc).or_default().push(seq as u32);
-        }
-    }
-
+    let index = InstanceIndex::build(program, trace);
     roots
         .iter()
-        .map(|&root| {
-            let mut appearances: HashMap<Pc, usize> = HashMap::new();
-            let mut edges: HashSet<(Pc, Pc)> = HashSet::new();
-            let empty = Vec::new();
-            let seqs = instances.get(&root).unwrap_or(&empty);
-            let take = seqs.len().min(config.instances_per_root);
-            let sampled = &seqs[seqs.len() - take..];
-            let mut total_len = 0usize;
-            for &start in sampled {
-                let mut pcs = HashSet::new();
-                total_len += slice_instance(trace, graph, start, config, &mut pcs, &mut edges);
-                for pc in pcs {
-                    *appearances.entry(pc).or_insert(0) += 1;
-                }
-            }
-            // Section 4.1: drop uncommon code paths — instructions seen in
-            // only a small fraction of the sampled instances.
-            let min_count = ((config.min_instance_fraction * take as f64).ceil() as usize).max(1);
-            let mut pcs: HashSet<Pc> = appearances
-                .into_iter()
-                .filter(|&(_, n)| n >= min_count)
-                .map(|(pc, _)| pc)
-                .collect();
-            if !seqs.is_empty() {
-                pcs.insert(root);
-            }
-            edges.retain(|(c, p)| pcs.contains(c) && pcs.contains(p));
-            Slice {
-                root,
-                instances: take,
-                mean_dynamic_len: if take == 0 {
-                    0.0
-                } else {
-                    total_len as f64 / take as f64
-                },
-                pcs,
-                edges,
-            }
-        })
+        .map(|&root| extract_slice(trace, graph, &index, root, config))
         .collect()
+}
+
+/// Extracts the backward slice of one root PC.
+///
+/// The walk starts at each sampled dynamic instance of the root (the last
+/// `instances_per_root`: later instances have deeper history to slice
+/// through) and repeatedly expands the oldest unexplored ancestor,
+/// terminating a path when (1) the ancestor is already in the slice, (2)
+/// the operand is a constant (no producer), or (3) the beginning of the
+/// trace is reached. (The paper's rule (3), system-call returns, has no
+/// analogue in the mini-ISA.)
+pub fn extract_slice(
+    trace: &Trace,
+    graph: &DepGraph,
+    index: &InstanceIndex,
+    root: Pc,
+    config: &SliceConfig,
+) -> Slice {
+    let mut appearances: HashMap<Pc, usize> = HashMap::new();
+    let mut edges: HashSet<(Pc, Pc)> = HashSet::new();
+    let seqs = index.instances(root);
+    let take = seqs.len().min(config.instances_per_root);
+    let sampled = &seqs[seqs.len() - take..];
+    let mut total_len = 0usize;
+    for &start in sampled {
+        let mut pcs = HashSet::new();
+        total_len += slice_instance(trace, graph, start, config, &mut pcs, &mut edges);
+        for pc in pcs {
+            *appearances.entry(pc).or_insert(0) += 1;
+        }
+    }
+    // Section 4.1: drop uncommon code paths — instructions seen in only a
+    // small fraction of the sampled instances.
+    let min_count = ((config.min_instance_fraction * take as f64).ceil() as usize).max(1);
+    let mut pcs: HashSet<Pc> = appearances
+        .into_iter()
+        .filter(|&(_, n)| n >= min_count)
+        .map(|(pc, _)| pc)
+        .collect();
+    if !seqs.is_empty() {
+        pcs.insert(root);
+    }
+    edges.retain(|(c, p)| pcs.contains(c) && pcs.contains(p));
+    Slice {
+        root,
+        instances: take,
+        mean_dynamic_len: if take == 0 {
+            0.0
+        } else {
+            total_len as f64 / take as f64
+        },
+        pcs,
+        edges,
+    }
 }
 
 /// Walks one dynamic instance backwards; returns the dynamic slice length.
@@ -412,6 +460,24 @@ mod tests {
         let s = &slices_for(&p, &t, &[load], &cfg)[0];
         assert!(s.pcs.len() <= 11);
         assert!(s.mean_dynamic_len <= 11.0);
+    }
+
+    #[test]
+    fn instance_index_lists_each_pc_in_trace_order() {
+        let mut b = ProgramBuilder::new();
+        b.li(r(5), 3); // 0
+        let top = b.label();
+        b.bind(top);
+        b.alu_ri(AluOp::Sub, r(5), r(5), 1); // 1
+        b.branch(Cond::Ne, r(5), Reg::ZERO, top); // 2
+        b.halt(); // 3
+        let p = b.build();
+        let t = Emulator::new(&p, Memory::new()).run(100);
+        let index = InstanceIndex::build(&p, &t);
+        assert_eq!(index.instances(0), &[0]);
+        assert_eq!(index.instances(1), &[1, 3, 5]);
+        assert_eq!(index.instances(2), &[2, 4, 6]);
+        assert!(index.instances(99).is_empty(), "outside the program");
     }
 
     #[test]

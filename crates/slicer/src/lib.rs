@@ -9,8 +9,10 @@
 //!   dynamic instruction's producers — through registers **and through
 //!   memory** (store→load edges), the capability the paper highlights as
 //!   missing from hardware IBDA.
-//! * [`extract_slices`] runs the frontier algorithm backwards from each
-//!   root instance, with the paper's termination rules.
+//! * [`extract_slice`] runs the frontier algorithm backwards from each
+//!   sampled instance of one root, with the paper's termination rules;
+//!   an [`InstanceIndex`] finds the instances, and [`extract_slices`] is
+//!   the loop over several roots.
 //! * [`critical_path_filter`] treats a slice instance as a latency-weighted
 //!   DAG and keeps only instructions on near-critical paths, so slices
 //!   don't flood the reservation station (Section 3.5).
@@ -51,4 +53,4 @@ mod extract;
 pub use annotate::{Annotator, CriticalityMap, FootprintReport};
 pub use critical_path::{critical_path_filter, LatencyModel};
 pub use depgraph::DepGraph;
-pub use extract::{extract_slices, Slice, SliceConfig};
+pub use extract::{extract_slice, extract_slices, InstanceIndex, Slice, SliceConfig};
