@@ -524,7 +524,9 @@ fn run(cmd: &str, args: &Args) -> Result<(), Failure> {
             let w = build_workload(&name, Input::Train)?;
             let trace = Emulator::new(&w.program, w.memory.clone()).run(n);
             let mut cfg = SimConfig::skylake();
-            cfg.record_pipeview = true;
+            // Room for every event of the run: five stages per instruction
+            // plus at most one redirect (and a nonzero ring when n is 0).
+            cfg.tracer_capacity = Some(6 * n as usize + 1);
             cfg.collect_pc_stats = false;
             let use_crisp = args.has("--crisp");
             if use_crisp {
@@ -538,7 +540,10 @@ fn run(cmd: &str, args: &Args) -> Result<(), Failure> {
                 if use_crisp { "CRISP" } else { "OOO" },
                 to
             );
-            print!("{}", res.pipeview.render(from, to));
+            print!(
+                "{}",
+                crisp_obs::render_pipeview(&res.tracer.events(), from, to)
+            );
             Ok(())
         }
         "pipeline" => {
@@ -692,7 +697,7 @@ fn run_cache(args: &Args) -> Result<(), Failure> {
 /// `crisp-serve` daemon. Transient failures retry with bounded jittered
 /// backoff inside [`crisp_serve::Client`]; hard failures exit 5.
 fn run_serve(cmd: &str, args: &Args) -> Result<(), Failure> {
-    use crisp_harness::json::Value;
+    use crisp_obs::json::Value;
     use crisp_serve::{Client, ClientConfig, SubmitRequest};
 
     let addr = args

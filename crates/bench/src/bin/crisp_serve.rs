@@ -43,8 +43,8 @@
 
 use crisp_bench::sweep::{build_jobs, run_supervised_sweep, sweep_spec, SweepConfig};
 use crisp_bench::{all_targets, ExperimentScale};
-use crisp_harness::json::Value;
 use crisp_harness::{cell_key, EventSink, PoolOptions, WorkerPool};
+use crisp_obs::json::Value;
 use crisp_serve::{
     run_daemon, signal, DaemonConfig, ExecCtx, ExecResult, JobPlan, JobRecord, PrefetchTotals,
     SubmitRequest,

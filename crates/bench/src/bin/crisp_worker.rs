@@ -27,11 +27,11 @@
 use crisp_bench::cells::{self, CellOptions};
 use crisp_bench::ExperimentScale;
 use crisp_core::StageMemo;
-use crisp_harness::json::Value;
 use crisp_harness::supervisor::LeaseGuard;
 use crisp_harness::{
     failure_detail, read_frame, write_frame, FailureClass, JobSpec, RunContext, RESULT_SCHEMA,
 };
+use crisp_obs::json::Value;
 use crisp_sim::{CancelToken, ProgressBeacon};
 use std::io::{Stdin, Stdout};
 use std::process::ExitCode;

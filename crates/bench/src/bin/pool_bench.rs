@@ -17,8 +17,8 @@
 
 use crisp_bench::sweep::{run_supervised_sweep, SweepConfig, SweepOutput};
 use crisp_bench::ExperimentScale;
-use crisp_harness::json::Value;
 use crisp_harness::{PoolOptions, WorkerPool};
+use crisp_obs::json::Value;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;

@@ -17,10 +17,9 @@ use crisp_core::{
     ClassifierConfig, ConfigError, CrispError, IbdaConfig, Input, PipelineConfig, SchedulerKind,
     SimConfig, SliceConfig, SliceMode, StageMemo, Stages,
 };
-use crisp_harness::json::Value;
 use crisp_harness::{checkpoint_file_name, newest_valid_checkpoint, write_checkpoint};
 use crisp_harness::{JobSpec, RunContext};
-use crisp_obs::{render_kanata, TelemetrySample, TraceFilter, FIELD_NAMES};
+use crisp_obs::{render_kanata, telemetry_line, TraceFilter};
 use crisp_sim::{CheckpointSink, PrefetcherSpec, SimResult};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -182,19 +181,6 @@ fn arm_obs(sim: &mut SimConfig, obs: Option<&ObsPolicy>) {
     if obs.pipe_trace_dir.is_some() {
         sim.tracer_capacity = Some(obs.tracer_capacity);
     }
-}
-
-/// One telemetry sample as a JSONL line, tagged with the cell id and
-/// sub-run label so merged streams stay attributable.
-fn telemetry_line(cell: &str, label: &str, s: &TelemetrySample) -> String {
-    let mut pairs = vec![
-        ("cell".to_string(), Value::Str(cell.to_string())),
-        ("label".to_string(), Value::Str(label.to_string())),
-    ];
-    for (name, v) in FIELD_NAMES.iter().zip(s.values()) {
-        pairs.push(((*name).to_string(), Value::Num(v as f64)));
-    }
-    Value::Obj(pairs).encode()
 }
 
 /// Writes one sub-run's observability artifacts. Best-effort, like

@@ -10,8 +10,8 @@
 use crate::cells;
 use crate::experiments::geomean_speedup;
 use crisp_core::{Coverage, Table};
-use crisp_harness::json::Value;
 use crisp_harness::{JobOutcome, JobSpec};
+use crisp_obs::json::Value;
 use std::collections::BTreeMap;
 
 /// One cell as the renderer sees it.

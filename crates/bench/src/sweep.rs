@@ -5,11 +5,11 @@ use crate::cells::{self, CellOptions, CheckpointPolicy, ObsPolicy, CELL_FORMAT, 
 use crate::experiments::{table1, ExperimentScale};
 use crate::render::render_figure;
 use crisp_core::{StageCounts, StageMemo};
-use crisp_harness::json::Value;
 use crisp_harness::{
     run_sweep, EventSink, FailureClass, HarnessError, JobSpec, RetryPolicy, RunContext, RunError,
     SupervisorOptions, SweepReport, WorkerPool,
 };
+use crisp_obs::json::Value;
 use crisp_sim::{CancelToken, PrefetcherSpec};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

@@ -20,10 +20,10 @@
 use crisp_bench::sweep::{run_supervised_sweep, Chaos, SweepConfig, SweepOutput};
 use crisp_bench::ExperimentScale;
 use crisp_harness::journal::{AttemptOutcome, AttemptRecord};
-use crisp_harness::json::Value;
 use crisp_harness::{
     read_frame, write_frame, FailureClass, JobOutcome, PoolOptions, RetryPolicy, WorkerPool,
 };
+use crisp_obs::json::Value;
 use crisp_serve::{Client, ClientConfig, SubmitRequest};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};

@@ -17,8 +17,8 @@
 //!   incomplete, and a restart recovers and finishes it.
 
 use crisp_harness::journal::{AttemptOutcome, AttemptRecord};
-use crisp_harness::json::Value;
 use crisp_harness::RetryPolicy;
+use crisp_obs::json::Value;
 use crisp_serve::{Client, ClientConfig, SubmitRequest};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};

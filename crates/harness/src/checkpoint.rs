@@ -20,17 +20,17 @@
 //! end marker "CRSPDONE"      8 bytes
 //! ```
 //!
-//! Writes are atomic: the file is assembled under a `.tmp` name, fsync'd,
-//! then renamed over the final path, so a SIGKILL mid-write leaves either
-//! the previous checkpoint or a `.tmp` orphan — never a half-written file
-//! under the real name. Reads verify, in order: magic, version, spec
-//! fingerprint, per-section CRC, and the end marker; a file cut short at
-//! any byte is reported as [`CheckpointError::Torn`], never mis-decoded.
+//! Writes are atomic ([`crisp_store::write_atomic`]): the file is
+//! assembled under a `.tmp` name, fsync'd, then renamed over the final
+//! path, so a SIGKILL mid-write leaves either the previous checkpoint or
+//! a `.tmp` orphan — never a half-written file under the real name.
+//! Reads verify, in order: magic, version, spec fingerprint, per-section
+//! CRC, and the end marker; a file cut short at any byte is reported as
+//! [`CheckpointError::Torn`], never mis-decoded.
 
 use crisp_sim::SimSnapshot;
-use crisp_store::fnv1a128;
-use std::fs::{self, File};
-use std::io::Write;
+use crisp_store::{fnv1a128, StoreError};
+use std::fs;
 use std::path::{Path, PathBuf};
 
 pub use crisp_store::crc32;
@@ -40,11 +40,13 @@ pub use crisp_store::crc32;
 /// Version history:
 ///
 /// - v1 — a single 64-bit FNV-1a spec fingerprint;
-/// - v2 — a 128-bit fingerprint stored as two u64 words (low, high).
+/// - v2 — a 128-bit fingerprint stored as two u64 words (low, high);
+/// - v3 — `SimResult`'s snapshot words lose the `pipeview` section (the
+///   pipeline viewer renders from the flight recorder).
 ///
 /// Only the current version is read; any other is a
 /// [`CheckpointError::VersionMismatch`].
-pub const CHECKPOINT_VERSION: u64 = 2;
+pub const CHECKPOINT_VERSION: u64 = 3;
 
 const MAGIC: &[u8; 8] = b"CRSPCKPT";
 const END_MARKER: &[u8; 8] = b"CRSPDONE";
@@ -177,8 +179,8 @@ fn encode(spec_fingerprint: u128, snapshot: &SimSnapshot) -> Vec<u8> {
     out
 }
 
-/// Writes `snapshot` to `path` atomically (tmp + fsync + rename), stamped
-/// with the FNV-1a fingerprint of `spec`.
+/// Writes `snapshot` to `path` atomically ([`crisp_store::write_atomic`]),
+/// stamped with the FNV-1a fingerprint of `spec`.
 ///
 /// # Errors
 ///
@@ -189,26 +191,13 @@ pub fn write_checkpoint(
     snapshot: &SimSnapshot,
 ) -> Result<(), CheckpointError> {
     let bytes = encode(fnv1a128(spec.as_bytes()), snapshot);
-    let tmp = tmp_path(path);
-    let mut file = File::create(&tmp).map_err(|e| io_err(&tmp, "create", e))?;
-    file.write_all(&bytes)
-        .map_err(|e| io_err(&tmp, "write", e))?;
-    file.sync_data().map_err(|e| io_err(&tmp, "fsync", e))?;
-    drop(file);
-    fs::rename(&tmp, path).map_err(|e| io_err(path, "rename", e))?;
-    // Make the rename itself durable where the platform allows it.
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
-}
-
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
+    crisp_store::write_atomic(path, &bytes).map_err(|e| match e {
+        StoreError::Io { path, message } => CheckpointError::Io { path, message },
+        other => CheckpointError::Io {
+            path: path.to_path_buf(),
+            message: other.to_string(),
+        },
+    })
 }
 
 struct ByteReader<'a> {
@@ -411,10 +400,11 @@ mod tests {
         write_checkpoint(&path, "fig7/mcf v1", &snap).unwrap();
         let read = read_checkpoint(&path, "fig7/mcf v1").unwrap();
         assert_eq!(read, snap);
-        assert!(
-            !tmp_path(&path).exists(),
-            "tmp file must be renamed away on success"
-        );
+        let names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["cell.ckpt"], "tmp file must be renamed away");
         std::fs::remove_dir_all(&dir).ok();
     }
 

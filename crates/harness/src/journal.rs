@@ -8,7 +8,7 @@
 //! fatal — which is exactly what `--resume` needs after a crash.
 
 use crate::class::FailureClass;
-use crate::json::{parse, Value};
+use crisp_obs::json::{parse, Value};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};

@@ -15,7 +15,7 @@
 //! - [`supervisor`] — job specs, the worker pool, retry/resume logic;
 //! - [`pool`] — the multi-process executor: cell shards fork/exec'd
 //!   into `crisp-worker` processes over a length-prefixed JSON frame
-//!   protocol, with crash containment, heartbeat-renewed leases,
+//!   protocol, with crash containment, lease-period liveness,
 //!   poison-cell quarantine and version-skew refusal;
 //! - [`journal`] — the JSONL manifest format and tolerant loader;
 //! - [`checkpoint`] — the versioned, CRC-checked binary container for
@@ -23,7 +23,6 @@
 //!   detection, config fingerprinting);
 //! - [`retry`] — the backoff schedule;
 //! - [`class`] — the failure taxonomy (retryable vs fatal);
-//! - [`json`] — the dependency-free JSON subset the journal uses;
 //! - [`spanlog`] — the cross-process span log (`spans.jsonl`) every
 //!   layer of a job appends to, rendered by `crisp obs spans`;
 //! - [`store`] — the content-addressed result store surface: keying
@@ -50,7 +49,6 @@
 pub mod checkpoint;
 pub mod class;
 pub mod journal;
-pub mod json;
 pub mod pool;
 pub mod retry;
 pub mod spanlog;
@@ -62,14 +60,14 @@ pub use checkpoint::{
     CheckpointError, CHECKPOINT_VERSION,
 };
 pub use class::FailureClass;
+/// The JSON codec, re-exported from `crisp-obs` for callers that name
+/// it through this crate.
+pub use crisp_obs::json;
 pub use journal::{
     fnv1a64, load_manifest, AttemptOutcome, AttemptRecord, JournalError, ManifestSummary,
     ProgressRecord, SweepHeader,
 };
-pub use json::{ParseError, ParseLimits};
-pub use pool::{
-    read_frame, write_frame, Claim, LeaseTable, PoolOptions, PoolStatus, WorkerPool, MAX_FRAME,
-};
+pub use pool::{read_frame, write_frame, PoolOptions, PoolStatus, WorkerPool, MAX_FRAME};
 pub use retry::RetryPolicy;
 pub use spanlog::{append_span, load_spans, span_id, unix_ns, SpanScope};
 pub use store::{cell_key, cell_key_material, ResultStoreConfig, RESULT_SCHEMA};

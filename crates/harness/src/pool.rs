@@ -10,11 +10,12 @@
 //!   frame marks only that cell attempt failed (classified
 //!   [`FailureClass::WorkerCrash`], retryable), never the supervisor;
 //!   the slot respawns a fresh worker;
-//! - **lease-based assignment** — every dispatched cell claims a lease
-//!   in the pool's [`LeaseTable`] and renews it (plus the store's
-//!   on-disk advisory lock, via [`RunContext::lease`]) on each worker
-//!   heartbeat, so a dead worker's cell is stolen and reassigned within
-//!   one lease period;
+//! - **lease-period liveness** — a worker that sends no frame for
+//!   [`PoolOptions::lease`] is declared crashed and its cell goes back
+//!   to the retry loop, whose next dispatch counts a steal; each
+//!   heartbeat renews the store's on-disk advisory lock (via
+//!   [`RunContext::lease`]), which keeps a cell computed once across
+//!   processes;
 //! - **poison-cell quarantine** — a cell that kills
 //!   [`PoolOptions::poison_threshold`] consecutive workers is refused
 //!   further dispatch and fails as [`FailureClass::Poisoned`] with a
@@ -40,8 +41,8 @@
 //! ```
 
 use crate::class::FailureClass;
-use crate::json::{parse, Value};
 use crate::supervisor::{RunContext, RunError};
+use crisp_obs::json::{parse, Value};
 use crisp_sim::AbortReason;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
@@ -114,141 +115,6 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Value>> {
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("frame: {e}")))
 }
 
-/// What [`LeaseTable::claim`] decided.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Claim {
-    /// The cell was free (or released); the claimant now holds it.
-    Granted,
-    /// A previous holder's lease had expired; the claimant stole it.
-    Stolen,
-    /// Someone else holds a live lease; the claim is refused.
-    Held,
-}
-
-/// An in-memory lease state machine over a logical clock.
-///
-/// The pool claims a lease per dispatched cell, renews it on worker
-/// heartbeats, and force-expires it when the worker dies, so the
-/// retry's re-dispatch observably *steals* the dead worker's claim.
-/// Invariants (property-tested in `crates/harness/tests`): a cell never
-/// has two concurrent live holders, and a claimed cell is never lost —
-/// it stays in the table, held or expired, until explicitly released.
-#[derive(Debug)]
-pub struct LeaseTable {
-    ttl: u64,
-    now: u64,
-    leases: BTreeMap<String, Lease>,
-}
-
-#[derive(Debug)]
-struct Lease {
-    holder: String,
-    expires: u64,
-}
-
-impl LeaseTable {
-    /// A table whose leases live `ttl` logical ticks past their last
-    /// claim or renewal (`ttl` is clamped to at least 1).
-    pub fn new(ttl: u64) -> LeaseTable {
-        LeaseTable {
-            ttl: ttl.max(1),
-            now: 0,
-            leases: BTreeMap::new(),
-        }
-    }
-
-    /// Advances the logical clock.
-    pub fn tick(&mut self, dt: u64) {
-        self.now = self.now.saturating_add(dt);
-    }
-
-    /// The current logical time.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Claims `cell` for `holder`: granted when free or released, stolen
-    /// when the previous lease expired, refused while a live lease (by
-    /// anyone, including `holder` itself) exists.
-    pub fn claim(&mut self, cell: &str, holder: &str) -> Claim {
-        let expires = self.now.saturating_add(self.ttl);
-        match self.leases.get_mut(cell) {
-            None => {
-                self.leases.insert(
-                    cell.to_string(),
-                    Lease {
-                        holder: holder.to_string(),
-                        expires,
-                    },
-                );
-                Claim::Granted
-            }
-            Some(lease) if lease.expires <= self.now => {
-                lease.holder = holder.to_string();
-                lease.expires = expires;
-                Claim::Stolen
-            }
-            Some(_) => Claim::Held,
-        }
-    }
-
-    /// Renews `holder`'s live lease on `cell`. `false` when the lease is
-    /// gone, expired, or held by someone else — the holder must treat
-    /// its claim as lost.
-    pub fn renew(&mut self, cell: &str, holder: &str) -> bool {
-        let now = self.now;
-        let expires = now.saturating_add(self.ttl);
-        match self.leases.get_mut(cell) {
-            Some(lease) if lease.holder == holder && lease.expires > now => {
-                lease.expires = expires;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Releases `holder`'s lease on `cell` (live or expired), removing
-    /// the entry. `false` when the cell is not held by `holder`.
-    pub fn release(&mut self, cell: &str, holder: &str) -> bool {
-        match self.leases.get(cell) {
-            Some(lease) if lease.holder == holder => {
-                self.leases.remove(cell);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Force-expires `cell`'s lease (the pool observed its holder die),
-    /// making the next claim a steal.
-    pub fn expire(&mut self, cell: &str) {
-        if let Some(lease) = self.leases.get_mut(cell) {
-            lease.expires = self.now;
-        }
-    }
-
-    /// The live holder of `cell`, if any.
-    pub fn holder(&self, cell: &str) -> Option<&str> {
-        self.leases
-            .get(cell)
-            .filter(|l| l.expires > self.now)
-            .map(|l| l.holder.as_str())
-    }
-
-    /// Every cell present in the table (held or expired-awaiting-steal).
-    pub fn cells(&self) -> Vec<&str> {
-        self.leases.keys().map(String::as_str).collect()
-    }
-
-    /// Live leases (holder still within its ttl).
-    pub fn live(&self) -> usize {
-        self.leases
-            .values()
-            .filter(|l| l.expires > self.now)
-            .count()
-    }
-}
-
 /// Shared pool gauges, exported into the daemon's `/stats` and `/readyz`.
 #[derive(Debug, Default)]
 pub struct PoolStatus {
@@ -258,14 +124,12 @@ pub struct PoolStatus {
     pub workers_alive: AtomicUsize,
     /// Workers currently executing a cell.
     pub workers_busy: AtomicUsize,
-    /// Live leases in the pool's table.
-    pub leases_held: AtomicUsize,
-    /// Leases stolen from dead or wedged workers.
+    /// Dispatches of a cell whose previous worker died mid-cell.
     pub steals: AtomicUsize,
     /// Cells quarantined as poisonous.
     pub poisoned: AtomicUsize,
     /// Workers that died mid-cell (SIGKILL/SIGSEGV/OOM/protocol), each
-    /// replaced by a fresh spawn — the `/metrics` crash counter.
+    /// replaced by a fresh spawn (`/stats` `worker_crashes`).
     pub crashes: AtomicUsize,
     pids: Mutex<Vec<u32>>,
 }
@@ -302,7 +166,8 @@ pub struct PoolOptions {
     /// threshold of 3 quarantines on the final attempt.
     pub poison_threshold: u32,
     /// Lease period: a worker that emits no frame for this long is
-    /// declared wedged, killed, and its cell's lease stolen.
+    /// declared wedged and killed, and the cell's next dispatch counts
+    /// a steal.
     pub lease: Duration,
     /// Heartbeat cadence workers are asked to publish at.
     pub heartbeat: Duration,
@@ -349,7 +214,9 @@ impl Worker {
     }
 }
 
-/// Per-cell crash bookkeeping for poison quarantine.
+/// Per-cell crash bookkeeping for poison quarantine and steal counting:
+/// an entry lives from a mid-cell worker death until the cell's next
+/// `ok` or `fail` frame.
 #[derive(Clone, Debug, Default)]
 struct CrashRecord {
     consecutive: u32,
@@ -368,8 +235,6 @@ pub struct WorkerPool {
     free: Mutex<Vec<Worker>>,
     available: Condvar,
     crashes: Mutex<BTreeMap<String, CrashRecord>>,
-    leases: Mutex<LeaseTable>,
-    started: Instant,
     status: Arc<PoolStatus>,
     shutting_down: AtomicBool,
 }
@@ -400,13 +265,10 @@ impl WorkerPool {
         }
         status.workers_alive.store(workers.len(), Ordering::SeqCst);
         status.ready.store(true, Ordering::SeqCst);
-        let lease_ms = u64::try_from(opts.lease.as_millis()).unwrap_or(u64::MAX);
         Ok(WorkerPool {
             free: Mutex::new(workers),
             available: Condvar::new(),
             crashes: Mutex::new(BTreeMap::new()),
-            leases: Mutex::new(LeaseTable::new(lease_ms.max(1))),
-            started: Instant::now(),
             status,
             shutting_down: AtomicBool::new(false),
             opts,
@@ -416,21 +278,6 @@ impl WorkerPool {
     /// The pool's live gauges (shared with the daemon's `/stats`).
     pub fn status(&self) -> Arc<PoolStatus> {
         Arc::clone(&self.status)
-    }
-
-    /// Advances the lease table's logical clock to wall-time-since-start
-    /// and returns the table lock.
-    fn leases_now(&self) -> std::sync::MutexGuard<'_, LeaseTable> {
-        let mut t = self.leases.lock().expect("lease table lock");
-        let now = u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX);
-        let behind = now.saturating_sub(t.now());
-        t.tick(behind);
-        t
-    }
-
-    fn sync_lease_gauge(&self) {
-        let live = self.leases_now().live();
-        self.status.leases_held.store(live, Ordering::SeqCst);
     }
 
     /// Runs one cell attempt on a pooled worker. This is the body of a
@@ -463,27 +310,21 @@ impl WorkerPool {
 
         let mut worker = self.checkout(ctx)?;
         self.status.workers_busy.fetch_add(1, Ordering::SeqCst);
-        let holder = format!("worker-{}", worker.pid);
-        let claim = self.leases_now().claim(job_id, &holder);
-        if claim == Claim::Stolen {
+        // A crash record means the cell's last worker died mid-cell:
+        // this dispatch takes the cell over from it.
+        if self
+            .crashes
+            .lock()
+            .expect("crash map lock")
+            .contains_key(job_id)
+        {
             self.status.steals.fetch_add(1, Ordering::SeqCst);
         }
-        self.sync_lease_gauge();
 
         let outcome = self.drive(&mut worker, job_id, job_spec, ctx, extra);
 
-        // Bookkeeping: release or expire the lease, then return the
-        // worker (or bury it and respawn a replacement).
-        let worker_died = matches!(outcome, DriveOutcome::Crashed { .. });
-        {
-            let mut leases = self.leases_now();
-            if worker_died {
-                leases.expire(job_id);
-            } else {
-                leases.release(job_id, &holder);
-            }
-        }
-        self.sync_lease_gauge();
+        // Bookkeeping: return the worker (or bury it and respawn a
+        // replacement).
         self.status.workers_busy.fetch_sub(1, Ordering::SeqCst);
 
         match outcome {
@@ -657,10 +498,6 @@ impl WorkerPool {
                             let cycles = frame.get("cycles").and_then(Value::as_u64).unwrap_or(0);
                             let instrs = frame.get("instrs").and_then(Value::as_u64).unwrap_or(0);
                             ctx.progress.publish(cycles, instrs);
-                            // Renew both leases: the pool's table and the
-                            // store's on-disk advisory lock.
-                            let holder = format!("worker-{}", worker.pid);
-                            self.leases_now().renew(job_id, &holder);
                             ctx.lease.renew();
                         }
                         Some("ok") => {
@@ -977,45 +814,76 @@ mod tests {
         assert!(read_frame(&mut r).is_err());
     }
 
+    /// A stand-in worker that handshakes and then never sends another
+    /// frame: the pool's frame timer must declare it crashed.
     #[test]
-    fn lease_claims_renewals_and_steals() {
-        let mut t = LeaseTable::new(10);
-        assert_eq!(t.claim("cell", "a"), Claim::Granted);
-        assert_eq!(t.claim("cell", "b"), Claim::Held, "live lease refuses");
-        assert_eq!(t.claim("cell", "a"), Claim::Held, "even to the holder");
-        assert!(t.renew("cell", "a"));
-        assert!(!t.renew("cell", "b"), "only the holder renews");
-        assert_eq!(t.holder("cell"), Some("a"));
+    fn a_wedged_worker_is_declared_crashed_and_its_cell_stolen() {
+        use crate::supervisor::LeaseGuard;
+        use crisp_sim::{CancelToken, ProgressBeacon};
+        use std::os::unix::fs::PermissionsExt;
 
-        // Renewal extends: 9 ticks in, a renews; 9 more and it's alive.
-        t.tick(9);
-        assert!(t.renew("cell", "a"));
-        t.tick(9);
-        assert_eq!(t.holder("cell"), Some("a"));
-        assert_eq!(t.claim("cell", "b"), Claim::Held);
+        let dir = std::env::temp_dir().join(format!("crisp-pool-wedged-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let opts = PoolOptions::default();
+        let hello = Value::Obj(vec![
+            ("type".to_string(), Value::Str("hello".to_string())),
+            (
+                "version".to_string(),
+                Value::Str(opts.expect_version.clone()),
+            ),
+            ("schema".to_string(), Value::Num(opts.expect_schema as f64)),
+        ]);
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &hello).unwrap();
+        let octal: String = frame.iter().map(|b| format!("\\{b:03o}")).collect();
+        let script = dir.join("wedged-worker");
+        std::fs::write(
+            &script,
+            format!("#!/bin/sh\nprintf '{octal}'\nexec sleep 60\n"),
+        )
+        .unwrap();
+        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
 
-        // Expiry: 1 more tick and b steals.
-        t.tick(1);
-        assert_eq!(t.holder("cell"), None, "expired lease has no live holder");
-        assert_eq!(t.claim("cell", "b"), Claim::Stolen);
-        assert!(!t.renew("cell", "a"), "the old holder lost its claim");
-        assert!(t.renew("cell", "b"));
+        let pool = WorkerPool::spawn(PoolOptions {
+            worker_bin: script,
+            lease: Duration::from_millis(200),
+            ..opts
+        })
+        .unwrap();
+        let status = pool.status();
+        let first = status.pids();
+        let ctx = RunContext {
+            attempt: 1,
+            cancel: CancelToken::new(),
+            progress: ProgressBeacon::new(),
+            lease: LeaseGuard::default(),
+        };
+        let no_extra = Value::Obj(Vec::new());
+        let crash = |cell: &str| match pool.run_cell(cell, "spec", &ctx, &no_extra) {
+            Err(RunError::Classified {
+                class: FailureClass::WorkerCrash,
+                detail: Some(detail),
+                ..
+            }) => detail,
+            other => panic!("{cell}: expected a worker crash, got {other:?}"),
+        };
+        let count = |n: &AtomicUsize| n.load(Ordering::SeqCst);
 
-        // Release frees the cell for a clean grant.
-        assert!(!t.release("cell", "a"));
-        assert!(t.release("cell", "b"));
-        assert_eq!(t.claim("cell", "a"), Claim::Granted);
-    }
+        let detail = crash("fig1/mcf");
+        let reason = detail.get("reason").and_then(Value::as_str).unwrap();
+        assert!(reason.starts_with("lease expired"), "{reason}");
+        assert_eq!((count(&status.crashes), count(&status.steals)), (1, 0));
+        assert_eq!(count(&status.workers_alive), 1, "the slot respawns");
+        assert_ne!(status.pids(), first, "with a fresh worker");
 
-    #[test]
-    fn force_expiry_turns_the_next_claim_into_a_steal() {
-        let mut t = LeaseTable::new(1000);
-        assert_eq!(t.claim("cell", "dead-worker"), Claim::Granted);
-        t.expire("cell");
-        assert_eq!(t.live(), 0);
-        assert_eq!(t.cells(), vec!["cell"], "the cell is never lost");
-        assert_eq!(t.claim("cell", "successor"), Claim::Stolen);
-        assert_eq!(t.holder("cell"), Some("successor"));
+        // The crashed cell's next dispatch takes it over; another
+        // cell's first dispatch is no steal.
+        crash("fig1/mcf");
+        assert_eq!((count(&status.crashes), count(&status.steals)), (2, 1));
+        crash("fig1/lbm");
+        assert_eq!((count(&status.crashes), count(&status.steals)), (3, 1));
+        pool.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::io::{self, Write};
 use std::path::Path;
 
 use crate::journal::fnv1a64;
-use crate::json::{parse, Value};
+use crisp_obs::json::{parse, Value};
 pub use crisp_obs::unix_ns;
 use crisp_obs::SpanRec;
 

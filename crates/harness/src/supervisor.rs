@@ -23,10 +23,10 @@ use crate::journal::{
     fnv1a64, load_manifest, AppendStatus, AttemptOutcome, AttemptRecord, Journal, JournalError,
     ProgressRecord, SweepHeader,
 };
-use crate::json::Value;
 use crate::retry::RetryPolicy;
 use crate::store::{cell_key, cell_key_material, ResultStoreConfig};
 use crisp_core::CrispError;
+use crisp_obs::json::Value;
 use crisp_sim::{CancelToken, ProgressBeacon};
 use crisp_store::{fnv1a128, CellLock, Lookup, Store};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};

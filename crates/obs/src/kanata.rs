@@ -1,6 +1,8 @@
-//! Kanata/Konata pipeline-viewer export of flight-recorder events.
+//! Pipeline-viewer renderings of flight-recorder events: the Kanata
+//! export ([`render_kanata`]) and the text lanes of `crisp pipeview`
+//! ([`render_pipeview`]).
 //!
-//! The emitted text follows the Kanata 0004 command format the Konata
+//! The Kanata text follows the Kanata 0004 command format the Konata
 //! viewer parses: a `Kanata<TAB>0004` header, `C=`/`C` cycle commands, and
 //! per-instruction `I` (begin), `L` (label), `S` (stage start) and `R`
 //! (retire) commands. Stage starts implicitly end the previous stage in
@@ -125,6 +127,65 @@ pub fn render_kanata(events: &[TraceEvent], filter: &TraceFilter) -> String {
     out
 }
 
+/// Renders the instructions whose sequence numbers fall in `[from, to)`
+/// as gem5-O3-pipeview-style text, one lane per instruction in sequence
+/// order, time flowing rightward from the earliest fetch in the window:
+/// `f` fetch, `d` dispatch wait, `i` issue, `=` executing, `.`
+/// completed and waiting to retire, `r` retire.
+///
+/// An instruction is drawn only when `events` hold all five of its stage
+/// events: it retired, and the ring evicted none of them. Redirect
+/// events are not drawn.
+pub fn render_pipeview(events: &[TraceEvent], from: u64, to: u64) -> String {
+    // Per instruction: its pc and the fetch, dispatch, issue, complete
+    // and retire cycles.
+    let mut stages: BTreeMap<u64, (u64, [Option<u64>; 5])> = BTreeMap::new();
+    for e in events.iter().filter(|e| (from..to).contains(&e.seq)) {
+        let stage = match e.kind {
+            EventKind::Fetch => 0,
+            EventKind::Dispatch => 1,
+            EventKind::Issue => 2,
+            EventKind::Complete => 3,
+            EventKind::Retire => 4,
+            EventKind::Redirect => continue,
+        };
+        stages.entry(e.seq).or_insert((e.pc, [None; 5])).1[stage] = Some(e.cycle);
+    }
+    let window: Vec<(u64, u64, [u64; 5])> = stages
+        .into_iter()
+        .filter_map(|(seq, (pc, cycles))| {
+            let [Some(f), Some(d), Some(i), Some(c), Some(r)] = cycles else {
+                return None;
+            };
+            Some((seq, pc, [f, d, i, c, r]))
+        })
+        .collect();
+    let Some(origin) = window.iter().map(|&(_, _, [fetch, ..])| fetch).min() else {
+        return String::new();
+    };
+    let mut out = String::new();
+    for (seq, pc, [fetch, dispatch, issue, complete, retire]) in window {
+        let col = |c: u64| (c - origin) as usize;
+        let width = col(retire) + 1;
+        let mut lane = vec![b' '; width];
+        for (a, b, ch) in [
+            (fetch, dispatch, b'f'),
+            (dispatch, issue, b'd'),
+            (issue + 1, complete, b'='),
+            (complete, retire, b'.'),
+        ] {
+            for slot in lane.iter_mut().take(col(b).min(width)).skip(col(a)) {
+                *slot = ch;
+            }
+        }
+        lane[col(issue).min(width - 1)] = b'i';
+        lane[width - 1] = b'r';
+        let lane = String::from_utf8(lane).expect("ascii");
+        let _ = writeln!(out, "{seq:>6} pc{pc:<5} |{lane}");
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,6 +266,37 @@ mod tests {
         );
         assert!(by_pc.contains("I\t0\t0\t0"));
         assert!(!by_pc.contains("I\t1\t1\t0"));
+    }
+
+    #[test]
+    fn pipeview_renders_lanes_in_window() {
+        let mut events = Vec::new();
+        for (seq, pc, cycles) in [(0, 7, [10, 15, 16, 20, 22]), (1, 8, [11, 15, 17, 18, 22])] {
+            let kinds = [
+                EventKind::Fetch,
+                EventKind::Dispatch,
+                EventKind::Issue,
+                EventKind::Complete,
+                EventKind::Retire,
+            ];
+            for (cycle, kind) in cycles.into_iter().zip(kinds) {
+                events.push(ev(cycle, seq, pc, kind, None));
+            }
+        }
+        events.push(ev(19, 1, 8, EventKind::Redirect, None));
+        // Still in flight: no retire event, so no lane.
+        events.push(ev(12, 2, 9, EventKind::Fetch, None));
+        assert_eq!(
+            render_pipeview(&events, 0, 3),
+            "     0 pc7     |fffffdi===..r\n     1 pc8     | ffffddi....r\n"
+        );
+        // The window selects by sequence number, and draws from its own
+        // earliest fetch.
+        assert_eq!(
+            render_pipeview(&events, 1, 2),
+            "     1 pc8     |ffffddi....r\n"
+        );
+        assert!(render_pipeview(&events, 5, 9).is_empty());
     }
 
     #[test]

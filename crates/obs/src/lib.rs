@@ -2,16 +2,18 @@
 //!
 //! The observability layer of the CRISP reproduction: a pipeline *flight
 //! recorder* (fixed-capacity ring buffer of per-instruction lifecycle
-//! events, exportable as a Kanata/Konata pipeline-viewer trace), periodic
-//! *interval telemetry* (IPC, occupancies, MSHR pressure, MLP, MPKI, miss
-//! rates, critical-issue mix), and a per-PC *stall-attribution* table that
-//! charges every ROB-head stall cycle to the blocking instruction's PC and
-//! stall class.
+//! events, rendered as a Kanata/Konata pipeline-viewer trace or as the
+//! text lanes of `crisp pipeview`), periodic *interval telemetry* (IPC,
+//! occupancies, MSHR pressure, MLP, MPKI, miss rates, critical-issue mix,
+//! written and read back as JSONL), and a per-PC *stall-attribution*
+//! table that charges every ROB-head stall cycle to the blocking
+//! instruction's PC and stall class.
 //!
 //! The crate sits *below* `crisp-sim` in the dependency graph and depends
 //! only on the snapshot codec: the engine records into these types, and the
 //! harness/bench/CLI layers render or persist them. PCs are plain `u64`
-//! here so the crate stays free-standing.
+//! here so the crate stays free-standing. Being the lowest layer that
+//! reads JSON, it also holds the workspace's one JSON codec, [`json`].
 //!
 //! All persistent state (`Tracer`, `StallTable`, `TelemetryLog`) implements
 //! the workspace-wide `crisp_words::Snapshot` trait, so checkpoint/restore
@@ -32,6 +34,7 @@
 #![warn(missing_docs)]
 
 mod hostprof;
+pub mod json;
 mod kanata;
 mod recorder;
 mod spans;
@@ -40,9 +43,9 @@ mod summarize;
 mod telemetry;
 
 pub use hostprof::{HostProf, HostProfReport, HostProfState, Phase, PHASE_COUNT, PHASE_NAMES};
-pub use kanata::{render_kanata, TraceFilter, KANATA_HEADER};
+pub use kanata::{render_kanata, render_pipeview, TraceFilter, KANATA_HEADER};
 pub use recorder::{EventKind, FillLevel, FlightRecorder, TraceEvent, Tracer};
 pub use spans::{render_spans, unix_ns, SpanRec};
 pub use stall::{StallClass, StallRow, StallTable, STALL_CLASSES};
-pub use summarize::{parse_jsonl, render_sparkline, summarize};
+pub use summarize::{parse_jsonl, render_sparkline, summarize, telemetry_line};
 pub use telemetry::{TelemetryInputs, TelemetryLog, TelemetrySample, FIELD_NAMES, SAMPLE_FIELDS};

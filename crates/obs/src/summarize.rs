@@ -1,104 +1,31 @@
-//! `crisp obs summarize`: parse a telemetry JSONL stream back into samples
-//! and render per-interval tables plus an ASCII IPC-over-time sparkline.
-//!
-//! The JSONL reader here is deliberately minimal (flat objects of numbers
-//! and strings, exactly what the bench harness emits) and duplicated from
-//! `crisp-harness`'s hand-rolled writer on purpose: this crate sits below
-//! the harness in the dependency graph, so it cannot import the writer.
+//! The telemetry JSONL format, both directions, and `crisp obs
+//! summarize`: [`telemetry_line`] writes one sample per line,
+//! [`parse_jsonl`] reads a stream back into samples, and [`summarize`]
+//! renders per-interval tables plus an ASCII IPC-over-time sparkline.
 
+use crate::json::{parse, Value};
 use crate::telemetry::{TelemetrySample, FIELD_NAMES, SAMPLE_FIELDS};
 use std::fmt::Write as _;
 
-/// Skips one nested container value (`[...]` or `{...}`) and returns
-/// the remainder. Quoted strings inside are honored so brackets in
-/// string values don't unbalance the scan.
-fn skip_container(rest: &str) -> Result<&str, String> {
-    let bytes = rest.as_bytes();
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, &b) in bytes.iter().enumerate() {
-        if in_str {
-            match b {
-                _ if escaped => escaped = false,
-                b'\\' => escaped = true,
-                b'"' => in_str = false,
-                _ => {}
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_str = true,
-            b'[' | b'{' => depth += 1,
-            b']' | b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Ok(rest[i + 1..].trim_start());
-                }
-            }
-            _ => {}
-        }
+/// One telemetry sample as a JSONL line (no newline), tagged with the
+/// cell id and sub-run label so merged streams stay attributable.
+pub fn telemetry_line(cell: &str, label: &str, s: &TelemetrySample) -> String {
+    let mut pairs = vec![
+        ("cell".to_string(), Value::Str(cell.to_string())),
+        ("label".to_string(), Value::Str(label.to_string())),
+    ];
+    for (name, v) in FIELD_NAMES.iter().zip(s.values()) {
+        pairs.push(((*name).to_string(), Value::Num(v as f64)));
     }
-    Err(format!("unterminated container in `{rest}`"))
-}
-
-/// Parses one flat JSON object line into `(key, number)` pairs. String
-/// values and nested containers are tolerated and skipped, so samples
-/// from newer schemas (extra tags, structured fields) keep parsing.
-fn parse_object_line(line: &str) -> Result<Vec<(String, f64)>, String> {
-    let s = line.trim();
-    let inner = s
-        .strip_prefix('{')
-        .and_then(|t| t.strip_suffix('}'))
-        .ok_or_else(|| format!("not a JSON object: `{line}`"))?;
-    let mut out = Vec::new();
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        // Key.
-        rest = rest
-            .strip_prefix('"')
-            .ok_or_else(|| format!("expected key quote in `{line}`"))?;
-        let kend = rest
-            .find('"')
-            .ok_or_else(|| format!("unterminated key in `{line}`"))?;
-        let key = rest[..kend].to_string();
-        rest = rest[kend + 1..].trim_start();
-        rest = rest
-            .strip_prefix(':')
-            .ok_or_else(|| format!("expected `:` after key `{key}`"))?
-            .trim_start();
-        // Value: a string or nested container (skipped) or a number.
-        if let Some(t) = rest.strip_prefix('"') {
-            let vend = t
-                .find('"')
-                .ok_or_else(|| format!("unterminated string value for `{key}`"))?;
-            rest = t[vend + 1..].trim_start();
-        } else if rest.starts_with('[') || rest.starts_with('{') {
-            rest = skip_container(rest)?;
-        } else {
-            let vend = rest.find([',', '}']).unwrap_or(rest.len()).min(rest.len());
-            let raw = rest[..vend].trim();
-            let v: f64 = raw
-                .parse()
-                .map_err(|_| format!("bad numeric value `{raw}` for `{key}`"))?;
-            out.push((key, v));
-            rest = rest[vend..].trim_start();
-        }
-        match rest.strip_prefix(',') {
-            Some(t) => rest = t.trim_start(),
-            None if rest.is_empty() => break,
-            None => return Err(format!("expected `,` between fields in `{line}`")),
-        }
-    }
-    Ok(out)
+    Value::Obj(pairs).encode()
 }
 
 /// Parses a telemetry JSONL stream (one sample object per line, blank
 /// lines skipped) back into samples. The reader is forward- and
-/// backward-compatible by construction: unknown fields (including
-/// strings and nested containers) are skipped, and [`FIELD_NAMES`]
-/// fields absent from a line default to zero — so artifacts from both
-/// older and newer schemas keep parsing as the sample schema grows.
+/// backward-compatible by construction: unknown and non-numeric fields
+/// are ignored, and [`FIELD_NAMES`] fields absent from a line read as
+/// zero — so artifacts from both older and newer schemas keep parsing
+/// as the sample schema grows.
 ///
 /// # Errors
 ///
@@ -109,13 +36,16 @@ pub fn parse_jsonl(input: &str) -> Result<Vec<TelemetrySample>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let fields = parse_object_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        let obj = parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        if !matches!(obj, Value::Obj(_)) {
+            return Err(format!("line {}: not a JSON object", i + 1));
+        }
         let mut values = [0u64; SAMPLE_FIELDS];
-        for (j, name) in FIELD_NAMES.iter().enumerate() {
-            values[j] = fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map_or(0, |&(_, v)| v as u64);
+        for (v, name) in values.iter_mut().zip(FIELD_NAMES) {
+            *v = obj
+                .get(name)
+                .and_then(Value::as_f64)
+                .map_or(0, |n| n as u64);
         }
         samples.push(TelemetrySample::from_values(values));
     }
@@ -228,13 +158,23 @@ mod tests {
             .join("\n");
         let parsed = parse_jsonl(&text).unwrap();
         assert_eq!(parsed, log.samples());
+        // The writer's own lines read back the same samples.
+        let text: String = log
+            .samples()
+            .iter()
+            .map(|s| telemetry_line("fig1/pointer_chase", "ooo", s) + "\n")
+            .collect();
+        assert_eq!(parse_jsonl(&text).unwrap(), log.samples());
     }
 
     #[test]
     fn malformed_lines_are_named() {
         assert!(parse_jsonl("not json").unwrap_err().contains("line 1"));
         let bad_num = "{\"cycle\": xyz}";
-        assert!(parse_jsonl(bad_num).unwrap_err().contains("bad numeric"));
+        assert_eq!(
+            parse_jsonl(bad_num).unwrap_err(),
+            "line 1: unexpected input at byte 10"
+        );
         let torn = "{\"cycle\": 5, \"tags\": [1, 2";
         assert!(parse_jsonl(torn).unwrap_err().contains("line 1"));
     }
@@ -254,6 +194,19 @@ mod tests {
         let old = "{\"cycle\": 100, \"retired\": 42}";
         let parsed = parse_jsonl(old).unwrap();
         assert_eq!((parsed[0].cycle, parsed[0].retired), (100, 42));
+    }
+
+    #[test]
+    fn escaped_quotes_in_string_fields_parse() {
+        let line = r#"{"cell":"fig1/x","label":"a\"b","cycle":100,"retired":42}"#;
+        let parsed = parse_jsonl(line).unwrap();
+        assert_eq!((parsed[0].cycle, parsed[0].retired), (100, 42));
+        // A non-numeric value of a known field is ignored, not fatal.
+        let parsed = parse_jsonl(r#"{"cycle":"soon","retired":[1]}"#).unwrap();
+        assert_eq!((parsed[0].cycle, parsed[0].retired), (0, 0));
+        assert!(parse_jsonl("[1, 2]")
+            .unwrap_err()
+            .contains("not a JSON object"));
     }
 
     #[test]

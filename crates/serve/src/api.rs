@@ -1,10 +1,10 @@
 //! JSON bodies of the job API.
 //!
 //! Request bodies are untrusted network input: they are parsed with
-//! [`crisp_harness::json::parse_with_limits`] (depth- and size-capped)
+//! [`crisp_obs::json::parse_with_limits`] (depth- and size-capped)
 //! and every shape error becomes a structured 400, never a panic.
 
-use crisp_harness::json::{parse_with_limits, ParseLimits, Value};
+use crisp_obs::json::{parse_with_limits, ParseLimits, Value};
 
 /// Nesting allowed in request bodies — the API schema is two levels
 /// deep, so 16 leaves generous headroom while bounding hostile input.
@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn error_bodies_are_valid_json() {
         let body = error_body("queue full", "retry later");
-        let v = crisp_harness::json::parse(&body).unwrap();
+        let v = crisp_obs::json::parse(&body).unwrap();
         assert_eq!(v.get("error").unwrap().as_str(), Some("queue full"));
     }
 }

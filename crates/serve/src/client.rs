@@ -10,8 +10,8 @@
 
 use crate::api::SubmitRequest;
 use crate::http::{read_response, HttpError};
-use crisp_harness::json::{parse, Value};
 use crisp_harness::RetryPolicy;
+use crisp_obs::json::{parse, Value};
 use crisp_store::fnv1a128;
 use std::io::Write;
 use std::net::TcpStream;

@@ -36,10 +36,10 @@ use crate::http::{
     read_request, write_chunk, write_chunk_end, write_chunked_head, write_response, HttpLimits,
     Request,
 };
-use crate::metrics::{Counter, Gauge, Histogram, LabeledCounter, Metrics};
+use crate::metrics::{Counter, Histogram, LabeledCounter, Metrics, Scalar};
 use crate::registry::{JobRecord, Registry};
-use crisp_harness::json::Value;
 use crisp_harness::{load_manifest, spanlog, PoolStatus};
+use crisp_obs::json::Value;
 use crisp_obs::SpanRec;
 use crisp_sim::CancelToken;
 use crisp_store::{fnv1a128, key_hex, LockOptions, Store};
@@ -203,49 +203,47 @@ struct State {
     metrics: DaemonMetrics,
 }
 
-/// The Prometheus families behind `GET /metrics`.
-///
-/// Counters with an authoritative source elsewhere (the daemon's
-/// sequentially-consistent atomics, the pool gauges, the store stats
-/// file) are synchronized at scrape time via [`sync_counter`], so
-/// `/metrics` and `/stats` always tell the same story. The histograms
-/// are observed inline (request latency, job duration) — they exist
-/// only here.
+/// The `/metrics` families read from the `/stats` document at scrape
+/// time, so the two endpoints cannot disagree: (`/stats` key, family
+/// name, exposition type, help). A row whose key is absent from the
+/// document (pool keys without `--workers`, store keys when the store
+/// cannot be read) renders no family; booleans render as 0/1.
+#[rustfmt::skip]
+const STATS_FAMILIES: [(&str, &str, &str, &str); 20] = [
+    ("queue_depth", "crisp_queue_depth", "gauge", "Jobs admitted but not yet finished."),
+    ("queue_cap", "crisp_queue_cap", "gauge", "Admission bound before 429."),
+    ("jobs_admitted", "crisp_jobs_admitted", "gauge", "Jobs with a durable request.json."),
+    ("jobs_finished", "crisp_jobs_finished", "gauge", "Jobs with a final result.json."),
+    ("admitted_total", "crisp_jobs_admitted_total", "counter", "Jobs admitted since daemon start (recovered jobs included)."),
+    ("rejected_busy", "crisp_jobs_rejected_total", "counter", "Submissions refused with 429 (queue full)."),
+    ("connections", "crisp_connections", "gauge", "Connections currently being served."),
+    ("draining", "crisp_draining", "gauge", "1 while a graceful drain is in progress."),
+    ("uptime_seconds", "crisp_uptime_seconds", "gauge", "Seconds since daemon start."),
+    ("store_entries", "crisp_store_entries", "gauge", "Cells in the result store."),
+    ("store_bytes", "crisp_store_bytes", "gauge", "Bytes in the result store."),
+    ("store_quarantined", "crisp_store_quarantined", "gauge", "Store entries quarantined as corrupt."),
+    ("store_hits_total", "crisp_store_hits_total", "counter", "Cells served warm from the store across finished jobs."),
+    ("store_misses_total", "crisp_store_misses_total", "counter", "Cells simulated fresh (store misses) across finished jobs."),
+    ("pool_ready", "crisp_pool_ready", "gauge", "1 once every pool worker handshook."),
+    ("workers_alive", "crisp_workers_alive", "gauge", "Live worker processes."),
+    ("workers_busy", "crisp_workers_busy", "gauge", "Workers currently executing a cell."),
+    ("lease_steals", "crisp_lease_steals_total", "counter", "Leases stolen from dead or wedged workers."),
+    ("poisoned_cells", "crisp_poisoned_cells", "gauge", "Cells quarantined as poisonous."),
+    ("worker_crashes", "crisp_worker_crashes_total", "counter", "Workers that died mid-cell and were replaced."),
+];
+
+/// The Prometheus families with no `/stats` counterpart, observed
+/// inline: request and job latency, and the per-prefetcher totals.
+/// Everything else `GET /metrics` shows is read from the `/stats`
+/// document through [`STATS_FAMILIES`].
 struct DaemonMetrics {
     registry: Metrics,
     http_requests_total: Counter,
     http_request_seconds: Histogram,
     job_seconds: Histogram,
-    queue_depth: Gauge,
-    queue_cap: Gauge,
-    jobs_admitted: Gauge,
-    jobs_finished: Gauge,
-    jobs_admitted_total: Counter,
-    jobs_rejected_total: Counter,
-    connections: Gauge,
-    draining: Gauge,
-    uptime_seconds: Gauge,
-    store_entries: Gauge,
-    store_bytes: Gauge,
-    store_quarantined: Gauge,
-    store_hits_total: Counter,
-    store_misses_total: Counter,
-    pool_ready: Gauge,
-    workers_alive: Gauge,
-    workers_busy: Gauge,
-    leases_held: Gauge,
-    lease_steals_total: Counter,
-    poisoned_cells: Gauge,
-    worker_crashes_total: Counter,
     prefetch_issued_total: LabeledCounter,
     prefetch_useful_total: LabeledCounter,
     prefetch_late_total: LabeledCounter,
-}
-
-/// Advances a scrape-synchronized counter to an externally-tracked
-/// monotonic value without ever going backwards.
-fn sync_counter(c: &Counter, v: u64) {
-    c.add(v.saturating_sub(c.get()));
 }
 
 impl DaemonMetrics {
@@ -266,48 +264,6 @@ impl DaemonMetrics {
                 "Wall-clock duration of one job execution (a sweep run or resume).",
                 &[0.01, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0, 1800.0],
             ),
-            queue_depth: m.gauge("crisp_queue_depth", "Jobs admitted but not yet finished."),
-            queue_cap: m.gauge("crisp_queue_cap", "Admission bound before 429."),
-            jobs_admitted: m.gauge("crisp_jobs_admitted", "Jobs with a durable request.json."),
-            jobs_finished: m.gauge("crisp_jobs_finished", "Jobs with a final result.json."),
-            jobs_admitted_total: m.counter(
-                "crisp_jobs_admitted_total",
-                "Jobs admitted since daemon start (recovered jobs included).",
-            ),
-            jobs_rejected_total: m.counter(
-                "crisp_jobs_rejected_total",
-                "Submissions refused with 429 (queue full).",
-            ),
-            connections: m.gauge("crisp_connections", "Connections currently being served."),
-            draining: m.gauge("crisp_draining", "1 while a graceful drain is in progress."),
-            uptime_seconds: m.gauge("crisp_uptime_seconds", "Seconds since daemon start."),
-            store_entries: m.gauge("crisp_store_entries", "Cells in the result store."),
-            store_bytes: m.gauge("crisp_store_bytes", "Bytes in the result store."),
-            store_quarantined: m.gauge(
-                "crisp_store_quarantined",
-                "Store entries quarantined as corrupt.",
-            ),
-            store_hits_total: m.counter(
-                "crisp_store_hits_total",
-                "Cells served warm from the store across finished jobs.",
-            ),
-            store_misses_total: m.counter(
-                "crisp_store_misses_total",
-                "Cells simulated fresh (store misses) across finished jobs.",
-            ),
-            pool_ready: m.gauge("crisp_pool_ready", "1 once every pool worker handshook."),
-            workers_alive: m.gauge("crisp_workers_alive", "Live worker processes."),
-            workers_busy: m.gauge("crisp_workers_busy", "Workers currently executing a cell."),
-            leases_held: m.gauge("crisp_leases_held", "Live leases in the pool's table."),
-            lease_steals_total: m.counter(
-                "crisp_lease_steals_total",
-                "Leases stolen from dead or wedged workers.",
-            ),
-            poisoned_cells: m.gauge("crisp_poisoned_cells", "Cells quarantined as poisonous."),
-            worker_crashes_total: m.counter(
-                "crisp_worker_crashes_total",
-                "Workers that died mid-cell and were replaced.",
-            ),
             prefetch_issued_total: m.labeled_counter(
                 "crisp_prefetch_issued_total",
                 "Prefetches issued across finished jobs, by mechanism.",
@@ -327,61 +283,21 @@ impl DaemonMetrics {
         }
     }
 
-    /// Synchronizes every externally-sourced family and renders the
-    /// exposition text — the body of `GET /metrics`.
-    fn scrape(&self, cfg: &DaemonConfig, state: &State, draining: bool) -> String {
-        let (admitted, finished) = state.registry.counts();
-        self.queue_depth.set(state.queue_depth() as f64);
-        self.queue_cap.set(cfg.queue_cap as f64);
-        self.jobs_admitted.set(admitted as f64);
-        self.jobs_finished.set(finished as f64);
-        sync_counter(
-            &self.jobs_admitted_total,
-            state.admitted_total.load(Ordering::SeqCst) as u64,
-        );
-        sync_counter(
-            &self.jobs_rejected_total,
-            state.rejected_busy.load(Ordering::SeqCst) as u64,
-        );
-        self.connections
-            .set(state.connections.load(Ordering::SeqCst) as f64);
-        self.draining.set(f64::from(u8::from(draining)));
-        self.uptime_seconds
-            .set(state.started.elapsed().as_secs_f64());
-        if let Ok(Ok(s)) = Store::open(&state.store_dir).map(|s| s.stats()) {
-            self.store_entries.set(s.entries as f64);
-            self.store_bytes.set(s.bytes as f64);
-            self.store_quarantined.set(s.quarantined as f64);
-        }
-        sync_counter(
-            &self.store_hits_total,
-            state.store_hits_total.load(Ordering::SeqCst) as u64,
-        );
-        sync_counter(
-            &self.store_misses_total,
-            state.store_misses_total.load(Ordering::SeqCst) as u64,
-        );
-        if let Some(pool) = &cfg.pool {
-            self.pool_ready
-                .set(f64::from(u8::from(pool.ready.load(Ordering::SeqCst))));
-            self.workers_alive
-                .set(pool.workers_alive.load(Ordering::SeqCst) as f64);
-            self.workers_busy
-                .set(pool.workers_busy.load(Ordering::SeqCst) as f64);
-            self.leases_held
-                .set(pool.leases_held.load(Ordering::SeqCst) as f64);
-            sync_counter(
-                &self.lease_steals_total,
-                pool.steals.load(Ordering::SeqCst) as u64,
-            );
-            self.poisoned_cells
-                .set(pool.poisoned.load(Ordering::SeqCst) as f64);
-            sync_counter(
-                &self.worker_crashes_total,
-                pool.crashes.load(Ordering::SeqCst) as u64,
-            );
-        }
-        self.registry.render()
+    /// The body of `GET /metrics`: the registry's families, then one
+    /// family per [`STATS_FAMILIES`] row present in `stats`.
+    fn render(&self, stats: &Value) -> String {
+        let scalars: Vec<Scalar<'_>> = STATS_FAMILIES
+            .iter()
+            .filter_map(|&(key, name, kind, help)| {
+                let value = match stats.get(key)? {
+                    Value::Num(n) => *n,
+                    Value::Bool(b) => f64::from(u8::from(*b)),
+                    _ => return None,
+                };
+                Some((name, kind, help, value))
+            })
+            .collect();
+        self.registry.render(&scalars)
     }
 }
 
@@ -908,11 +824,11 @@ fn route(
                 )
             }
         }
-        ("GET", "/stats") => (200, vec![], stats_body(cfg, state, draining)),
+        ("GET", "/stats") => (200, vec![], stats_doc(cfg, state, draining).encode()),
         ("GET", "/metrics") => (
             200,
             vec!["Content-Type: text/plain; version=0.0.4".to_string()],
-            state.metrics.scrape(cfg, state, draining),
+            state.metrics.render(&stats_doc(cfg, state, draining)),
         ),
         ("POST", "/jobs") => submit(req, cfg, state, plan, draining),
         ("GET", path) => job_routes(path, state),
@@ -924,8 +840,11 @@ fn retry_after_header(cfg: &DaemonConfig) -> String {
     format!("Retry-After: {}", cfg.retry_after.as_secs().max(1))
 }
 
-fn stats_body(cfg: &DaemonConfig, state: &State, draining: bool) -> String {
+/// The `/stats` document, also the source of `/metrics`' scalar
+/// families.
+fn stats_doc(cfg: &DaemonConfig, state: &State, draining: bool) -> Value {
     let (admitted, finished) = state.registry.counts();
+    let uptime = state.started.elapsed();
     let mut pairs = vec![
         (
             "queue_depth".to_string(),
@@ -949,11 +868,11 @@ fn stats_body(cfg: &DaemonConfig, state: &State, draining: bool) -> String {
         ("draining".to_string(), Value::Bool(draining)),
         (
             "uptime_ms".to_string(),
-            Value::Num(state.started.elapsed().as_millis() as f64),
+            Value::Num(uptime.as_millis() as f64),
         ),
         (
             "uptime_seconds".to_string(),
-            Value::Num(state.started.elapsed().as_secs() as f64),
+            Value::Num(uptime.as_secs_f64()),
         ),
         (
             "store_hits_total".to_string(),
@@ -978,16 +897,16 @@ fn stats_body(cfg: &DaemonConfig, state: &State, draining: bool) -> String {
             Value::Num(pool.workers_busy.load(Ordering::SeqCst) as f64),
         ));
         pairs.push((
-            "leases_held".to_string(),
-            Value::Num(pool.leases_held.load(Ordering::SeqCst) as f64),
-        ));
-        pairs.push((
             "lease_steals".to_string(),
             Value::Num(pool.steals.load(Ordering::SeqCst) as f64),
         ));
         pairs.push((
             "poisoned_cells".to_string(),
             Value::Num(pool.poisoned.load(Ordering::SeqCst) as f64),
+        ));
+        pairs.push((
+            "worker_crashes".to_string(),
+            Value::Num(pool.crashes.load(Ordering::SeqCst) as f64),
         ));
         pairs.push((
             "workers_pids".to_string(),
@@ -1010,7 +929,7 @@ fn stats_body(cfg: &DaemonConfig, state: &State, draining: bool) -> String {
             ));
         }
     }
-    Value::Obj(pairs).encode()
+    Value::Obj(pairs)
 }
 
 /// `POST /jobs`: validate → coalesce → admit (bounded) → 202.
@@ -1226,12 +1145,27 @@ mod tests {
         where
             F: Fn(&JobRecord, &ExecCtx) -> Result<ExecResult, String> + Send + Sync + 'static,
         {
+            Daemon::spawn_pooled(dir, queue_cap, None, exec)
+        }
+
+        /// [`Daemon::spawn_custom`] with the pool gauges a `--workers`
+        /// daemon exports.
+        fn spawn_pooled<F>(
+            dir: &std::path::Path,
+            queue_cap: usize,
+            pool: Option<Arc<PoolStatus>>,
+            exec: F,
+        ) -> Daemon
+        where
+            F: Fn(&JobRecord, &ExecCtx) -> Result<ExecResult, String> + Send + Sync + 'static,
+        {
             let endpoint_file = dir.join("endpoint");
             std::fs::remove_file(&endpoint_file).ok();
             let shutdown = CancelToken::new();
             let cfg = DaemonConfig {
                 data_dir: dir.to_path_buf(),
                 queue_cap,
+                pool,
                 ..DaemonConfig::default()
             };
             let token = shutdown.clone();
@@ -1372,7 +1306,7 @@ mod tests {
     }
 
     fn extract_id(body: &str) -> String {
-        let v = crisp_harness::json::parse(body).unwrap();
+        let v = crisp_obs::json::parse(body).unwrap();
         v.get("id").unwrap().as_str().unwrap().to_string()
     }
 
@@ -1559,7 +1493,7 @@ mod tests {
             crate::metrics::check_exposition_line(line).unwrap_or_else(|e| panic!("{e}"));
         }
         let (_, stats) = d.get("/stats");
-        let stats = crisp_harness::json::parse(&stats).unwrap();
+        let stats = crisp_obs::json::parse(&stats).unwrap();
         let stat = |k: &str| stats.get(k).and_then(Value::as_f64).unwrap();
         // The exported families and /stats must tell the same story.
         assert_eq!(metric_value(&text, "crisp_queue_cap"), stat("queue_cap"));
@@ -1605,6 +1539,79 @@ mod tests {
         assert!(metric_value(&text, "crisp_http_requests_total") >= 1.0);
         assert!(metric_value(&text, "crisp_job_seconds_count") >= 1.0);
         assert!(metric_value(&text, "crisp_uptime_seconds") >= 0.0);
+        // A family shows exactly when its /stats key does: an
+        // in-process daemon has no pool keys, so no pool families.
+        assert!(stats.get("workers_alive").is_none(), "{stats:?}");
+        for &(key, name, _, _) in &STATS_FAMILIES {
+            let shown = text.contains(&format!("\n{name} "));
+            assert_eq!(shown, stats.get(key).is_some(), "{name}:\n{text}");
+        }
+        d.drain();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_stats_row_agrees_with_its_metrics_family() {
+        let dir = temp_dir("metrics-rows");
+        let pool = Arc::new(PoolStatus::default());
+        pool.ready.store(true, Ordering::SeqCst);
+        pool.workers_alive.store(5, Ordering::SeqCst);
+        pool.workers_busy.store(2, Ordering::SeqCst);
+        pool.steals.store(3, Ordering::SeqCst);
+        pool.poisoned.store(4, Ordering::SeqCst);
+        pool.crashes.store(6, Ordering::SeqCst);
+        let d = Daemon::spawn_pooled(&dir, 4, Some(pool), |record: &JobRecord, _ctx: &ExecCtx| {
+            Ok(ExecResult {
+                rendered: "t".into(),
+                completed: record.cells.len(),
+                store_hits: 7,
+                store_computed: 8,
+                ..ExecResult::default()
+            })
+        });
+        let (status, body) = d.post_jobs("{\"targets\":[\"fig1\"],\"scale\":\"tiny\"}");
+        assert_eq!(status, 202, "{body}");
+        wait_for_state(&d, &extract_id(&body), "done");
+
+        let parse = |body: String| crisp_obs::json::parse(&body).unwrap();
+        let before = parse(d.get("/stats").1);
+        let (_, text) = d.get("/metrics");
+        let after = parse(d.get("/stats").1);
+        let stat = |doc: &Value, key: &str| match doc.get(key) {
+            Some(Value::Num(n)) => *n,
+            Some(Value::Bool(b)) => f64::from(u8::from(*b)),
+            other => panic!("/stats `{key}` is {other:?}"),
+        };
+        for &(key, name, kind, _) in &STATS_FAMILIES {
+            assert!(
+                text.contains(&format!("\n# TYPE {name} {kind}\n")),
+                "{name} is not a {kind}:\n{text}"
+            );
+            let (got, want) = (metric_value(&text, name), stat(&after, key));
+            match key {
+                // Read once per request: the scrape falls between the
+                // two /stats reads, and counts its own connection.
+                "uptime_seconds" => assert!((stat(&before, key)..=want).contains(&got), "{name}"),
+                "connections" => assert!(got >= 1.0, "{name}"),
+                _ => assert_eq!((got, stat(&before, key)), (want, want), "{name}"),
+            }
+        }
+        // The families CI greps, and distinct values in each pool row,
+        // so a renamed or crossed row fails here.
+        for (name, want) in [
+            ("crisp_jobs_admitted_total", 1.0),
+            ("crisp_jobs_finished", 1.0),
+            ("crisp_store_hits_total", 7.0),
+            ("crisp_store_misses_total", 8.0),
+            ("crisp_pool_ready", 1.0),
+            ("crisp_workers_alive", 5.0),
+            ("crisp_workers_busy", 2.0),
+            ("crisp_lease_steals_total", 3.0),
+            ("crisp_poisoned_cells", 4.0),
+            ("crisp_worker_crashes_total", 6.0),
+        ] {
+            assert_eq!(metric_value(&text, name), want, "{name}");
+        }
         d.drain();
         std::fs::remove_dir_all(&dir).ok();
     }

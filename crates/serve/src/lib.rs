@@ -53,5 +53,5 @@ pub use http::{
     read_request, write_chunk, write_chunk_end, write_chunked_head, write_response, HttpError,
     HttpLimits, Request,
 };
-pub use metrics::{check_exposition_line, Counter, Gauge, Histogram, LabeledCounter, Metrics};
+pub use metrics::{check_exposition_line, Counter, Histogram, LabeledCounter, Metrics, Scalar};
 pub use registry::{JobRecord, Registry};

@@ -1,9 +1,13 @@
-//! Hand-rolled Prometheus metrics: a counter/gauge/histogram registry
+//! Hand-rolled Prometheus metrics: a counter/histogram registry
 //! rendering text exposition format 0.0.4, with no dependencies.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Arc`
-//! clones; the registry renders every registered family in registration
-//! order, so `/metrics` output is deterministic (golden-testable).
+//! Handles ([`Counter`], [`LabeledCounter`], [`Histogram`]) are cheap
+//! `Arc` clones; the registry renders every registered family in
+//! registration order, then the caller's [`Scalar`] families in the
+//! order given, so `/metrics` output is deterministic (golden-testable).
+//! Scalars are single-sample families whose value lives elsewhere: the
+//! daemon reads them from its `/stats` document at scrape time, so the
+//! registry only holds what no other endpoint reports.
 //!
 //! **Increment cost over strict precision.** `Counter::inc` is a
 //! relaxed load + store rather than a `fetch_add`: on x86 a locked
@@ -13,8 +17,8 @@
 //! overlaps with surrounding work; the trade is that two racing
 //! increments may lose a tick. Monitoring counters are trend
 //! instruments, not ledgers — best-effort monotonicity is the right
-//! contract, and the daemon's authoritative numbers stay in `/stats`'
-//! sequentially-consistent atomics.
+//! contract. That is also why the registry cannot hold the daemon's
+//! exact counts, which stay in sequentially-consistent atomics.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,23 +81,6 @@ impl LabeledCounter {
     }
 }
 
-/// A gauge: a value that can go up and down. Set at scrape time or from
-/// event handlers.
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Sets the value.
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
 /// A cumulative histogram with fixed upper bounds.
 #[derive(Clone, Debug)]
 pub struct Histogram {
@@ -149,11 +136,13 @@ enum Family {
     Counter(Counter),
     /// One label key, many children ([`LabeledCounter`]).
     LabeledCounter(String, LabeledCounter),
-    Gauge(Gauge),
-    /// Computed at scrape time (queue depths, pool gauges, store sizes).
-    GaugeFn(Box<dyn Fn() -> f64 + Send + Sync>),
     Histogram(Histogram),
 }
+
+/// A single-sample family rendered after the registry's own, its value
+/// read at scrape time from outside the registry: (name, exposition type
+/// `counter` or `gauge`, help, value).
+pub type Scalar<'a> = (&'a str, &'a str, &'a str, f64);
 
 struct Registered {
     name: String,
@@ -219,18 +208,6 @@ impl Metrics {
         c
     }
 
-    /// Registers a gauge and returns its handle.
-    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        let g = Gauge::default();
-        self.push(name, help, Family::Gauge(g.clone()));
-        g
-    }
-
-    /// Registers a gauge computed at scrape time.
-    pub fn gauge_fn(&self, name: &str, help: &str, f: impl Fn() -> f64 + Send + Sync + 'static) {
-        self.push(name, help, Family::GaugeFn(Box::new(f)));
-    }
-
     /// Registers a histogram over `bounds` (a +Inf bucket is implicit)
     /// and returns its handle.
     pub fn histogram(&self, name: &str, help: &str, bounds: &[f64]) -> Histogram {
@@ -239,8 +216,9 @@ impl Metrics {
         h
     }
 
-    /// Renders every family in text exposition format 0.0.4.
-    pub fn render(&self) -> String {
+    /// Renders every registered family, then `scalars`, in text
+    /// exposition format 0.0.4.
+    pub fn render(&self, scalars: &[Scalar<'_>]) -> String {
         let mut out = String::new();
         for r in self.families.lock().expect("metrics lock").iter() {
             out.push_str(&format!("# HELP {} {}\n", r.name, r.help));
@@ -258,14 +236,6 @@ impl Metrics {
                             escape_label(&value)
                         ));
                     }
-                }
-                Family::Gauge(g) => {
-                    out.push_str(&format!("# TYPE {} gauge\n", r.name));
-                    out.push_str(&format!("{} {}\n", r.name, fmt_f64(g.get())));
-                }
-                Family::GaugeFn(f) => {
-                    out.push_str(&format!("# TYPE {} gauge\n", r.name));
-                    out.push_str(&format!("{} {}\n", r.name, fmt_f64(f())));
                 }
                 Family::Histogram(h) => {
                     out.push_str(&format!("# TYPE {} histogram\n", r.name));
@@ -285,6 +255,11 @@ impl Metrics {
                     out.push_str(&format!("{}_count {cum}\n", r.name));
                 }
             }
+        }
+        for (name, kind, help, value) in scalars {
+            out.push_str(&format!("# HELP {name} {help}\n"));
+            out.push_str(&format!("# TYPE {name} {kind}\n"));
+            out.push_str(&format!("{name} {}\n", fmt_f64(*value)));
         }
         out
     }
@@ -308,10 +283,10 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// Validates one line of text exposition format 0.0.4 — shared by the
-/// golden test and the CI scrape check (via `crisp obs`). Accepts
-/// `# HELP`/`# TYPE` comments, blank lines, and `name[{labels}] value`
-/// samples.
+/// Validates one line of text exposition format 0.0.4 — what the golden
+/// test and the daemon's `/metrics` tests check every line against.
+/// Accepts `# HELP`/`# TYPE` comments, blank lines, and
+/// `name[{labels}] value` samples.
 pub fn check_exposition_line(line: &str) -> Result<(), String> {
     if line.is_empty() || line.starts_with("# HELP ") {
         return Ok(());
@@ -365,24 +340,24 @@ mod tests {
     fn golden_exposition_format() {
         let m = Metrics::new();
         let c = m.counter("crisp_requests_total", "HTTP requests served.");
-        let g = m.gauge("crisp_queue_depth", "Jobs admitted but unfinished.");
-        m.gauge_fn("crisp_up", "Always one.", || 1.0);
         let h = m.histogram("crisp_request_seconds", "Request latency.", &[0.1, 1.0]);
         c.add(3);
-        g.set(2.0);
         h.observe(0.05);
         h.observe(0.5);
         h.observe(30.0);
+        let scalars = [
+            (
+                "crisp_queue_depth",
+                "gauge",
+                "Jobs admitted but unfinished.",
+                2.0,
+            ),
+            ("crisp_up", "gauge", "Always one.", 1.0),
+        ];
         let golden = "\
 # HELP crisp_requests_total HTTP requests served.
 # TYPE crisp_requests_total counter
 crisp_requests_total 3
-# HELP crisp_queue_depth Jobs admitted but unfinished.
-# TYPE crisp_queue_depth gauge
-crisp_queue_depth 2
-# HELP crisp_up Always one.
-# TYPE crisp_up gauge
-crisp_up 1
 # HELP crisp_request_seconds Request latency.
 # TYPE crisp_request_seconds histogram
 crisp_request_seconds_bucket{le=\"0.1\"} 1
@@ -390,9 +365,15 @@ crisp_request_seconds_bucket{le=\"1\"} 2
 crisp_request_seconds_bucket{le=\"+Inf\"} 3
 crisp_request_seconds_sum 30.55
 crisp_request_seconds_count 3
+# HELP crisp_queue_depth Jobs admitted but unfinished.
+# TYPE crisp_queue_depth gauge
+crisp_queue_depth 2
+# HELP crisp_up Always one.
+# TYPE crisp_up gauge
+crisp_up 1
 ";
-        assert_eq!(m.render(), golden);
-        for line in m.render().lines() {
+        assert_eq!(m.render(&scalars), golden);
+        for line in m.render(&scalars).lines() {
             check_exposition_line(line).unwrap();
         }
     }
@@ -405,10 +386,9 @@ crisp_request_seconds_count 3
         c.inc();
         c2.add(4);
         assert_eq!(c.get(), 5);
-        let g = m.gauge("g", "g");
-        g.set(-2.5);
-        assert_eq!(g.get(), -2.5);
-        assert!(m.render().contains("g -2.5"));
+        assert!(m
+            .render(&[("g", "gauge", "g", -2.5)])
+            .contains("\ng -2.5\n"));
     }
 
     #[test]
@@ -422,7 +402,7 @@ crisp_request_seconds_count 3
         c.with("spp").add(7);
         c.with("ghbw").inc();
         c.with("we\"ird").inc();
-        let text = m.render();
+        let text = m.render(&[]);
         // BTreeMap order: ghbw before spp, regardless of touch order.
         let ghbw = text.find("crisp_prefetch_issued_total{prefetcher=\"ghbw\"} 1");
         let spp = text.find("crisp_prefetch_issued_total{prefetcher=\"spp\"} 7");
@@ -445,7 +425,7 @@ crisp_request_seconds_count 3
             h.observe(v);
         }
         assert_eq!(h.count(), 5);
-        let text = m.render();
+        let text = m.render(&[]);
         assert!(text.contains("h_bucket{le=\"1\"} 1"), "{text}");
         assert!(text.contains("h_bucket{le=\"2\"} 2"), "{text}");
         assert!(text.contains("h_bucket{le=\"4\"} 3"), "{text}");

@@ -18,8 +18,8 @@
 //! never a torn file.
 
 use crate::api::SubmitRequest;
-use crisp_harness::json::{parse, Value};
-use crisp_store::key_hex;
+use crisp_obs::json::{parse, Value};
+use crisp_store::{key_hex, write_atomic};
 use std::path::{Path, PathBuf};
 
 /// One admitted job as persisted in `request.json`.
@@ -141,7 +141,8 @@ impl Registry {
     pub fn persist(&self, record: &JobRecord) -> Result<(), String> {
         let dir = self.job_dir(record.id);
         std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-        atomic_write(&self.request_path(record.id), record.encode().as_bytes())
+        write_atomic(&self.request_path(record.id), record.encode().as_bytes())
+            .map_err(|e| e.to_string())
     }
 
     /// Loads one job record, if present and well-formed.
@@ -156,7 +157,7 @@ impl Registry {
     ///
     /// A one-line message on any filesystem failure.
     pub fn write_result(&self, id: u128, result: &Value) -> Result<(), String> {
-        atomic_write(&self.result_path(id), result.encode().as_bytes())
+        write_atomic(&self.result_path(id), result.encode().as_bytes()).map_err(|e| e.to_string())
     }
 
     /// Loads a job's final result document.
@@ -225,27 +226,6 @@ impl Registry {
         }
         (admitted, finished)
     }
-}
-
-/// tmp + fsync + rename + directory fsync, so the target is either the
-/// old content or the new — never torn.
-fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), String> {
-    use std::io::Write;
-    let dir = path.parent().ok_or("path has no parent")?;
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f =
-            std::fs::File::create(&tmp).map_err(|e| format!("create {}: {e}", tmp.display()))?;
-        f.write_all(bytes)
-            .and_then(|()| f.sync_data())
-            .map_err(|e| format!("write {}: {e}", tmp.display()))?;
-    }
-    std::fs::rename(&tmp, path)
-        .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))?;
-    if let Ok(d) = std::fs::File::open(dir) {
-        let _ = d.sync_data();
-    }
-    Ok(())
 }
 
 #[cfg(test)]

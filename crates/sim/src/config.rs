@@ -69,9 +69,6 @@ pub struct SimConfig {
     pub record_upc_timeline: bool,
     /// Collect per-PC load/branch statistics (profiling runs).
     pub collect_pc_stats: bool,
-    /// Record per-instruction pipeline timestamps for the pipeline viewer
-    /// (costs memory proportional to instructions; off by default).
-    pub record_pipeview: bool,
     /// No-retire-progress watchdog: abort the run with a
     /// [`crate::DeadlockReport`] if no instruction retires for this many
     /// cycles. Must be nonzero.
@@ -184,7 +181,6 @@ impl SimConfig {
             memory: HierarchyConfig::skylake_like(),
             record_upc_timeline: false,
             collect_pc_stats: true,
-            record_pipeview: false,
             watchdog_cycles: 2_000_000,
             check_invariants: false,
             freeze_scheduler_after: None,

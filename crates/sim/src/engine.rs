@@ -4,7 +4,7 @@ use crate::cancel::AbortReason;
 use crate::config::{SchedulerKind, SimConfig};
 use crate::error::{DeadlockReport, HeadState, SimError};
 use crate::snapshot::{CheckpointSink, RestoreAudit, SimSnapshot};
-use crate::stats::{PipeRecord, SimResult, UpcTimeline};
+use crate::stats::{SimResult, UpcTimeline};
 use crate::wakeup::{Operand, Wakeup, EDGES};
 use crisp_isa::{FuClass, Layout, Pc, Program, Trace};
 use crisp_mem::{HitLevel, MemoryHierarchy};
@@ -991,17 +991,6 @@ impl<'a> Engine<'a> {
                 EventKind::Retire,
                 None,
             );
-            if self.cfg.record_pipeview {
-                self.res.pipeview.push(PipeRecord {
-                    seq: self.rob_base,
-                    pc: head.pc,
-                    fetch: head.fetched_at,
-                    dispatch: head.visible_at,
-                    issue: head.issued_at.unwrap_or(self.now),
-                    complete: head.complete_at.unwrap_or(self.now),
-                    retire: self.now,
-                });
-            }
             if head.is_store {
                 // In-order store-buffer drain.
                 if let Some(&(seq, _, _)) = self.store_queue.front() {
@@ -2158,22 +2147,26 @@ mod tests {
     fn pipeview_records_every_instruction_in_order() {
         let (p, t) = alu_loop();
         let mut cfg = SimConfig::skylake();
-        cfg.record_pipeview = true;
+        cfg.tracer_capacity = Some(6 * t.len() + 1);
         let res = Simulator::new(cfg).run(&p, &t, None);
-        let recs = res.pipeview.records();
-        assert_eq!(recs.len(), t.len());
-        for (i, r) in recs.iter().enumerate() {
-            assert_eq!(r.seq, i as u64);
-            assert!(r.fetch <= r.dispatch);
-            assert!(r.dispatch <= r.issue);
-            assert!(r.issue <= r.complete);
-            assert!(r.complete <= r.retire);
+        let events = res.tracer.events();
+        // Per instruction, (stage, cycle) sorted by stage: fetch,
+        // dispatch, issue, complete, retire.
+        let mut stages = vec![Vec::new(); t.len()];
+        for e in events.iter().filter(|e| e.kind != EventKind::Redirect) {
+            stages[e.seq as usize].push((e.kind.code(), e.cycle));
+        }
+        for (seq, s) in stages.iter_mut().enumerate() {
+            s.sort_unstable();
+            let kinds: Vec<u64> = s.iter().map(|&(k, _)| k).collect();
+            assert_eq!(kinds, [0, 1, 2, 3, 4], "seq {seq}: each stage once");
+            assert!(s.windows(2).all(|w| w[0].1 <= w[1].1), "seq {seq}: {s:?}");
         }
         // Retirement is monotone in sequence order.
-        for w in recs.windows(2) {
-            assert!(w[0].retire <= w[1].retire);
+        for w in stages.windows(2) {
+            assert!(w[0][4].1 <= w[1][4].1);
         }
-        let txt = res.pipeview.render(10, 14);
+        let txt = crisp_obs::render_pipeview(&events, 10, 14);
         assert_eq!(txt.lines().count(), 4);
     }
 
@@ -2434,7 +2427,7 @@ mod tests {
         let (p, t) = memory_loop();
         let mut cfg = checkpointing_config(500);
         cfg.record_upc_timeline = true;
-        cfg.record_pipeview = true;
+        cfg.tracer_capacity = Some(6 * t.len() + 1);
         let (baseline, snapshots) = run_capturing(cfg.clone(), &p, &t);
         assert!(
             snapshots.len() >= 2,
@@ -2442,7 +2435,8 @@ mod tests {
             snapshots.len()
         );
         // Resume from the middle checkpoint and finish: every statistic —
-        // counters, per-PC maps, the UPC timeline and the full pipeview —
+        // counters, per-PC maps, the UPC timeline and every recorded
+        // pipeline event —
         // must land byte-identical to the straight-through run.
         let snapshot = snapshots[snapshots.len() / 2].clone();
         assert!(snapshot.cycle > 0 && snapshot.cycle < baseline.cycles);
@@ -2515,12 +2509,12 @@ mod tests {
     fn restore_rebuilds_ready_and_prio_vectors_under_contention() {
         // Checkpoints every 64 cycles land while critical loads sit ready
         // behind busy load ports: a restore that rebuilt the PRIO vector
-        // wrongly would reorder picks and move the pipeview.
+        // wrongly would reorder picks and move the recorded events.
         let (p, t) = load_burst_loop();
         let critical: Vec<bool> = (0..p.len()).map(|pc| p.inst(pc as Pc).is_load()).collect();
         let mut cfg = SimConfig::skylake().with_scheduler(SchedulerKind::Crisp);
         cfg.cancel_check_interval = 64;
-        cfg.record_pipeview = true;
+        cfg.tracer_capacity = Some(6 * t.len() + 1);
         let audit = Simulator::new(cfg)
             .audit_restore(&p, &t, Some(&critical), 64)
             .expect("every restore rebuilds the scheduler vectors");

@@ -79,7 +79,7 @@ pub use crisp_words::Snapshot;
 pub use engine::Simulator;
 pub use error::{ConfigError, DeadlockReport, HeadState, SimError};
 pub use snapshot::{CheckpointSink, RestoreAudit, SimSnapshot};
-pub use stats::{BranchPcStats, LoadPcStats, PipeRecord, Pipeview, SimResult, UpcTimeline};
+pub use stats::{BranchPcStats, LoadPcStats, SimResult, UpcTimeline};
 
 // Re-exported for convenience: the memory config lives in crisp-mem.
 pub use crisp_mem::{

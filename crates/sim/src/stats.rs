@@ -123,89 +123,6 @@ impl UpcTimeline {
     }
 }
 
-/// Per-instruction pipeline timestamps for the pipeline viewer.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PipeRecord {
-    /// Dynamic sequence number.
-    pub seq: u64,
-    /// Static pc.
-    pub pc: Pc,
-    /// Cycle fetched into the fetch buffer.
-    pub fetch: u64,
-    /// Cycle dispatched into ROB/RS.
-    pub dispatch: u64,
-    /// Cycle issued to a functional unit.
-    pub issue: u64,
-    /// Cycle the result became available.
-    pub complete: u64,
-    /// Cycle retired.
-    pub retire: u64,
-}
-
-/// A gem5-O3-pipeview-style textual renderer over [`PipeRecord`]s.
-///
-/// Each instruction renders as one lane:
-/// `f` fetch, `d` dispatch wait, `i` issue wait, `=` executing,
-/// `.` completed-waiting-to-retire, `r` retire.
-#[derive(Clone, Debug, Default)]
-pub struct Pipeview {
-    records: Vec<PipeRecord>,
-}
-
-crisp_words::fields! { PipeRecord { seq, pc, fetch, dispatch, issue, complete, retire } }
-crisp_words::fields! { Pipeview { records as list } }
-
-impl Pipeview {
-    pub(crate) fn push(&mut self, rec: PipeRecord) {
-        self.records.push(rec);
-    }
-
-    /// The raw records.
-    pub fn records(&self) -> &[PipeRecord] {
-        &self.records
-    }
-
-    /// Renders the instructions whose sequence numbers fall in
-    /// `[from, to)`, one lane per instruction, time flowing rightward from
-    /// the earliest fetch in the window.
-    pub fn render(&self, from: u64, to: u64) -> String {
-        let window: Vec<&PipeRecord> = self
-            .records
-            .iter()
-            .filter(|r| (from..to).contains(&r.seq))
-            .collect();
-        let Some(origin) = window.iter().map(|r| r.fetch).min() else {
-            return String::new();
-        };
-        let mut out = String::new();
-        for r in window {
-            let col = |c: u64| (c - origin) as usize;
-            let width = col(r.retire) + 1;
-            let mut lane = vec![b' '; width];
-            for (a, b, ch) in [
-                (r.fetch, r.dispatch, b'f'),
-                (r.dispatch, r.issue, b'd'),
-                (r.issue, r.issue, b'i'),
-                (r.issue + 1, r.complete, b'='),
-                (r.complete, r.retire, b'.'),
-            ] {
-                for slot in lane.iter_mut().take(col(b).min(width)).skip(col(a)) {
-                    *slot = ch;
-                }
-            }
-            lane[col(r.issue).min(width - 1)] = b'i';
-            lane[width - 1] = b'r';
-            out.push_str(&format!(
-                "{:>6} pc{:<5} |{}\n",
-                r.seq,
-                r.pc,
-                String::from_utf8(lane).expect("ascii")
-            ));
-        }
-        out
-    }
-}
-
 /// The complete result of one simulation run.
 #[derive(Clone, Debug, Default)]
 pub struct SimResult {
@@ -235,9 +152,6 @@ pub struct SimResult {
     pub branch_pc_stats: HashMap<Pc, BranchPcStats>,
     /// Per-cycle retired counts (empty unless `record_upc_timeline`).
     pub upc: UpcTimeline,
-    /// Per-instruction pipeline timestamps (empty unless
-    /// `record_pipeview`).
-    pub pipeview: Pipeview,
     /// Critical instructions issued (the CRISP scheduler's priority
     /// class); with [`SimResult::issued_noncritical`] this is the
     /// telemetry issue-mix numerator.
@@ -264,9 +178,8 @@ pub struct SimResult {
 crisp_words::fields! { SimResult {
     cycles, retired, rob_head_stall_cycles, fetch_stall_mispredict_cycles,
     fetch_stall_icache_cycles, cond_branches, cond_mispredicts, indirect_mispredicts, mem,
-    load_pc_stats as map, branch_pc_stats as map, upc as section, pipeview as section,
-    issued_critical, issued_noncritical, tracer as section, stall_table as section,
-    telemetry as section
+    load_pc_stats as map, branch_pc_stats as map, upc as section, issued_critical,
+    issued_noncritical, tracer as section, stall_table as section, telemetry as section
 } }
 
 impl SimResult {
@@ -464,15 +377,6 @@ mod tests {
         );
         r.upc.push(6);
         r.upc.push(0);
-        r.pipeview.push(PipeRecord {
-            seq: 0,
-            pc: 1,
-            fetch: 2,
-            dispatch: 3,
-            issue: 4,
-            complete: 5,
-            retire: 6,
-        });
         r.issued_critical = 14;
         r.issued_noncritical = 15;
         r.stall_table.charge(42, crisp_obs::StallClass::LoadDram);
@@ -492,7 +396,6 @@ mod tests {
         assert_eq!(s.load_pc_stats, r.load_pc_stats);
         assert_eq!(s.branch_pc_stats, r.branch_pc_stats);
         assert_eq!(s.upc, r.upc);
-        assert_eq!(s.pipeview.records(), r.pipeview.records());
         assert_eq!(s.issued_critical, 14);
         assert_eq!(s.issued_noncritical, 15);
         assert_eq!(s.stall_table, r.stall_table);
@@ -532,37 +435,5 @@ mod tests {
         // the configurations disagree.
         let err = SimResult::default().restore_words(&words).unwrap_err();
         assert!(err.contains("enabled"), "{err}");
-    }
-
-    #[test]
-    fn pipeview_renders_lanes_in_window() {
-        let mut pv = Pipeview::default();
-        pv.push(PipeRecord {
-            seq: 0,
-            pc: 7,
-            fetch: 10,
-            dispatch: 15,
-            issue: 16,
-            complete: 20,
-            retire: 22,
-        });
-        pv.push(PipeRecord {
-            seq: 1,
-            pc: 8,
-            fetch: 11,
-            dispatch: 15,
-            issue: 17,
-            complete: 18,
-            retire: 22,
-        });
-        let txt = pv.render(0, 2);
-        let lines: Vec<&str> = txt.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains('f') && lines[0].contains('i'));
-        assert!(lines[0].trim_end().ends_with('r'));
-        assert!(lines[1].contains("pc8"));
-        // Out-of-window render is empty.
-        assert!(pv.render(5, 9).is_empty());
-        assert_eq!(pv.records().len(), 2);
     }
 }

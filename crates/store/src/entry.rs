@@ -26,11 +26,10 @@
 //! CRC. A single bit flipped at *any* offset is detected on read and
 //! reported as a typed [`StoreError`] — never mis-decoded, never served.
 
-use crate::crc32;
 use crate::StoreError;
-use std::fs::{self, File};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use crate::{crc32, write_atomic};
+use std::fs;
+use std::path::Path;
 
 /// Entry container format version, bumped on incompatible changes.
 pub const STORE_VERSION: u64 = 1;
@@ -225,41 +224,15 @@ pub fn read_entry(path: &Path, expected_key: Option<u128>) -> Result<CellEntry, 
     decode_entry(&bytes, path, expected_key)
 }
 
-/// Writes `entry` to `path` atomically: the container is assembled under
-/// a process-unique `.tmp` name, fsync'd, renamed over the final path,
-/// and the parent directory is synced. A SIGKILL at any point leaves
-/// either the previous entry or an orphaned `.tmp` — never a torn file
-/// under the real name.
+/// Writes `entry` to `path` atomically (see [`write_atomic`]): a SIGKILL
+/// at any point leaves either the previous entry or an orphaned `.tmp` —
+/// never a torn file under the real name.
 ///
 /// # Errors
 ///
 /// Only [`StoreError::Io`] — encoding cannot fail.
 pub fn write_entry(path: &Path, entry: &CellEntry) -> Result<(), StoreError> {
-    let bytes = encode_entry(entry);
-    let tmp = tmp_path(path);
-    let mut file = File::create(&tmp).map_err(|e| StoreError::io(&tmp, "create", &e))?;
-    file.write_all(&bytes)
-        .map_err(|e| StoreError::io(&tmp, "write", &e))?;
-    file.sync_data()
-        .map_err(|e| StoreError::io(&tmp, "fsync", &e))?;
-    drop(file);
-    fs::rename(&tmp, path).map_err(|e| StoreError::io(path, "rename", &e))?;
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
-}
-
-/// The process-unique temp name `write_entry` assembles under: two
-/// concurrent writers of the same cell never clobber each other's
-/// half-written bytes, and the loser's rename just republishes identical
-/// content.
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(format!(".tmp.{}", std::process::id()));
-    path.with_file_name(name)
+    write_atomic(path, &encode_entry(entry))
 }
 
 #[cfg(test)]
@@ -275,7 +248,7 @@ mod tests {
         }
     }
 
-    fn temp_dir(tag: &str) -> PathBuf {
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("crisp-store-entry-{tag}"));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
@@ -291,7 +264,7 @@ mod tests {
         assert_eq!(read_entry(&path, Some(entry.key)).unwrap(), entry);
         assert_eq!(read_entry(&path, None).unwrap(), entry);
         assert!(
-            !tmp_path(&path).exists(),
+            !crate::tmp_path(&path).exists(),
             "tmp file must be renamed away on success"
         );
         std::fs::remove_dir_all(&dir).ok();

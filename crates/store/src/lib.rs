@@ -46,6 +46,44 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use std::time::{Duration, SystemTime};
 
+/// Writes `bytes` to `path` atomically — the one crash-safe write the
+/// workspace's on-disk formats share (store entries, checkpoints, the
+/// daemon's job records). The bytes are assembled under a process-unique
+/// `.tmp` name, `sync_data`'d, renamed over `path`, and the parent
+/// directory is `sync_all`'d so the rename itself is durable. A SIGKILL
+/// at any point leaves either the previous file or an orphaned `.tmp` —
+/// never a torn file under the real name. Two processes writing the same
+/// path never clobber each other's half-written bytes; the loser's
+/// rename just republishes its own complete content.
+///
+/// # Errors
+///
+/// [`StoreError::Io`] naming the failed step and the path it touched.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    use std::io::Write as _;
+    let tmp = tmp_path(path);
+    let mut file = std::fs::File::create(&tmp).map_err(|e| StoreError::io(&tmp, "create", &e))?;
+    file.write_all(bytes)
+        .map_err(|e| StoreError::io(&tmp, "write", &e))?;
+    file.sync_data()
+        .map_err(|e| StoreError::io(&tmp, "fsync", &e))?;
+    drop(file);
+    std::fs::rename(&tmp, path).map_err(|e| StoreError::io(path, "rename", &e))?;
+    if let Some(dir) = path.parent() {
+        if let Ok(d) = std::fs::File::open(dir) {
+            let _ = d.sync_all();
+        }
+    }
+    Ok(())
+}
+
+/// The process-unique temp name [`write_atomic`] assembles under.
+fn tmp_path(path: &Path) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(".tmp.{}", std::process::id()));
+    path.with_file_name(name)
+}
+
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — shared by the entry
 /// container here and the harness's checkpoint container.
 pub fn crc32(bytes: &[u8]) -> u32 {

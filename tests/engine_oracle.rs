@@ -6,7 +6,8 @@
 //! cycle that the live vectors equal a full `slot_ready` rescan of the
 //! reservation station. Both runs must produce the same `SimResult` word
 //! for word: cycle counts, per-PC maps, the per-cycle UPC timeline, the
-//! stall table, the pipeview, the flight recorder and the telemetry log.
+//! stall table, the flight recorder (which holds every pipeline event of
+//! a case) and the telemetry log.
 //!
 //! Every case runs at the default cancellation poll interval and at a
 //! short one: a skip never crosses a poll, so only the long interval lets
@@ -19,7 +20,7 @@
 use crisp_core::{build, Input};
 use crisp_emu::Emulator;
 use crisp_isa::{Program, Trace};
-use crisp_sim::{SchedulerKind, SimConfig, Simulator};
+use crisp_sim::{SchedulerKind, SimConfig, Simulator, Tracer};
 
 /// Instructions per case: long enough for DRAM-bound idle stretches,
 /// branch-mispredict recoveries and several telemetry samples.
@@ -36,24 +37,24 @@ const SCHEDULERS: [SchedulerKind; 3] = [
 
 /// `(workload, scheduler, poll interval, FNV-1a of the result words)`.
 const BLESSED: &[(&str, &str, u64, u64)] = &[
-    ("pointer_chase", "oldest", 8192, 0x5af33c21c101ca74),
-    ("pointer_chase", "oldest", 128, 0xc6f9e1ad615c3c70),
-    ("pointer_chase", "crisp", 8192, 0xd85646972f92a19e),
-    ("pointer_chase", "crisp", 128, 0x5b8f9c9fe2f5090e),
-    ("pointer_chase", "random", 8192, 0x1425dd81cb0ba0b1),
-    ("pointer_chase", "random", 128, 0x2e3b383a4339dc16),
-    ("mcf", "oldest", 8192, 0x364eb5003632d376),
-    ("mcf", "oldest", 128, 0xe34a316890bef4c8),
-    ("mcf", "crisp", 8192, 0x4eedae56e0457b30),
-    ("mcf", "crisp", 128, 0xb3dd704b344f8070),
-    ("mcf", "random", 8192, 0xe57469725c1daf89),
-    ("mcf", "random", 128, 0x6782d124534d7534),
-    ("gcc", "oldest", 8192, 0x0d76b62b7299a80d),
-    ("gcc", "oldest", 128, 0x95bea5d94aec9026),
-    ("gcc", "crisp", 8192, 0xba256e2fa4c97335),
-    ("gcc", "crisp", 128, 0x377ebada136cf3bd),
-    ("gcc", "random", 8192, 0xd53a245783aeb268),
-    ("gcc", "random", 128, 0x54a6ed5fe90fb2ae),
+    ("pointer_chase", "oldest", 8192, 0x514cfbdc4ba00cc6),
+    ("pointer_chase", "oldest", 128, 0xbd8c2ef70a3c08aa),
+    ("pointer_chase", "crisp", 8192, 0x1215450a6babc672),
+    ("pointer_chase", "crisp", 128, 0xe223b8df9be3a722),
+    ("pointer_chase", "random", 8192, 0x75f0057839de30f1),
+    ("pointer_chase", "random", 128, 0x813300d4904cf0d6),
+    ("mcf", "oldest", 8192, 0xa2dd5651af43da55),
+    ("mcf", "oldest", 128, 0x5fdcdc063b68aa1f),
+    ("mcf", "crisp", 8192, 0xa9c723c0ba1fd57f),
+    ("mcf", "crisp", 128, 0xd5c75663c71c262f),
+    ("mcf", "random", 8192, 0x890d3660d72ac2d6),
+    ("mcf", "random", 128, 0xc4a300a7e7c4517b),
+    ("gcc", "oldest", 8192, 0x15f9b4ce72248727),
+    ("gcc", "oldest", 128, 0xc4a8fd5918533190),
+    ("gcc", "crisp", 8192, 0xcf2e6ec7f42711e9),
+    ("gcc", "crisp", 128, 0x0fc8130067005319),
+    ("gcc", "random", 8192, 0xbeae2b793a1b8e2a),
+    ("gcc", "random", 128, 0x9b45d000fe39caa0),
 ];
 
 /// The tier-1 subset: a latency-bound chase, a cache-hostile kernel with
@@ -91,7 +92,6 @@ fn config(scheduler: SchedulerKind, poll: u64, check: bool) -> SimConfig {
     cfg.check_invariants = check;
     cfg.stall_attribution = true;
     cfg.record_upc_timeline = true;
-    cfg.record_pipeview = true;
     cfg.tracer_capacity = Some(1 << 15);
     cfg.telemetry_interval = Some(1024);
     cfg
@@ -113,6 +113,10 @@ fn run_case(name: &str, program: &Program, trace: &Trace, s: SchedulerKind, poll
     let reference = run(true);
     let fast = run(false);
     assert_eq!(reference.retired, trace.len() as u64, "{name}");
+    let Tracer::Ring(ring) = &reference.tracer else {
+        panic!("tracing was configured on");
+    };
+    assert_eq!(ring.dropped(), 0, "{name}: the recorder lost events");
     assert_eq!(
         (fast.cycles, fast.rob_head_stall_cycles),
         (reference.cycles, reference.rob_head_stall_cycles),

@@ -17,9 +17,8 @@ use crisp_mem::{
 };
 use crisp_obs::FlightRecorder;
 use crisp_sim::{
-    AgeMatrix, BitSet, BpuConfig, BranchPredictionUnit, CheckpointSink, Pipeview, SimConfig,
-    SimError, SimResult, SimSnapshot, Simulator, Snapshot, StallTable, TelemetryLog, Tracer,
-    UpcTimeline,
+    AgeMatrix, BitSet, BpuConfig, BranchPredictionUnit, CheckpointSink, SimConfig, SimError,
+    SimResult, SimSnapshot, Simulator, Snapshot, StallTable, TelemetryLog, Tracer, UpcTimeline,
 };
 use crisp_uarch::{
     Bimodal, Btb, DirectionPredictor, Gshare, IndirectPredictor, Ras, Tage, TageConfig,
@@ -693,7 +692,6 @@ fn small_machine() -> SimConfig {
     cfg.memory = small_hierarchy();
     cfg.cancel_check_interval = 16;
     cfg.record_upc_timeline = true;
-    cfg.record_pipeview = true;
     cfg.tracer_capacity = Some(24);
     cfg.telemetry_interval = Some(64);
     cfg.stall_attribution = true;
@@ -852,7 +850,6 @@ fn driven_cases() -> Vec<Case> {
     let t = Emulator::new(program, Memory::new()).run(10_000);
     let res = Simulator::new(small_machine()).run(program, &t, None);
     cases.push(case("upc-timeline", &res.upc, UpcTimeline::default));
-    cases.push(case("pipeview", &res.pipeview, Pipeview::default));
     cases.push(case("tracer", &res.tracer, || Tracer::ring(24)));
     let Tracer::Ring(ring) = &res.tracer else {
         panic!("tracing was configured on");
@@ -1021,17 +1018,16 @@ fn snapshot_layouts_are_pinned() {
         ("memory", 0x46c864fa73884406),
         ("emulator", 0x74a6d0d4afddc197),
         ("upc-timeline", 0xc8bd1d35ac2be798),
-        ("pipeview", 0x6dc709cadaf9209d),
         ("tracer", 0x879f37baf73392e8),
         ("flight-recorder", 0x598d20d5b7942359),
         ("stall-table", 0xbf0b74de4986b7f4),
         ("telemetry", 0xbd5906555167d762),
-        ("sim-result", 0xf44a761f3df7e3e3),
+        ("sim-result", 0xe6d867b2cb446b88),
         ("checkpoint/engine", 0x8adb79366f3807e8),
         ("checkpoint/mem", 0xedb890ef76bc7a61),
         ("checkpoint/bpu", 0xbfdd362f0feca3f4),
-        ("checkpoint/stats", 0xd18b3b67245a72cc),
-        ("checkpoint/final-result", 0x300e53c2c60861e5),
+        ("checkpoint/stats", 0xa4b507c5d92717b9),
+        ("checkpoint/final-result", 0xa5c64cfd97c0f05d),
     ];
     let mut actual: Vec<(String, u64)> = driven_cases()
         .iter()
