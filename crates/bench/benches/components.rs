@@ -1,12 +1,12 @@
 //! Criterion microbenchmarks of the simulator substrates: branch
-//! prediction, caches, DRAM, prefetchers, the age-matrix picker, the
-//! functional emulator and the slicer.
+//! prediction, caches, DRAM, prefetchers, the functional emulator and the
+//! slicer. The scheduler's select is timed in place, by the engine's
+//! HostProf `select` phase.
 
 use crisp_emu::Emulator;
 use crisp_mem::{
     Bop, Cache, CacheConfig, Dram, DramConfig, Ghb, HierarchyConfig, MemoryHierarchy, Prefetcher,
 };
-use crisp_sim::{AgeMatrix, BitSet};
 use crisp_slicer::{extract_slices, DepGraph, SliceConfig};
 use crisp_uarch::{Btb, DirectionPredictor, Tage};
 use crisp_workloads::{build, Input};
@@ -85,28 +85,6 @@ fn bench_bop(c: &mut Criterion) {
             bop.on_fill(line);
         })
     });
-}
-
-fn bench_age_matrix(c: &mut Criterion) {
-    let mut g = c.benchmark_group("age_matrix");
-    for &size in &[96usize, 192] {
-        let mut m = AgeMatrix::new(size);
-        for s in 0..size {
-            m.insert(s);
-        }
-        let mut ready = BitSet::new(size);
-        for s in (0..size).step_by(3) {
-            ready.set(s);
-        }
-        let mut prio = BitSet::new(size);
-        for s in (0..size).step_by(9) {
-            prio.set(s);
-        }
-        g.bench_function(format!("pick_crisp_{size}"), |b| {
-            b.iter(|| black_box(m.pick_crisp(&ready, &prio)))
-        });
-    }
-    g.finish();
 }
 
 fn bench_emulator(c: &mut Criterion) {
@@ -197,7 +175,6 @@ criterion_group!(
     bench_dram,
     bench_bop,
     bench_ghb,
-    bench_age_matrix,
     bench_emulator,
     bench_slicer,
     bench_hierarchy

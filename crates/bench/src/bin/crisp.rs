@@ -35,6 +35,7 @@
 //! `crisp cache verify` finding corrupt entries, a job API call failing
 //! for good, or a watched/fetched job finishing `failed`).
 
+use crisp_bench::ExperimentScale;
 use crisp_core::{
     build, run_crisp_pipeline, ClassifierConfig, CrispError, Input, PipelineConfig, SchedulerKind,
     SimConfig, SimError, SliceMode, Table,
@@ -762,17 +763,17 @@ fn run_serve(cmd: &str, args: &Args) -> Result<(), Failure> {
                 ));
             }
             let scale = if args.has("--tiny") {
-                "tiny"
+                ExperimentScale::Tiny
             } else if args.has("--fast") {
-                "fast"
+                ExperimentScale::Fast
             } else {
-                "full"
+                ExperimentScale::Full
             };
             let ack = client
                 .submit(&SubmitRequest {
                     targets: args.positional.clone(),
                     workloads: args.workloads.clone(),
-                    scale: scale.to_string(),
+                    scale: scale.name().to_string(),
                     prefetcher: args.prefetcher.clone(),
                 })
                 .map_err(api_failure)?;

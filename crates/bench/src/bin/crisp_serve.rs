@@ -186,20 +186,11 @@ fn parse_args(args: &[String]) -> Result<(DaemonConfig, ServeOptions), UsageErro
     Ok((cfg, opts))
 }
 
-fn parse_scale(scale: &str) -> Result<ExperimentScale, String> {
-    match scale {
-        "tiny" => Ok(ExperimentScale::Tiny),
-        "fast" => Ok(ExperimentScale::Fast),
-        "full" => Ok(ExperimentScale::Full),
-        other => Err(format!("unknown scale `{other}` (expected tiny|fast|full)")),
-    }
-}
-
 /// Rebuilds the sweep config a job's submission describes. Both the
 /// planner and the executor go through this, so the cells the 202
 /// acknowledged are exactly the cells the sweep runs — across restarts.
 fn sweep_config(request: &SubmitRequest) -> Result<SweepConfig, String> {
-    let scale = parse_scale(&request.scale)?;
+    let scale: ExperimentScale = request.scale.parse()?;
     let known = all_targets();
     for t in &request.targets {
         if !known.contains(t) {

@@ -53,15 +53,6 @@ fn send(out: &mut Stdout, frame: &Value) -> Result<(), ExitCode> {
     })
 }
 
-fn parse_scale(scale: &str) -> Option<ExperimentScale> {
-    match scale {
-        "tiny" => Some(ExperimentScale::Tiny),
-        "fast" => Some(ExperimentScale::Fast),
-        "full" => Some(ExperimentScale::Full),
-        _ => None,
-    }
-}
-
 fn handle_run(frame: &Value, out: &mut Stdout) -> Result<(), ExitCode> {
     let id = frame.get("id").and_then(Value::as_str).unwrap_or("");
     let spec = frame.get("spec").and_then(Value::as_str).unwrap_or("");
@@ -88,7 +79,7 @@ fn handle_run(frame: &Value, out: &mut Stdout) -> Result<(), ExitCode> {
         std::process::abort();
     }
     let scale_name = frame.get("scale").and_then(Value::as_str).unwrap_or("?");
-    let Some(scale) = parse_scale(scale_name) else {
+    let Ok(scale) = scale_name.parse::<ExperimentScale>() else {
         return send(
             out,
             &obj(vec![

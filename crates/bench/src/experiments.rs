@@ -16,6 +16,16 @@ pub enum ExperimentScale {
 }
 
 impl ExperimentScale {
+    /// The scale's one spelling, on the command line, in submissions and
+    /// in worker frames.
+    pub fn name(self) -> &'static str {
+        match self {
+            ExperimentScale::Tiny => "tiny",
+            ExperimentScale::Fast => "fast",
+            ExperimentScale::Full => "full",
+        }
+    }
+
     pub(crate) fn pipeline(self) -> PipelineConfig {
         match self {
             ExperimentScale::Tiny => PipelineConfig {
@@ -34,6 +44,21 @@ impl ExperimentScale {
                 ..PipelineConfig::paper()
             },
         }
+    }
+}
+
+/// Parses [`ExperimentScale::name`]'s spelling.
+impl std::str::FromStr for ExperimentScale {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<ExperimentScale, String> {
+        let all = [
+            ExperimentScale::Tiny,
+            ExperimentScale::Fast,
+            ExperimentScale::Full,
+        ];
+        let found = all.into_iter().find(|scale| scale.name() == s);
+        found.ok_or_else(|| format!("unknown scale `{s}` (expected tiny|fast|full)"))
     }
 }
 
@@ -165,6 +190,19 @@ mod tests {
         let l = figure_workloads();
         assert!(!l.contains(&"pointer_chase"));
         assert_eq!(l.len(), 15);
+    }
+
+    #[test]
+    fn scale_names_parse_back() {
+        for scale in [
+            ExperimentScale::Tiny,
+            ExperimentScale::Fast,
+            ExperimentScale::Full,
+        ] {
+            assert_eq!(scale.name().parse(), Ok(scale));
+        }
+        let err = "Tiny".parse::<ExperimentScale>().unwrap_err();
+        assert_eq!(err, "unknown scale `Tiny` (expected tiny|fast|full)");
     }
 
     #[test]

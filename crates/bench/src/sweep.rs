@@ -249,11 +249,6 @@ pub fn run_supervised_sweep(cfg: &SweepConfig) -> Result<SweepOutput, HarnessErr
     };
     let chaos = cfg.chaos.clone();
     let scale = cfg.scale;
-    let scale_name = match scale {
-        ExperimentScale::Tiny => "tiny",
-        ExperimentScale::Fast => "fast",
-        ExperimentScale::Full => "full",
-    };
     let pool = cfg.pool.clone();
     let ckpt = cfg.checkpoint_interval.and_then(|interval| {
         cfg.manifest.as_ref().map(|m| CheckpointPolicy {
@@ -287,7 +282,7 @@ pub fn run_supervised_sweep(cfg: &SweepConfig) -> Result<SweepOutput, HarnessErr
             // panic_once cells abort the worker on every attempt — after
             // enough consecutive crashes the pool quarantines the cell.
             let abort = chaos.panic_once.iter().any(|s| job.id.contains(s.as_str()));
-            let mut extra = vec![("scale".to_string(), Value::Str(scale_name.to_string()))];
+            let mut extra = vec![("scale".to_string(), Value::Str(scale.name().to_string()))];
             if let Some(p) = &prefetcher {
                 extra.push(("prefetcher".to_string(), Value::Str(p.to_string())));
             }

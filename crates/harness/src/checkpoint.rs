@@ -42,11 +42,13 @@ pub use crisp_store::crc32;
 /// - v1 — a single 64-bit FNV-1a spec fingerprint;
 /// - v2 — a 128-bit fingerprint stored as two u64 words (low, high);
 /// - v3 — `SimResult`'s snapshot words lose the `pipeview` section (the
-///   pipeline viewer renders from the flight recorder).
+///   pipeline viewer renders from the flight recorder);
+/// - v4 — the `engine` section loses the age-matrix words (select orders
+///   the ready slots by sequence number).
 ///
 /// Only the current version is read; any other is a
 /// [`CheckpointError::VersionMismatch`].
-pub const CHECKPOINT_VERSION: u64 = 3;
+pub const CHECKPOINT_VERSION: u64 = 4;
 
 const MAGIC: &[u8; 8] = b"CRSPCKPT";
 const END_MARKER: &[u8; 8] = b"CRSPDONE";
@@ -458,9 +460,9 @@ mod tests {
         );
         assert!(err.to_string().contains("different configuration"));
 
-        // A bumped version byte, and a v1 file (whose 64-bit fingerprint
-        // is no longer read).
-        for found in [99, 1] {
+        // A bumped version byte, the previous version's file, and a v1
+        // file (whose 64-bit fingerprint is no longer read).
+        for found in [99, CHECKPOINT_VERSION - 1, 1] {
             let mut bytes = std::fs::read(&path).unwrap();
             bytes[8] = found as u8;
             let vpath = dir.join("versioned.ckpt");

@@ -216,7 +216,9 @@ impl Worker {
 
 /// Per-cell crash bookkeeping for poison quarantine and steal counting:
 /// an entry lives from a mid-cell worker death until the cell's next
-/// `ok` or `fail` frame.
+/// `ok` or `fail` frame. Entries are keyed by the (id, spec) pair: an id
+/// names no scale or prefetcher, and one pool serves every job, so a cell
+/// quarantined in one sweep must not refuse its namesake in another.
 #[derive(Clone, Debug, Default)]
 struct CrashRecord {
     consecutive: u32,
@@ -234,7 +236,7 @@ pub struct WorkerPool {
     opts: PoolOptions,
     free: Mutex<Vec<Worker>>,
     available: Condvar,
-    crashes: Mutex<BTreeMap<String, CrashRecord>>,
+    crashes: Mutex<BTreeMap<(String, String), CrashRecord>>,
     status: Arc<PoolStatus>,
     shutting_down: AtomicBool,
 }
@@ -301,7 +303,8 @@ impl WorkerPool {
     ) -> Result<Vec<f64>, RunError> {
         // Poison gate: a cell that has killed `poison_threshold`
         // consecutive workers is refused before it can take another.
-        if let Some(rec) = self.crashes.lock().expect("crash map lock").get(job_id) {
+        let cell = (job_id.to_string(), job_spec.to_string());
+        if let Some(rec) = self.crashes.lock().expect("crash map lock").get(&cell) {
             if rec.consecutive >= self.opts.poison_threshold {
                 self.status.poisoned.fetch_add(1, Ordering::SeqCst);
                 return Err(poison_error(job_id, rec, &self.opts));
@@ -316,7 +319,7 @@ impl WorkerPool {
             .crashes
             .lock()
             .expect("crash map lock")
-            .contains_key(job_id)
+            .contains_key(&cell)
         {
             self.status.steals.fetch_add(1, Ordering::SeqCst);
         }
@@ -329,7 +332,7 @@ impl WorkerPool {
 
         match outcome {
             DriveOutcome::Ok(payload) => {
-                self.crashes.lock().expect("crash map lock").remove(job_id);
+                self.crashes.lock().expect("crash map lock").remove(&cell);
                 self.checkin(worker);
                 Ok(payload)
             }
@@ -338,7 +341,7 @@ impl WorkerPool {
                 error,
                 detail,
             } => {
-                self.crashes.lock().expect("crash map lock").remove(job_id);
+                self.crashes.lock().expect("crash map lock").remove(&cell);
                 self.checkin(worker);
                 Err(RunError::Classified {
                     class,
@@ -373,7 +376,7 @@ impl WorkerPool {
                 let exit = self.bury(worker, &reason);
                 let record = {
                     let mut crashes = self.crashes.lock().expect("crash map lock");
-                    let rec = crashes.entry(job_id.to_string()).or_default();
+                    let rec = crashes.entry(cell).or_default();
                     rec.consecutive += 1;
                     rec.last_exit = exit.clone();
                     rec.last_stderr = tail;
@@ -814,17 +817,14 @@ mod tests {
         assert!(read_frame(&mut r).is_err());
     }
 
-    /// A stand-in worker that handshakes and then never sends another
-    /// frame: the pool's frame timer must declare it crashed.
-    #[test]
-    fn a_wedged_worker_is_declared_crashed_and_its_cell_stolen() {
-        use crate::supervisor::LeaseGuard;
-        use crisp_sim::{CancelToken, ProgressBeacon};
+    /// A pool of one stand-in worker that handshakes and then never sends
+    /// another frame, so the frame timer declares every dispatch crashed.
+    /// Returns the pool and the directory holding the stand-in.
+    fn wedged_pool(name: &str, opts: PoolOptions) -> (WorkerPool, PathBuf) {
         use std::os::unix::fs::PermissionsExt;
 
-        let dir = std::env::temp_dir().join(format!("crisp-pool-wedged-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("crisp-pool-{name}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let opts = PoolOptions::default();
         let hello = Value::Obj(vec![
             ("type".to_string(), Value::Str("hello".to_string())),
             (
@@ -850,16 +850,33 @@ mod tests {
             ..opts
         })
         .unwrap();
-        let status = pool.status();
-        let first = status.pids();
+        (pool, dir)
+    }
+
+    /// Dispatches one cell attempt with a fresh context.
+    fn dispatch(pool: &WorkerPool, id: &str, spec: &str) -> Result<Vec<f64>, RunError> {
+        use crate::supervisor::LeaseGuard;
+        use crisp_sim::{CancelToken, ProgressBeacon};
+
         let ctx = RunContext {
             attempt: 1,
             cancel: CancelToken::new(),
             progress: ProgressBeacon::new(),
             lease: LeaseGuard::default(),
         };
-        let no_extra = Value::Obj(Vec::new());
-        let crash = |cell: &str| match pool.run_cell(cell, "spec", &ctx, &no_extra) {
+        pool.run_cell(id, spec, &ctx, &Value::Obj(Vec::new()))
+    }
+
+    fn count(n: &AtomicUsize) -> usize {
+        n.load(Ordering::SeqCst)
+    }
+
+    #[test]
+    fn a_wedged_worker_is_declared_crashed_and_its_cell_stolen() {
+        let (pool, dir) = wedged_pool("wedged", PoolOptions::default());
+        let status = pool.status();
+        let first = status.pids();
+        let crash = |cell: &str| match dispatch(&pool, cell, "spec") {
             Err(RunError::Classified {
                 class: FailureClass::WorkerCrash,
                 detail: Some(detail),
@@ -867,7 +884,6 @@ mod tests {
             }) => detail,
             other => panic!("{cell}: expected a worker crash, got {other:?}"),
         };
-        let count = |n: &AtomicUsize| n.load(Ordering::SeqCst);
 
         let detail = crash("fig1/mcf");
         let reason = detail.get("reason").and_then(Value::as_str).unwrap();
@@ -882,6 +898,36 @@ mod tests {
         assert_eq!((count(&status.crashes), count(&status.steals)), (2, 1));
         crash("fig1/lbm");
         assert_eq!((count(&status.crashes), count(&status.steals)), (3, 1));
+        pool.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Cell ids carry no scale or prefetcher: a cell quarantined under one
+    /// spec must not refuse, or count a steal for, its id under another.
+    #[test]
+    fn a_quarantined_cell_leaves_its_id_under_another_spec_dispatchable() {
+        let opts = PoolOptions {
+            poison_threshold: 2,
+            ..PoolOptions::default()
+        };
+        let (pool, dir) = wedged_pool("poison", opts);
+        let status = pool.status();
+        let class = |spec: &str| match dispatch(&pool, "fig7/mcf", spec) {
+            Err(RunError::Classified { class, .. }) => class,
+            other => panic!("{spec}: expected a classified failure, got {other:?}"),
+        };
+        let fast = "fig7/mcf scale=Fast cells-v2";
+        let tiny = "fig7/mcf scale=Tiny cells-v2";
+
+        assert_eq!(class(fast), FailureClass::WorkerCrash);
+        assert_eq!(class(fast), FailureClass::WorkerCrash);
+        assert_eq!(class(fast), FailureClass::Poisoned, "quarantined");
+        assert_eq!((count(&status.poisoned), count(&status.steals)), (1, 1));
+
+        // The namesake runs (and crashes the stand-in) as a first dispatch.
+        assert_eq!(class(tiny), FailureClass::WorkerCrash);
+        assert_eq!((count(&status.poisoned), count(&status.steals)), (1, 1));
+        assert_eq!(count(&status.crashes), 3);
         pool.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }

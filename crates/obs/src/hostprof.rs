@@ -13,9 +13,9 @@
 //! under [`Phase::Other`]).
 //!
 //! Alongside wall time the profiler tallies *structure-scan* counters —
-//! RS entries the wakeup logic makes ready, age-matrix candidates
-//! examined per select, LSQ disambiguation probes, MSHR/cache-port
-//! probes — the work-per-cycle numbers that explain why a phase is hot.
+//! RS entries the wakeup logic makes ready, select candidates examined
+//! (the ready slots not yet picked, at each pick), LSQ disambiguation
+//! probes, MSHR/cache-port probes — the work-per-cycle numbers that explain why a phase is hot.
 //!
 //! The disabled path is a single predicted branch per mark (the same
 //! enum-dispatch pattern as [`crate::Tracer::Off`]) and is gated by the
@@ -41,7 +41,8 @@ pub enum Phase {
     /// vector, walking an issued instruction's consumer list, and
     /// fast-forwarding over idle cycles to the next wakeup event.
     Wakeup,
-    /// Select: age-matrix / priority picking and port binding.
+    /// Select: ordering the ready slots by priority and age, and port
+    /// binding.
     Select,
     /// Execute: latency computation and completion bookkeeping.
     Execute,
@@ -150,7 +151,8 @@ impl HostProf {
         }
     }
 
-    /// Tallies age-matrix candidates examined by a select pick.
+    /// Tallies select candidates examined by a pick: the ready slots not
+    /// yet picked this cycle.
     #[inline]
     pub fn age_compared(&mut self, n: u64) {
         if let HostProf::On(s) = self {
@@ -215,7 +217,8 @@ pub struct HostProfReport {
     /// Reservation-station entries the wakeup logic made ready: one per
     /// instruction over a complete run.
     pub rs_slots_scanned: u64,
-    /// Age-matrix candidates examined by select picks.
+    /// Select candidates examined: at each pick, the ready slots not yet
+    /// picked this cycle. The name predates the sequence-number select.
     pub age_compares: u64,
     /// Load/store-queue disambiguation probes.
     pub lsq_probes: u64,

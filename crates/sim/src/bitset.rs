@@ -1,0 +1,123 @@
+//! The fixed-capacity bit vector over reservation-station slots that the
+//! wakeup logic's ready and PRIO vectors (paper Figure 6) are made of.
+
+use crisp_words::{echo, Reader, Snapshot};
+
+/// A fixed-capacity bitset over issue-queue slots.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BitSet {
+    words: Vec<u64>,
+    capacity: usize,
+}
+
+impl BitSet {
+    /// Creates an empty bitset over `capacity` slots.
+    pub fn new(capacity: usize) -> BitSet {
+        BitSet {
+            words: vec![0; capacity.div_ceil(64)],
+            capacity,
+        }
+    }
+
+    /// The number of addressable slots.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Sets bit `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= capacity`.
+    #[inline]
+    pub fn set(&mut self, i: usize) {
+        assert!(i < self.capacity);
+        self.words[i / 64] |= 1u64 << (i % 64);
+    }
+
+    /// Clears bit `i`.
+    #[inline]
+    pub fn clear(&mut self, i: usize) {
+        assert!(i < self.capacity);
+        self.words[i / 64] &= !(1u64 << (i % 64));
+    }
+
+    /// Tests bit `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> bool {
+        i < self.capacity && self.words[i / 64] & (1u64 << (i % 64)) != 0
+    }
+
+    /// Clears all bits.
+    pub fn clear_all(&mut self) {
+        self.words.iter_mut().for_each(|w| *w = 0);
+    }
+
+    /// Whether any bit is set.
+    pub fn any(&self) -> bool {
+        self.words.iter().any(|&w| w != 0)
+    }
+
+    /// Number of set bits.
+    pub fn count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Iterates over set bit indices in ascending order.
+    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+            let mut bits = w;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    None
+                } else {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    Some(wi * 64 + b)
+                }
+            })
+        })
+    }
+}
+
+/// The capacity echo, then the bit words (no length word: the capacity
+/// fixes it).
+impl Snapshot for BitSet {
+    fn put(&self, out: &mut Vec<u64>) {
+        out.push(self.capacity as u64);
+        self.words.as_slice().put(out);
+    }
+
+    fn take(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        echo::take(&mut self.capacity, r).map_err(|e| format!("capacity {e}"))?;
+        self.words.as_mut_slice().take(r)?;
+        let tail = self.capacity % 64;
+        if tail != 0 && self.words.last().copied().unwrap_or(0) >> tail != 0 {
+            return Err("bits set beyond capacity".to_string());
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bitset_basic_ops() {
+        let mut b = BitSet::new(130);
+        assert!(!b.any());
+        b.set(0);
+        b.set(64);
+        b.set(129);
+        assert_eq!(b.count(), 3);
+        assert!(b.get(64));
+        assert!(!b.get(63));
+        b.clear(64);
+        assert!(!b.get(64));
+        let ones: Vec<usize> = b.iter_ones().collect();
+        assert_eq!(ones, vec![0, 129]);
+        b.clear_all();
+        assert!(!b.any());
+    }
+}

@@ -1,8 +1,9 @@
-use crate::age_matrix::{AgeMatrix, BitSet};
+use crate::bitset::BitSet;
 use crate::bpu::{BpuConfig, BranchPredictionUnit};
 use crate::cancel::AbortReason;
 use crate::config::{SchedulerKind, SimConfig};
 use crate::error::{DeadlockReport, HeadState, SimError};
+use crate::select::select_order;
 use crate::snapshot::{CheckpointSink, RestoreAudit, SimSnapshot};
 use crate::stats::{SimResult, UpcTimeline};
 use crate::wakeup::{Operand, Wakeup, EDGES};
@@ -11,7 +12,7 @@ use crisp_mem::{HitLevel, MemoryHierarchy};
 use crisp_obs::{
     EventKind, FillLevel, HostProf, Phase as HostPhase, StallClass, TelemetryInputs, Tracer,
 };
-use crisp_words::{echo, list, section, Reader, Snapshot};
+use crisp_words::{echo, list, Reader, Snapshot};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
@@ -294,15 +295,12 @@ struct Engine<'a> {
     // Scheduler state.
     rs: Vec<Option<u64>>, // slot -> seq
     rs_free: Vec<usize>,
-    age: AgeMatrix,
     rr_cursor: usize,
     /// Live ready/PRIO vectors and wakeup lists: derived from the ROB,
     /// never checkpointed, rebuilt on restore.
     wake: Wakeup,
-    /// Per-cycle scratch copies of the ready and PRIO vectors that select
-    /// consumes.
-    pick_ready: BitSet,
-    pick_prio: BitSet,
+    /// Select's per-cycle scratch: the ready slots in pick order.
+    pick_order: Vec<usize>,
     /// The earliest cycle at which a stage that made no progress this
     /// cycle can act again; `now + 1` once any stage made progress.
     next_event: u64,
@@ -335,7 +333,6 @@ impl Snapshot for Engine<'_> {
         (self.loads_in_flight, self.stores_in_flight).put(out);
         self.rs.put(out);
         list::put(&self.rs_free, out);
-        section::put(&self.age, out);
         self.rr_cursor.put(out);
         self.alu_busy.put(out);
         list::put(&self.outstanding_dram, out);
@@ -356,7 +353,6 @@ impl Snapshot for Engine<'_> {
         (self.loads_in_flight, self.stores_in_flight) = r.read()?;
         self.rs.take(r).map_err(|e| format!("RS slots: {e}"))?;
         list::take(&mut self.rs_free, r)?;
-        section::take(&mut self.age, r)?;
         self.rr_cursor.take(r)?;
         let ports = self.alu_busy.take(r);
         ports.map_err(|e| format!("ALU ports: {e}"))?;
@@ -425,11 +421,9 @@ impl<'a> Engine<'a> {
             stores_in_flight: 0,
             rs: vec![None; cfg.rs_entries],
             rs_free: (0..cfg.rs_entries).rev().collect(),
-            age: AgeMatrix::new(cfg.rs_entries),
             rr_cursor: 0,
             wake: Wakeup::new(cfg.rs_entries),
-            pick_ready: BitSet::new(cfg.rs_entries),
-            pick_prio: BitSet::new(cfg.rs_entries),
+            pick_order: Vec::with_capacity(cfg.rs_entries),
             next_event: u64::MAX,
             alu_busy: vec![0; cfg.alu_ports],
             outstanding_dram: Vec::new(),
@@ -699,7 +693,7 @@ impl<'a> Engine<'a> {
             pf_useful: pf.useful,
             pf_late: pf.late,
             rob: self.rob.len() as u64,
-            rs: self.age.occupancy() as u64,
+            rs: self.rs_occupancy() as u64,
             loads: self.loads_in_flight as u64,
             stores: self.stores_in_flight as u64,
             mshr: self.mem.inflight_fills() as u64,
@@ -767,6 +761,11 @@ impl<'a> Engine<'a> {
             .map_err(|e| fail("engine")(e.to_string()))
     }
 
+    /// Occupied reservation-station slots.
+    fn rs_occupancy(&self) -> usize {
+        self.cfg.rs_entries - self.rs_free.len()
+    }
+
     /// Snapshots the stuck machine for the watchdog's diagnostic dump.
     fn deadlock_report(&self, stalled_for: u64, total: u64) -> DeadlockReport {
         let rob_head = self.rob.front().map(|h| {
@@ -790,7 +789,7 @@ impl<'a> Engine<'a> {
             total,
             rob_head,
             rob: (self.rob.len(), self.cfg.rob_entries),
-            rs: (self.age.occupancy(), self.cfg.rs_entries),
+            rs: (self.rs_occupancy(), self.cfg.rs_entries),
             loads: (self.loads_in_flight, self.cfg.load_buffer),
             stores: (self.stores_in_flight, self.cfg.store_buffer),
             oldest_unissued,
@@ -799,7 +798,7 @@ impl<'a> Engine<'a> {
     }
 
     /// The opt-in per-cycle invariant checker (`--check`): stage ordering,
-    /// occupancy bounds and RS/age-matrix cross-consistency.
+    /// occupancy bounds and RS/free-list/ROB cross-consistency.
     fn check_invariants(&self) -> Result<(), SimError> {
         let fail = |message: String| {
             Err(SimError::InvariantViolation {
@@ -827,7 +826,8 @@ impl<'a> Engine<'a> {
                 self.stores_in_flight, self.cfg.store_buffer
             ));
         }
-        // RS slots, free list and age matrix must agree.
+        // RS slots and free list must agree: the free list names every
+        // empty slot exactly once, so dispatch never takes an occupied one.
         let occupied = self.rs.iter().filter(|s| s.is_some()).count();
         if occupied + self.rs_free.len() != self.cfg.rs_entries {
             return fail(format!(
@@ -837,20 +837,16 @@ impl<'a> Engine<'a> {
                 self.cfg.rs_entries
             ));
         }
-        if self.age.occupancy() != occupied {
-            return fail(format!(
-                "age matrix tracks {} slots but RS holds {occupied}",
-                self.age.occupancy()
-            ));
-        }
-        for (slot, occ) in self.rs.iter().enumerate() {
-            if self.age.is_valid(slot) != occ.is_some() {
+        let mut free = BitSet::new(self.cfg.rs_entries);
+        for &slot in &self.rs_free {
+            if self.rs.get(slot) != Some(&None) || free.get(slot) {
                 return fail(format!(
-                    "age matrix and RS disagree on slot {slot}: matrix {}, RS {}",
-                    self.age.is_valid(slot),
-                    occ.is_some()
+                    "RS free list names slot {slot} twice or while occupied"
                 ));
             }
+            free.set(slot);
+        }
+        for (slot, occ) in self.rs.iter().enumerate() {
             if let Some(seq) = *occ {
                 match self.entry(seq) {
                     None => return fail(format!("RS slot {slot} references retired seq {seq}")),
@@ -953,10 +949,10 @@ impl<'a> Engine<'a> {
                 self.loads_in_flight, self.stores_in_flight
             ));
         }
-        if self.age.occupancy() != 0 {
+        if self.rs_occupancy() != 0 {
             return fail(format!(
                 "{} scheduler slots alive after drain",
-                self.age.occupancy()
+                self.rs_occupancy()
             ));
         }
         // The hierarchy bounds its lazy in-flight table at 4096 entries;
@@ -1145,34 +1141,36 @@ impl<'a> Engine<'a> {
         // Figure 6), *then* binds them to functional-unit ports. A pick
         // whose port class is exhausted this cycle wastes its issue slot,
         // exactly like a real matrix scheduler's select-then-dispatch.
-        // Select works on copies: instructions woken by this cycle's
-        // issues become pickable next cycle.
+        // The order is fixed before the first issue: instructions woken by
+        // this cycle's issues become pickable next cycle.
+        self.prof.enter(HostPhase::Select);
         let cap = self.cfg.rs_entries;
-        self.pick_ready.copy_from(&self.wake.ready);
-        self.pick_prio.copy_from(&self.wake.prio);
+        select_order(
+            self.cfg.scheduler,
+            &self.wake.ready,
+            &self.wake.prio,
+            &self.rs,
+            &mut self.pick_order,
+        );
         // ALU ports below the cursor are taken or busy this cycle.
         let mut alu_cursor = 0;
         let mut loads_left = self.cfg.load_ports;
         let mut stores_left = self.cfg.store_ports;
 
-        for _ in 0..self.cfg.issue_width {
+        for k in 0..self.cfg.issue_width.min(self.pick_order.len()) {
             self.prof.enter(HostPhase::Select);
-            if self.prof.is_on() {
-                // Upper bound on candidates the age-matrix pick examines
-                // (the popcount itself is skipped on the disabled path).
-                self.prof.age_compared(self.pick_ready.count() as u64);
+            // Select candidates examined: the ready slots not yet picked.
+            self.prof.age_compared((self.pick_order.len() - k) as u64);
+            if self.cfg.scheduler == SchedulerKind::RandomReady {
+                // Rotating-start slot scan, blind to age: the first unpicked
+                // slot at or after the cursor, else the lowest. The unpicked
+                // tail stays in slot order.
+                let start = self.rr_cursor % cap;
+                let left = &mut self.pick_order[k..];
+                let at = left.iter().position(|&s| s >= start).unwrap_or(0);
+                left[..=at].rotate_right(1);
             }
-            let pick = match self.cfg.scheduler {
-                SchedulerKind::OldestReadyFirst => self.age.pick_oldest(&self.pick_ready),
-                SchedulerKind::Crisp => self.age.pick_crisp(&self.pick_ready, &self.pick_prio),
-                // Rotating-start slot scan: ignores age entirely.
-                SchedulerKind::RandomReady => {
-                    self.pick_ready.next_one_wrapping(self.rr_cursor % cap)
-                }
-            };
-            let Some(slot) = pick else { break };
-            self.pick_ready.clear(slot);
-            self.pick_prio.clear(slot);
+            let slot = self.pick_order[k];
             self.rr_cursor = self.rr_cursor.wrapping_add(7);
 
             let seq = self.rs[slot].expect("occupied slot");
@@ -1323,7 +1321,6 @@ impl<'a> Engine<'a> {
         // Free the RS slot.
         self.rs[slot] = None;
         self.rs_free.push(slot);
-        self.age.remove(slot);
 
         // Broadcast the result tag down the consumer list: consumers it
         // was the last producer of become pickable from the next cycle on.
@@ -1421,7 +1418,6 @@ impl<'a> Engine<'a> {
             // Allocate an RS slot (RAND policy: any free slot).
             let slot = self.rs_free.pop().expect("checked non-empty");
             self.rs[slot] = Some(seq);
-            self.age.insert(slot);
             let mut entry = entry;
             entry.rs_slot = Some(slot);
             self.rob.push_back(entry);
@@ -2471,7 +2467,7 @@ mod tests {
 
     #[test]
     fn audit_restore_verifies_the_crisp_scheduler_path() {
-        // The age-matrix PRIO path and criticality map must survive
+        // The PRIO pick order and criticality map must survive
         // restore too, not just the baseline scheduler.
         let (p, t) = memory_loop();
         let critical = vec![true; p.len()];
@@ -2579,6 +2575,43 @@ mod tests {
             matches!(err, SimError::SnapshotRestore { ref section, .. } if section == "engine"),
             "got {err}"
         );
+    }
+
+    #[test]
+    fn restore_rejects_a_free_list_naming_a_taken_slot() {
+        // Dispatch pops the free list without looking, so a checkpoint
+        // whose free list names an occupied slot, or one slot twice, would
+        // hand one slot to two instructions. Restore must refuse it.
+        let (p, t) = memory_loop();
+        let (_, snapshots) = run_capturing(checkpointing_config(64), &p, &t);
+        let cfg = SimConfig::skylake();
+        let layout = p.layout(|_| false);
+        let mut engine = Engine::new(&cfg, &p, &layout, &t, None);
+        let partly_occupied = |s: &SimSnapshot, e: &mut Engine| {
+            let words = s.section("engine").expect("engine section");
+            e.restore_words(words).expect("clean engine words");
+            (2..cfg.rs_entries).contains(&e.rs_free.len())
+        };
+        let good = snapshots
+            .into_iter()
+            .find(|s| partly_occupied(s, &mut engine))
+            .expect("a checkpoint with the RS partly occupied");
+        let free = engine.rs_free.clone();
+        let occupied = engine.rs.iter().position(Option::is_some);
+        for taken in [occupied.expect("an occupied RS slot"), free[0]] {
+            engine.rs_free = free.clone();
+            *engine.rs_free.last_mut().expect("a free slot") = taken;
+            let mut bad = good.clone();
+            bad.sections[0].1 = engine.snapshot_words();
+            let mut cfg = SimConfig::skylake();
+            cfg.restore = Some(Arc::new(bad));
+            let err = Simulator::new(cfg).try_run(&p, &t, None).unwrap_err();
+            let SimError::SnapshotRestore { section, message } = err else {
+                panic!("slot {taken}: expected restore rejection, got {err}");
+            };
+            assert_eq!(section, "engine");
+            assert!(message.contains("free list names slot"), "{message}");
+        }
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //!   instruction prefetching through a fetch-target queue;
 //! * rename/dispatch into a reorder buffer and a unified reservation
 //!   station;
-//! * an **age-matrix scheduler** (paper Section 4.2 / Figure 6) with the
+//! * the **age-matrix picker** (paper Section 4.2 / Figure 6) with the
 //!   one-bit CRISP PRIO extension, plus an oldest-ready-first baseline and
 //!   a random-pick ablation; its ready and PRIO vectors are live, set by
-//!   producer→consumer wakeup lists as in the paper's hardware;
+//!   producer→consumer wakeup lists as in the paper's hardware. Dispatch
+//!   is in program order and nothing is squashed, so age is the sequence
+//!   number: select sorts the ready slots by (not PRIO, sequence number)
+//!   instead of keeping age vectors;
 //! * per-class functional units (4 ALU, 2 load, 1 store — Table 1),
 //!   unpipelined dividers;
 //! * exact memory disambiguation with store-to-load forwarding, load/store
@@ -61,17 +64,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod age_matrix;
+mod bitset;
 mod bpu;
 mod cancel;
 mod config;
 mod engine;
 mod error;
+mod select;
 mod snapshot;
 mod stats;
 mod wakeup;
 
-pub use age_matrix::{AgeMatrix, BitSet};
+pub use bitset::BitSet;
 pub use bpu::{BpuConfig, BranchOutcome, BranchPredictionUnit};
 pub use cancel::{AbortReason, CancelToken, ProgressBeacon};
 pub use config::{SchedulerKind, SimConfig};

@@ -13,7 +13,7 @@
 //! All of this is derived from the ROB. Checkpoints never carry it; a
 //! restored engine rebuilds it by inserting every waiting entry again.
 
-use crate::age_matrix::BitSet;
+use crate::bitset::BitSet;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 

@@ -16,6 +16,9 @@
 //! The digests in `BLESSED` pin the tier-1 subset to the results of the
 //! per-cycle rescan engine that the event-driven scheduler replaced, so a
 //! pass proves byte-identity with it, not just self-consistency.
+//! `BLESSED_WORKLOADS` pins every registered workload, one digest over its
+//! six cases, to the engine that still emulated the age matrix: both paths
+//! share one select, so only a pin can see a change to it.
 
 use crisp_core::{build, Input};
 use crisp_emu::Emulator;
@@ -55,6 +58,29 @@ const BLESSED: &[(&str, &str, u64, u64)] = &[
     ("gcc", "crisp", 128, 0x0fc8130067005319),
     ("gcc", "random", 8192, 0xbeae2b793a1b8e2a),
     ("gcc", "random", 128, 0x9b45d000fe39caa0),
+];
+
+/// `(workload, FNV-1a of its six case digests in run order)`, for every
+/// registered workload.
+const BLESSED_WORKLOADS: &[(&str, u64)] = &[
+    ("pointer_chase", 0x3160bf4760f822cb),
+    ("bwaves", 0x913ab794ebd11ce9),
+    ("cactus", 0x4bd4fbbd62aa3982),
+    ("deepsjeng", 0x176ab9ca8ba16883),
+    ("fotonik3d", 0xb0ac29c4f4da01d7),
+    ("gcc", 0x05d8f1f87837468d),
+    ("lbm", 0xdfdcd22efbef512b),
+    ("mcf", 0xb276aefc0285cf0c),
+    ("nab", 0xe137e45b2ec49ea2),
+    ("namd", 0xa31f2776a30717af),
+    ("perlbench", 0xf8e7b999c65b7aaa),
+    ("xz", 0x4ecf8800e1fb1a3f),
+    ("xhpcg", 0xd5ace06fb719e111),
+    ("moses", 0x8057e493352ace8b),
+    ("memcached", 0xc801ca9aee0753e8),
+    ("img_dnn", 0xcf7e9ac82a0e2436),
+    ("omnetpp", 0xcbd225fd35516c72),
+    ("xalancbmk", 0x77d214715a9a0033),
 ];
 
 /// The tier-1 subset: a latency-bound chase, a cache-hostile kernel with
@@ -157,12 +183,21 @@ fn fast_path_matches_reference_and_pinned_digests() {
 #[test]
 #[ignore = "every workload; CI runs it with --ignored in release"]
 fn fast_path_matches_reference_on_every_workload() {
+    let mut actual = Vec::new();
     for &name in crisp_workloads::all_names() {
         let (program, trace) = workload(name);
-        for s in SCHEDULERS {
-            for poll in POLLS {
-                run_case(name, &program, &trace, s, poll);
-            }
-        }
+        let cases: Vec<u64> = SCHEDULERS
+            .iter()
+            .flat_map(|&s| POLLS.map(|poll| run_case(name, &program, &trace, s, poll)))
+            .collect();
+        actual.push((name, digest(&cases)));
     }
+    let table: String = actual
+        .iter()
+        .map(|(w, d)| format!("    (\"{w}\", {d:#018x}),\n"))
+        .collect();
+    assert_eq!(
+        BLESSED_WORKLOADS, actual,
+        "workload digests moved; the engine no longer reproduces the pinned results:\n{table}"
+    );
 }

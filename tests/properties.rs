@@ -2,7 +2,7 @@
 
 use crisp_emu::{Emulator, Memory};
 use crisp_isa::{AluOp, Cond, DynInst, Program, ProgramBuilder, Reg, Trace};
-use crisp_sim::{AgeMatrix, BitSet, SchedulerKind, SimConfig, Simulator};
+use crisp_sim::{SchedulerKind, SimConfig, Simulator};
 use crisp_slicer::{critical_path_filter, extract_slices, DepGraph, LatencyModel, SliceConfig};
 use proptest::prelude::*;
 
@@ -172,28 +172,6 @@ proptest! {
                 prop_assert!(f.pcs.contains(pc), "register slice escaped the full slice");
             }
         }
-    }
-
-    /// The age matrix always picks a ready slot, and the pick is the one
-    /// inserted earliest among the ready set.
-    #[test]
-    fn age_matrix_picks_fifo(order in proptest::sample::subsequence((0..32usize).collect::<Vec<_>>(), 1..20),
-                             ready_mask in any::<u32>()) {
-        let mut m = AgeMatrix::new(32);
-        for &slot in &order {
-            m.insert(slot);
-        }
-        let mut ready = BitSet::new(32);
-        let mut expected = None;
-        for &slot in &order {
-            if ready_mask & (1 << slot) != 0 {
-                ready.set(slot);
-                if expected.is_none() {
-                    expected = Some(slot);
-                }
-            }
-        }
-        prop_assert_eq!(m.pick_oldest(&ready), expected);
     }
 
     /// Layout addresses are strictly increasing and the criticality prefix

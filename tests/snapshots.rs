@@ -17,8 +17,8 @@ use crisp_mem::{
 };
 use crisp_obs::FlightRecorder;
 use crisp_sim::{
-    AgeMatrix, BitSet, BpuConfig, BranchPredictionUnit, CheckpointSink, SimConfig, SimError,
-    SimResult, SimSnapshot, Simulator, Snapshot, StallTable, TelemetryLog, Tracer, UpcTimeline,
+    BitSet, BpuConfig, BranchPredictionUnit, CheckpointSink, SimConfig, SimError, SimResult,
+    SimSnapshot, Simulator, Snapshot, StallTable, TelemetryLog, Tracer, UpcTimeline,
 };
 use crisp_uarch::{
     Bimodal, Btb, DirectionPredictor, Gshare, IndirectPredictor, Ras, Tage, TageConfig,
@@ -357,34 +357,23 @@ proptest! {
         );
     }
 
-    /// Scheduler bookkeeping: BitSet and the age matrix under random
-    /// insert/remove churn, checked via the trait object surface too.
+    /// Scheduler bookkeeping: a BitSet under random set/clear churn,
+    /// checked via the trait object surface too.
     #[test]
-    fn age_matrix_round_trips(
+    fn bitset_round_trips(
         ops in proptest::collection::vec((0usize..48, 0u8..2), 1..200),
     ) {
         let mut bits = BitSet::new(48);
-        let mut age = AgeMatrix::new(48);
-        let mut live = [false; 48];
         for &(slot, op) in &ops {
             if op == 0 {
                 bits.set(slot);
-                if !live[slot] {
-                    age.insert(slot);
-                    live[slot] = true;
-                }
             } else {
                 bits.clear(slot);
-                if live[slot] {
-                    age.remove(slot);
-                    live[slot] = false;
-                }
             }
         }
-        assert_roundtrip(&bits, &mut BitSet::new(48));
-        // Exercise the dyn-trait path the checkpoint writer uses.
-        let fresh: &mut dyn Snapshot = &mut AgeMatrix::new(48);
-        assert_roundtrip(&age as &dyn Snapshot, fresh);
+        // Through the dyn-trait path the checkpoint writer uses.
+        let fresh: &mut dyn Snapshot = &mut BitSet::new(48);
+        assert_roundtrip(&bits as &dyn Snapshot, fresh);
     }
 
     /// End-to-end: a random program checkpointed mid-run must finish with
@@ -826,14 +815,10 @@ fn driven_cases() -> Vec<Case> {
     }));
 
     let mut bits = BitSet::new(70);
-    let mut age = AgeMatrix::new(6);
     for slot in [3usize, 0, 5, 1] {
         bits.set(slot * 13);
-        age.insert(slot);
     }
-    age.remove(0);
     cases.push(case("bitset", &bits, || BitSet::new(70)));
-    cases.push(case("age-matrix", &age, || AgeMatrix::new(6)));
 
     let program: &'static Program = Box::leak(Box::new(load_store_loop(6)));
     let mut image = Memory::new();
@@ -1014,7 +999,6 @@ fn snapshot_layouts_are_pinned() {
         ("spp", 0x4e16433497439332),
         ("hierarchy", 0x8b2367de099839ae),
         ("bitset", 0x731082a159035a20),
-        ("age-matrix", 0x9526772f879c6465),
         ("memory", 0x46c864fa73884406),
         ("emulator", 0x74a6d0d4afddc197),
         ("upc-timeline", 0xc8bd1d35ac2be798),
@@ -1023,7 +1007,7 @@ fn snapshot_layouts_are_pinned() {
         ("stall-table", 0xbf0b74de4986b7f4),
         ("telemetry", 0xbd5906555167d762),
         ("sim-result", 0xe6d867b2cb446b88),
-        ("checkpoint/engine", 0x8adb79366f3807e8),
+        ("checkpoint/engine", 0x79da0b725da22afa),
         ("checkpoint/mem", 0xedb890ef76bc7a61),
         ("checkpoint/bpu", 0xbfdd362f0feca3f4),
         ("checkpoint/stats", 0xa4b507c5d92717b9),
