@@ -21,14 +21,6 @@
 //!   --resume PATH        Resume an interrupted sweep from its manifest
 //!                        (implies --manifest PATH; flags must match)
 //!   --workloads A,B,C    Only run these workloads
-//!   --checkpoint-interval CYCLES
-//!                        Emit mid-run machine checkpoints roughly every
-//!                        CYCLES cycles into <manifest>.ckpt.d/ so --resume
-//!                        continues interrupted cells mid-workload
-//!                        (requires --manifest)
-//!   --audit-restore      Run the checkpoint determinism audit instead of
-//!                        the sweep: checkpoint, restore, and verify
-//!                        byte-identical results per workload
 //!   --telemetry DIR      Write one interval-telemetry JSONL stream (plus a
 //!                        top-K stall-attribution table) per simulated
 //!                        sub-run into DIR (cells that drive sims directly)
@@ -53,26 +45,20 @@
 //! ```
 //!
 //! SIGTERM/SIGINT drain the sweep gracefully: queued cells stay
-//! unrecorded, in-flight cells abort cooperatively (checkpointing if
-//! enabled), the manifest is fsynced, and the run exits 6 with a
-//! `--resume` hint — resuming completes the sweep with byte-identical
-//! reports.
+//! unrecorded, in-flight cells abort cooperatively, the manifest is
+//! fsynced, and the run exits 6 with a `--resume` hint — resuming
+//! recomputes every unrecorded cell from its start and completes the
+//! sweep with byte-identical reports.
 //!
 //! Exit codes: 0 = every cell completed; 2 = usage error; 5 = supervisor
 //! failure (bad manifest, injected crash fired); 6 = completed **degraded**
 //! (some cells failed permanently; reports carry `[DEGRADED]` annotations
 //! and a failure taxonomy — partial results were salvaged) or
-//! **interrupted** by SIGTERM/SIGINT (resume with `--resume`); 7 =
-//! checkpoint integrity or determinism failure (torn/mismatched
-//! checkpoint state, or a restore-audit divergence — never retried,
-//! because re-reading the same bytes cannot succeed).
+//! **interrupted** by SIGTERM/SIGINT (resume with `--resume`).
 
-use crisp_bench::audit::{render_audit, run_restore_audit, DEFAULT_AUDIT_WORKLOADS};
 use crisp_bench::sweep::{build_jobs, run_supervised_sweep, sweep_spec, SweepConfig};
 use crisp_bench::{all_targets, ExperimentScale};
-use crisp_core::CrispError;
 use crisp_harness::RetryPolicy;
-use crisp_sim::SimError;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -80,7 +66,6 @@ use std::time::Duration;
 const EXIT_USAGE: u8 = 2;
 const EXIT_SUPERVISOR: u8 = 5;
 const EXIT_DEGRADED: u8 = 6;
-const EXIT_CHECKPOINT: u8 = 7;
 
 const KNOWN_TARGETS: [&str; 12] = [
     "table1",
@@ -102,7 +87,6 @@ fn usage() {
         "usage: crisp-bench [--fast|--tiny] [--jobs N] [--deadline SECS] [--max-retries K]\n\
          \x20                  [--manifest PATH] [--resume PATH] [--workloads A,B,C]\n\
          \x20                  [--prefetcher SPEC]\n\
-         \x20                  [--checkpoint-interval CYCLES] [--audit-restore]\n\
          \x20                  [--telemetry DIR] [--pipe-trace DIR] [--heartbeat MS]\n\
          \x20                  [--store DIR] [--inject-panic SUB] [--inject-stall SUB]\n\
          \x20                  [--cell-delay-ms MS] [--quiet] [{}]",
@@ -187,16 +171,6 @@ fn parse_args(args: &[String]) -> Result<SweepConfig, UsageError> {
                         .collect(),
                 );
             }
-            "--checkpoint-interval" => {
-                let v = value(&mut it, "--checkpoint-interval")?;
-                cfg.checkpoint_interval =
-                    Some(v.parse::<u64>().ok().filter(|n| *n > 0).ok_or_else(|| {
-                        UsageError(format!(
-                            "--checkpoint-interval expects a positive cycle count, got `{v}`"
-                        ))
-                    })?);
-            }
-            "--audit-restore" => cfg.audit_restore = true,
             "--telemetry" => cfg.telemetry = Some(PathBuf::from(value(&mut it, "--telemetry")?)),
             "--pipe-trace" => cfg.pipe_trace = Some(PathBuf::from(value(&mut it, "--pipe-trace")?)),
             "--heartbeat" => {
@@ -240,55 +214,7 @@ fn parse_args(args: &[String]) -> Result<SweepConfig, UsageError> {
             .filter(|t| targets.contains(t))
             .collect()
     };
-    if cfg.checkpoint_interval.is_some() && cfg.manifest.is_none() && !cfg.audit_restore {
-        return Err(UsageError(
-            "--checkpoint-interval requires --manifest (or --resume): checkpoints live \
-             next to the run manifest"
-                .to_string(),
-        ));
-    }
     Ok(cfg)
-}
-
-/// Runs `--audit-restore` mode: the checkpoint → restore → finish
-/// determinism proof over the audited workloads.
-fn run_audit_mode(cfg: &SweepConfig) -> ExitCode {
-    let workloads: Vec<String> = cfg.workloads.clone().unwrap_or_else(|| {
-        DEFAULT_AUDIT_WORKLOADS
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
-    });
-    let interval = cfg
-        .checkpoint_interval
-        .unwrap_or(crisp_bench::audit::DEFAULT_AUDIT_INTERVAL);
-    if cfg.progress {
-        eprintln!(
-            "[crisp-bench] audit-restore: {} workload(s), checkpoint every ~{interval} cycles",
-            workloads.len()
-        );
-    }
-    match run_restore_audit(&workloads, cfg.scale, interval) {
-        Ok(lines) => {
-            print!("{}", render_audit(&lines));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("crisp-bench: audit-restore FAILED: {e}");
-            let checkpoint_class = matches!(
-                e,
-                CrispError::Checkpoint(_)
-                    | CrispError::Simulation(
-                        SimError::RestoreAuditDivergence { .. } | SimError::SnapshotRestore { .. }
-                    )
-            );
-            ExitCode::from(if checkpoint_class {
-                EXIT_CHECKPOINT
-            } else {
-                EXIT_SUPERVISOR
-            })
-        }
-    }
 }
 
 fn main() -> ExitCode {
@@ -301,10 +227,6 @@ fn main() -> ExitCode {
             return ExitCode::from(EXIT_USAGE);
         }
     };
-
-    if cfg.audit_restore {
-        return run_audit_mode(&cfg);
-    }
 
     // Graceful shutdown: SIGTERM/SIGINT cancel the stop token; in-flight
     // cells abort cooperatively and the manifest stays resumable.
@@ -375,13 +297,7 @@ fn main() -> ExitCode {
         for (class, ids) in report.taxonomy() {
             eprintln!("[crisp-bench]   {class}: {}", ids.join(", "));
         }
-        // Checkpoint-class failures get their own exit code: the state on
-        // disk is unusable and no rerun under the same flags will differ.
-        return ExitCode::from(if out.checkpoint_failures() {
-            EXIT_CHECKPOINT
-        } else {
-            EXIT_DEGRADED
-        });
+        return ExitCode::from(EXIT_DEGRADED);
     }
     ExitCode::SUCCESS
 }

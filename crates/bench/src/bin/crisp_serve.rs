@@ -4,10 +4,11 @@
 //! HTTP/1.1 job API in [`crisp_serve`]: admission-controlled submission
 //! (bounded queue, 429 + `Retry-After`), idempotent job ids
 //! (content-addressed over the cell set), graceful drain on
-//! SIGTERM/SIGINT (in-flight cells checkpoint via the supervisor's stop
-//! token, then exit 0), and crash recovery (on restart, every admitted
-//! job without a result re-queues and resumes from its own manifest, so
-//! pre-crash job ids poll through to byte-identical tables).
+//! SIGTERM/SIGINT (in-flight cells abort via the supervisor's stop
+//! token and stay unrecorded, then exit 0), and crash recovery (on
+//! restart, every admitted job without a result re-queues and resumes
+//! from its own manifest, recomputing each unrecorded cell from its
+//! start, so pre-crash job ids poll through to byte-identical tables).
 //!
 //! ```text
 //! Usage: crisp-serve [OPTIONS]
@@ -29,8 +30,6 @@
 //!                        Default 0 = simulate in-process.
 //!   --deadline SECS      Per-attempt cell deadline
 //!   --heartbeat MS       Supervisor heartbeat cadence (default 250)
-//!   --checkpoint-interval CYCLES
-//!                        Mid-cell machine checkpoints for finer resume
 //!   --retry-after-ms MS  Backpressure hint in 429/503 responses
 //!                        (default 2000; rounded up to whole seconds)
 //!   --cell-delay-ms MS   Test hook: idle window at the start of every
@@ -66,7 +65,6 @@ struct ServeOptions {
     pool_workers: usize,
     deadline: Option<Duration>,
     heartbeat: Duration,
-    checkpoint_interval: Option<u64>,
     cell_delay: Option<Duration>,
     progress: bool,
 }
@@ -77,8 +75,7 @@ fn usage() {
     eprintln!(
         "usage: crisp-serve [--data DIR] [--addr HOST:PORT] [--store DIR] [--queue N]\n\
          \x20                  [--max-conns N] [--jobs N] [--workers N] [--deadline SECS]\n\
-         \x20                  [--heartbeat MS]\n\
-         \x20                  [--checkpoint-interval CYCLES] [--retry-after-ms MS]\n\
+         \x20                  [--heartbeat MS] [--retry-after-ms MS]\n\
          \x20                  [--cell-delay-ms MS] [--quiet]"
     );
 }
@@ -90,7 +87,6 @@ fn parse_args(args: &[String]) -> Result<(DaemonConfig, ServeOptions), UsageErro
         pool_workers: 0,
         deadline: None,
         heartbeat: Duration::from_millis(250),
-        checkpoint_interval: None,
         cell_delay: None,
         progress: true,
     };
@@ -151,15 +147,6 @@ fn parse_args(args: &[String]) -> Result<(DaemonConfig, ServeOptions), UsageErro
                     ))
                 })?;
                 opts.heartbeat = Duration::from_millis(ms);
-            }
-            "--checkpoint-interval" => {
-                let v = value("--checkpoint-interval", &mut it)?;
-                opts.checkpoint_interval =
-                    Some(v.parse::<u64>().ok().filter(|n| *n > 0).ok_or_else(|| {
-                        UsageError(format!(
-                            "--checkpoint-interval expects a positive cycle count, got `{v}`"
-                        ))
-                    })?);
             }
             "--retry-after-ms" => {
                 let v = value("--retry-after-ms", &mut it)?;
@@ -264,7 +251,6 @@ fn exec(
     cfg.store = Some(ctx.store.clone());
     cfg.stop = Some(ctx.stop.clone());
     cfg.heartbeat = Some(opts.heartbeat);
-    cfg.checkpoint_interval = opts.checkpoint_interval;
     cfg.cell_delay = opts.cell_delay;
     cfg.progress = opts.progress;
     cfg.pool = pool.cloned();

@@ -150,9 +150,8 @@ fn handle_run(frame: &Value, out: &mut Stdout) -> Result<(), ExitCode> {
             if let Some(delay) = cell_delay {
                 std::thread::sleep(delay);
             }
-            // Mid-cell machine checkpoints and telemetry sinks stay
-            // daemon-side concerns; the pool's unit of recovery is the
-            // whole cell, over a memo of its own.
+            // Telemetry sinks stay daemon-side concerns; the pool's unit
+            // of recovery is the whole cell, over a memo of its own.
             let memo = StageMemo::new();
             let stages = memo.cell(Some(ctx.cancel.clone()));
             let proc_name = format!("worker:{}", std::process::id());
@@ -164,7 +163,6 @@ fn handle_run(frame: &Value, out: &mut Stdout) -> Result<(), ExitCode> {
             };
             let opts = CellOptions {
                 scale,
-                ckpt: None,
                 obs: None,
                 prefetcher,
             };

@@ -17,12 +17,10 @@ use crisp_core::{
     ClassifierConfig, ConfigError, CrispError, IbdaConfig, Input, PipelineConfig, SchedulerKind,
     SimConfig, SliceConfig, SliceMode, StageMemo, Stages,
 };
-use crisp_harness::{checkpoint_file_name, newest_valid_checkpoint, write_checkpoint};
 use crisp_harness::{JobSpec, RunContext};
 use crisp_obs::{render_kanata, telemetry_line, TraceFilter};
-use crisp_sim::{CheckpointSink, PrefetcherSpec, SimResult};
+use crisp_sim::{PrefetcherSpec, SimResult};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// Cell payload-format version, embedded in every job spec.
 pub const CELL_FORMAT: &str = "cells-v2";
@@ -132,10 +130,10 @@ fn arm(sim: &mut SimConfig, ctx: &RunContext, stall: bool) {
 }
 
 /// Observability outputs for a cell, derived from `--telemetry` and
-/// `--pipe-trace`. Like [`CheckpointPolicy`], it applies to the cells that
-/// drive their simulations directly (Figure 1): each sub-run gets one
-/// telemetry JSONL stream (plus a top-K stall-attribution table) and one
-/// Kanata pipeline trace, keyed by the cell id and sub-run label.
+/// `--pipe-trace`. It applies to the cells that drive their simulations
+/// directly (Figure 1): each sub-run gets one telemetry JSONL stream (plus
+/// a top-K stall-attribution table) and one Kanata pipeline trace, keyed
+/// by the cell id and sub-run label.
 #[derive(Clone, Debug)]
 pub struct ObsPolicy {
     /// Directory receiving `<cell>-<label>.jsonl` telemetry streams and
@@ -183,9 +181,8 @@ fn arm_obs(sim: &mut SimConfig, obs: Option<&ObsPolicy>) {
     }
 }
 
-/// Writes one sub-run's observability artifacts. Best-effort, like
-/// checkpoint emission: a full disk must not kill a healthy simulation,
-/// so I/O failures are swallowed.
+/// Writes one sub-run's observability artifacts. Best-effort: a full disk
+/// must not kill a healthy simulation, so I/O failures are swallowed.
 fn write_obs(obs: Option<&ObsPolicy>, job: &JobSpec, label: &str, res: &SimResult) {
     let Some(obs) = obs else { return };
     let stem = format!("{}-{label}", job.id.replace('/', "-"));
@@ -211,68 +208,14 @@ fn write_obs(obs: Option<&ObsPolicy>, job: &JobSpec, label: &str, res: &SimResul
     }
 }
 
-/// Mid-run checkpointing policy for a cell, derived from
-/// `--checkpoint-interval` and the manifest path.
-#[derive(Clone, Debug)]
-pub struct CheckpointPolicy {
-    /// Directory holding the sweep's checkpoint files.
-    pub dir: PathBuf,
-    /// Approximate cycles between checkpoints (rounded up to the engine's
-    /// cancellation-poll cadence).
-    pub interval: u64,
-    /// Under `--resume`, restore each sub-run from its newest valid
-    /// checkpoint instead of starting at cycle 0.
-    pub resume: bool,
-}
-
-/// Arms one of a cell's simulations with checkpoint emission (and, on
-/// resume, mid-run restore). `label` distinguishes the cell's sub-runs —
-/// their machine states are not interchangeable, so each gets its own
-/// file-name key and spec fingerprint.
-///
-/// Checkpoint writes are best-effort: a full disk must not kill a healthy
-/// simulation, and `newest_valid_checkpoint` already tolerates gaps. The
-/// *restore* path is strict — a directory that cannot be scanned is a
-/// typed [`CrispError::Checkpoint`].
-fn arm_checkpoints(
-    sim: &mut SimConfig,
-    job: &JobSpec,
-    policy: Option<&CheckpointPolicy>,
-    label: &str,
-) -> Result<(), CrispError> {
-    let Some(policy) = policy else {
-        return Ok(());
-    };
-    let key = format!("{}@{label}", job.id);
-    let spec = format!("{} {label}", job.spec);
-    if policy.resume {
-        let found = newest_valid_checkpoint(&policy.dir, &key, &spec)
-            .map_err(|e| CrispError::Checkpoint(e.to_string()))?;
-        if let Some((_, snapshot)) = found {
-            sim.restore = Some(Arc::new(snapshot));
-        }
-    }
-    sim.checkpoint_interval = Some(policy.interval);
-    let dir = policy.dir.clone();
-    sim.checkpoint_sink = Some(CheckpointSink::new(move |snapshot| {
-        let path = dir.join(checkpoint_file_name(&key, snapshot.cycle));
-        let _ = std::fs::create_dir_all(&dir);
-        let _ = write_checkpoint(&path, &spec, snapshot);
-    }));
-    Ok(())
-}
-
-/// What every cell of one sweep shares: its scale, its mid-run
-/// checkpoint and observability policies, and its `--prefetcher`
-/// override.
+/// What every cell of one sweep shares: its scale, its observability
+/// policy, and its `--prefetcher` override.
 #[derive(Clone, Copy, Debug)]
 pub struct CellOptions<'a> {
     /// Simulation scale.
     pub scale: ExperimentScale,
-    /// Mid-run checkpoint/restore, for the cells that drive their
+    /// Telemetry/trace collection, for the cells that drive their
     /// simulations directly (Figure 1).
-    pub ckpt: Option<&'a CheckpointPolicy>,
-    /// Telemetry/trace collection, for the same cells.
     pub obs: Option<&'a ObsPolicy>,
     /// The sweep's data-prefetcher override.
     pub prefetcher: Option<PrefetcherSpec>,
@@ -282,11 +225,9 @@ pub struct CellOptions<'a> {
 ///
 /// `stall` is the chaos-injection hook (`--inject-stall`): it freezes the
 /// scheduler early so the watchdog fires, exercising the deadlock-retry
-/// path end to end. `ckpt` enables mid-run checkpoint/restore and `obs`
-/// enables telemetry/trace collection for the cells that drive their
-/// simulations directly (Figure 1); cells whose simulations run inside
-/// the shared pipeline stages resume at the cell boundary via the
-/// manifest instead.
+/// path end to end. `obs` enables telemetry/trace collection for the
+/// cells that drive their simulations directly (Figure 1). Every cell
+/// resumes at the cell boundary via the manifest.
 ///
 /// # Errors
 ///
@@ -297,14 +238,12 @@ pub fn run_cell(
     ctx: &RunContext,
     scale: ExperimentScale,
     stall: bool,
-    ckpt: Option<&CheckpointPolicy>,
     obs: Option<&ObsPolicy>,
     prefetcher: Option<PrefetcherSpec>,
 ) -> Result<Vec<f64>, CrispError> {
     let memo = StageMemo::new();
     let opts = CellOptions {
         scale,
-        ckpt,
         obs,
         prefetcher,
     };
@@ -363,10 +302,8 @@ pub fn run_cell_in(
 /// ooo_upc[0..k], crisp_upc[0..k]]` (UPC timeline, k buckets).
 ///
 /// The two evaluation simulations are driven directly (never memoized),
-/// so this is the cell that exercises *mid-run* checkpoint/restore: under
-/// a [`CheckpointPolicy`] each sim emits checkpoints keyed by its sub-run
-/// label (`ooo` / `crisp`) and, on resume, continues its workload from
-/// the newest valid one.
+/// so under an [`ObsPolicy`] each writes its own telemetry and trace,
+/// keyed by its sub-run label (`ooo` / `crisp`).
 fn cell_fig1(
     st: &Stages<'_>,
     job: &JobSpec,
@@ -374,7 +311,7 @@ fn cell_fig1(
     cfg: &PipelineConfig,
     opts: &CellOptions<'_>,
 ) -> Result<Vec<f64>, CrispError> {
-    let (ckpt, obs) = (opts.ckpt, opts.obs);
+    let obs = opts.obs;
     let eval = st.trace(name, Input::Ref, cfg.eval_instructions / 2)?;
     let (program, trace) = (&eval.workload.program, &eval.trace);
 
@@ -387,12 +324,10 @@ fn cell_fig1(
     let mut ooo_cfg = sim_cfg
         .clone()
         .with_scheduler(SchedulerKind::OldestReadyFirst);
-    arm_checkpoints(&mut ooo_cfg, job, ckpt, "ooo")?;
     arm_obs(&mut ooo_cfg, obs);
     let ooo = st.simulate(ooo_cfg, program, trace, None)?;
     write_obs(obs, job, "ooo", &ooo);
     let mut crisp_cfg = sim_cfg.with_scheduler(SchedulerKind::Crisp);
-    arm_checkpoints(&mut crisp_cfg, job, ckpt, "crisp")?;
     arm_obs(&mut crisp_cfg, obs);
     let crisp = st.simulate(crisp_cfg, program, trace, Some(pres.map.as_slice()))?;
     write_obs(obs, job, "crisp", &crisp);
@@ -667,20 +602,12 @@ mod tests {
     fn malformed_ids_are_config_errors() {
         let ctx = test_ctx();
         let bad = JobSpec::new("no-slash", "no-slash spec");
-        match run_cell(&bad, &ctx, ExperimentScale::Tiny, false, None, None, None) {
+        match run_cell(&bad, &ctx, ExperimentScale::Tiny, false, None, None) {
             Err(CrispError::Config(_)) => {}
             other => panic!("unexpected: {other:?}"),
         }
         let unknown = JobSpec::new("fig99/mcf", "fig99/mcf spec");
-        match run_cell(
-            &unknown,
-            &ctx,
-            ExperimentScale::Tiny,
-            false,
-            None,
-            None,
-            None,
-        ) {
+        match run_cell(&unknown, &ctx, ExperimentScale::Tiny, false, None, None) {
             Err(CrispError::Config(_)) => {}
             other => panic!("unexpected: {other:?}"),
         }
@@ -690,63 +617,10 @@ mod tests {
     fn stalled_cell_reports_a_deadlock() {
         let ctx = test_ctx();
         let job = cell_spec("fig11", "mcf", ExperimentScale::Tiny);
-        match run_cell(&job, &ctx, ExperimentScale::Tiny, true, None, None, None) {
+        match run_cell(&job, &ctx, ExperimentScale::Tiny, true, None, None) {
             Err(CrispError::Simulation(crisp_sim::SimError::Deadlock(_))) => {}
             other => panic!("expected deadlock, got: {other:?}"),
         }
-    }
-
-    #[test]
-    fn fig1_checkpoints_and_resumes_to_identical_payloads() {
-        let dir = std::env::temp_dir().join("crisp-bench-cells-ckpt");
-        std::fs::remove_dir_all(&dir).ok();
-        let ctx = test_ctx();
-        let job = cell_spec("fig1", "pointer_chase", ExperimentScale::Tiny);
-        let policy = CheckpointPolicy {
-            dir: dir.clone(),
-            interval: 1,
-            resume: false,
-        };
-        let reference = run_cell(
-            &job,
-            &ctx,
-            ExperimentScale::Tiny,
-            false,
-            Some(&policy),
-            None,
-            None,
-        )
-        .expect("first run");
-        let written: Vec<String> = std::fs::read_dir(&dir)
-            .expect("checkpoint dir exists")
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert!(
-            written
-                .iter()
-                .any(|n| n.contains("_ooo") && n.ends_with(".ckpt"))
-                && written.iter().any(|n| n.contains("_crisp")),
-            "both sub-runs checkpoint: {written:?}"
-        );
-
-        // Resuming restores each sim mid-workload from its newest valid
-        // checkpoint; the payload must be byte-identical regardless.
-        let resume = CheckpointPolicy {
-            resume: true,
-            ..policy
-        };
-        let resumed = run_cell(
-            &job,
-            &ctx,
-            ExperimentScale::Tiny,
-            false,
-            Some(&resume),
-            None,
-            None,
-        )
-        .expect("resumed run");
-        assert_eq!(resumed, reference);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -761,16 +635,7 @@ mod tests {
             pipe_trace_dir: Some(dir.join("traces")),
             tracer_capacity: 1 << 14,
         };
-        run_cell(
-            &job,
-            &ctx,
-            ExperimentScale::Tiny,
-            false,
-            None,
-            Some(&obs),
-            None,
-        )
-        .expect("cell run");
+        run_cell(&job, &ctx, ExperimentScale::Tiny, false, Some(&obs), None).expect("cell run");
 
         for label in ["ooo", "crisp"] {
             let stem = format!("fig1-pointer_chase-{label}");

@@ -23,14 +23,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod audit;
 pub mod cells;
 pub mod experiments;
 pub mod render;
 pub mod sweep;
 
-pub use audit::{run_restore_audit, AuditLine};
 pub use experiments::{table1, ExperimentScale};
-pub use sweep::{
-    all_targets, checkpoint_dir, run_supervised_sweep, Chaos, SweepConfig, SweepOutput,
-};
+pub use sweep::{all_targets, run_supervised_sweep, Chaos, SweepConfig, SweepOutput};

@@ -23,7 +23,7 @@ struct CellView<'a> {
     /// for cells with no outcome at all (sweep crashed before they ran).
     failure: Option<(String, u32, String)>,
     /// Structured failure record (deadlock report, panic payload,
-    /// checkpoint diagnostics) persisted in the manifest, if any.
+    /// poisoned-cell forensics) persisted in the manifest, if any.
     detail: Option<&'a Value>,
 }
 

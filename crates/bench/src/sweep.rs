@@ -1,17 +1,17 @@
 //! The supervised sweep: figures × workloads on the crisp-harness
 //! worker pool, with chaos injection for testing the robustness paths.
 
-use crate::cells::{self, CellOptions, CheckpointPolicy, ObsPolicy, CELL_FORMAT, FIGURES};
+use crate::cells::{self, CellOptions, ObsPolicy, CELL_FORMAT, FIGURES};
 use crate::experiments::{table1, ExperimentScale};
 use crate::render::render_figure;
 use crisp_core::{StageCounts, StageMemo};
 use crisp_harness::{
-    run_sweep, EventSink, FailureClass, HarnessError, JobSpec, RetryPolicy, RunContext, RunError,
+    run_sweep, EventSink, HarnessError, JobSpec, RetryPolicy, RunContext, RunError,
     SupervisorOptions, SweepReport, WorkerPool,
 };
 use crisp_obs::json::Value;
 use crisp_sim::{CancelToken, PrefetcherSpec};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -62,14 +62,6 @@ pub struct SweepConfig {
     pub chaos: Chaos,
     /// Emit per-job progress lines on stderr.
     pub progress: bool,
-    /// Mid-run checkpointing: cells that drive simulations directly emit
-    /// an integrity-checked machine snapshot roughly every this many
-    /// cycles into [`checkpoint_dir`] next to the manifest, and `--resume`
-    /// continues them mid-workload. Requires a manifest path.
-    pub checkpoint_interval: Option<u64>,
-    /// Run the checkpoint/restore determinism audit instead of the sweep
-    /// (`--audit-restore`; see [`crate::audit`]).
-    pub audit_restore: bool,
     /// Test hook: simulate a SIGKILL after this many journal records.
     pub crash_after_records: Option<usize>,
     /// `--telemetry DIR`: cells that drive simulations directly write one
@@ -95,11 +87,11 @@ pub struct SweepConfig {
     pub cell_delay: Option<Duration>,
     /// `--workers N` on `crisp-serve`: dispatch every computed cell to
     /// this multi-process [`WorkerPool`] instead of simulating in-process.
-    /// Workers inherit `cell_delay` and the chaos stall flags; mid-cell
-    /// checkpoints and telemetry sinks are in-process features and are
-    /// skipped (the pool's unit of recovery is the whole cell). In pool
-    /// mode `chaos.panic_once` aborts the worker process on *every*
-    /// attempt, exercising the poison-quarantine path.
+    /// Workers inherit `cell_delay` and the chaos stall flags; telemetry
+    /// sinks are an in-process feature and are skipped (the pool's unit
+    /// of recovery is the whole cell). In pool mode `chaos.panic_once`
+    /// aborts the worker process on *every* attempt, exercising the
+    /// poison-quarantine path.
     pub pool: Option<Arc<WorkerPool>>,
     /// Live event sink threaded into the supervisor (cell started /
     /// heartbeat / retry / degraded / done), feeding `GET /jobs/ID/events`.
@@ -124,8 +116,6 @@ impl Default for SweepConfig {
             resume: false,
             chaos: Chaos::default(),
             progress: false,
-            checkpoint_interval: None,
-            audit_restore: false,
             crash_after_records: None,
             telemetry: None,
             pipe_trace: None,
@@ -138,15 +128,6 @@ impl Default for SweepConfig {
             spans: None,
         }
     }
-}
-
-/// Where a sweep journaling to `manifest` keeps its checkpoint files: a
-/// sibling directory, so `--resume <manifest>` finds both halves of the
-/// crash state without extra flags.
-pub fn checkpoint_dir(manifest: &Path) -> PathBuf {
-    let mut name = manifest.file_name().unwrap_or_default().to_os_string();
-    name.push(".ckpt.d");
-    manifest.with_file_name(name)
 }
 
 /// Every target, in canonical render order (`table1` first).
@@ -192,15 +173,6 @@ impl SweepOutput {
     /// Whether the sweep completed but with failed cells (exit code 6).
     pub fn degraded(&self) -> bool {
         !self.report.crashed && self.report.degraded()
-    }
-
-    /// Whether any permanent failure was checkpoint-class — torn/
-    /// mismatched checkpoint state that no retry can fix (exit code 7).
-    pub fn checkpoint_failures(&self) -> bool {
-        self.report
-            .taxonomy()
-            .iter()
-            .any(|(class, _)| *class == FailureClass::Checkpoint)
     }
 }
 
@@ -250,13 +222,6 @@ pub fn run_supervised_sweep(cfg: &SweepConfig) -> Result<SweepOutput, HarnessErr
     let chaos = cfg.chaos.clone();
     let scale = cfg.scale;
     let pool = cfg.pool.clone();
-    let ckpt = cfg.checkpoint_interval.and_then(|interval| {
-        cfg.manifest.as_ref().map(|m| CheckpointPolicy {
-            dir: checkpoint_dir(m),
-            interval,
-            resume: cfg.resume,
-        })
-    });
     let obs = (cfg.telemetry.is_some() || cfg.pipe_trace.is_some()).then(|| ObsPolicy {
         telemetry_dir: cfg.telemetry.clone(),
         pipe_trace_dir: cfg.pipe_trace.clone(),
@@ -267,7 +232,6 @@ pub fn run_supervised_sweep(cfg: &SweepConfig) -> Result<SweepOutput, HarnessErr
     let prefetcher = cfg.prefetcher;
     let cell_opts = CellOptions {
         scale,
-        ckpt: ckpt.as_ref(),
         obs: obs.as_ref(),
         prefetcher,
     };
@@ -390,14 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_dir_is_a_manifest_sibling() {
-        assert_eq!(
-            checkpoint_dir(Path::new("/runs/sweep.jsonl")),
-            PathBuf::from("/runs/sweep.jsonl.ckpt.d")
-        );
-    }
-
-    #[test]
     fn sweep_spec_pins_scale_targets_and_filter() {
         let a = sweep_spec(&tiny_cfg());
         assert!(
@@ -457,7 +413,7 @@ mod tests {
             lease: crisp_harness::LeaseGuard::default(),
         };
         let fig4_lbm = cells::cell_spec("fig4", "lbm", ExperimentScale::Tiny);
-        let alone = cells::run_cell(&fig4_lbm, &ctx, cfg.scale, false, None, None, None)
+        let alone = cells::run_cell(&fig4_lbm, &ctx, cfg.scale, false, None, None)
             .expect("fig4/lbm runs alone");
         assert_eq!(out.report.payload("fig4/lbm"), Some(&alone[..]));
         assert!(

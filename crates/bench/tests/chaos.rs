@@ -1,12 +1,12 @@
 //! Crash-chaos integration tests: SIGKILL the real `crisp-bench` binary
-//! mid-sweep, resume from its manifest (and checkpoints), and require the
-//! resumed run to print byte-identical tables to an uninterrupted one.
+//! mid-sweep, resume from its manifest, and require the resumed run to
+//! print byte-identical tables to an uninterrupted one.
 //!
 //! These drive the actual binary (`CARGO_BIN_EXE_crisp-bench`), not the
 //! library, so the whole chain is exercised: argument parsing, the
-//! supervisor's journal, checkpoint files on disk, crash debris handling
-//! and the renderer. The kill is a real SIGKILL — no destructors, no
-//! flushes — exactly the failure the checkpoint layer exists for.
+//! supervisor's journal, crash debris handling and the renderer. The kill
+//! is a real SIGKILL — no destructors, no flushes — exactly the failure
+//! the manifest exists for.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -61,17 +61,6 @@ fn manifest_lines(path: &Path) -> usize {
         .unwrap_or(0)
 }
 
-fn ckpt_files(dir: &Path) -> usize {
-    std::fs::read_dir(dir)
-        .map(|entries| {
-            entries
-                .filter_map(Result::ok)
-                .filter(|e| e.file_name().to_string_lossy().ends_with(".ckpt"))
-                .count()
-        })
-        .unwrap_or(0)
-}
-
 /// SIGKILL between cells: the journal alone must carry the resume.
 #[test]
 fn sigkill_mid_sweep_then_resume_reproduces_identical_tables() {
@@ -116,96 +105,89 @@ fn sigkill_mid_sweep_then_resume_reproduces_identical_tables() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// SIGKILL *inside* a cell with checkpointing enabled: the resumed run
-/// restores the newest valid checkpoint and continues mid-workload.
+/// SIGKILL *inside* a cell: the manifest holds the header but no attempt
+/// of the cell, so `--resume` recomputes the cell from its start and
+/// still renders byte-identical tables.
 #[test]
-fn sigkill_mid_cell_resumes_from_checkpoints() {
-    let dir = temp_dir("checkpoint");
+fn sigkill_mid_cell_recomputes_the_cell_on_resume() {
+    let dir = temp_dir("mid-cell");
     let reference_manifest = dir.join("reference.jsonl");
     let victim_manifest = dir.join("victim.jsonl");
-    let victim_ckpt_dir = dir.join("victim.jsonl.ckpt.d");
-    let base = ["--tiny", "--quiet", "--checkpoint-interval", "2000", "fig1"];
+    let base = ["--tiny", "--quiet", "fig1"];
 
     let mut ref_args = base.to_vec();
     ref_args.extend(["--manifest", reference_manifest.to_str().unwrap()]);
     let reference = run_to_completion(&ref_args);
     assert!(reference.contains("Figure 1"), "{reference}");
-    assert!(
-        ckpt_files(&dir.join("reference.jsonl.ckpt.d")) >= 1,
-        "the uninterrupted run wrote checkpoints too"
-    );
 
-    // Checkpoint files appear while the cell is still running, so waiting
-    // for one and killing lands the SIGKILL mid-cell (if the machine is so
-    // fast the run finished first, the kill is a no-op and the resume path
-    // degenerates to a full-manifest restore — the assertion still holds).
+    // The victim idles 5 s at the start of its one cell, so a kill once
+    // the manifest header is complete lands inside the cell.
     let mut victim_args = base.to_vec();
+    victim_args.extend(["--cell-delay-ms", "5000"]);
     victim_args.extend(["--manifest", victim_manifest.to_str().unwrap()]);
     let mut child = spawn_victim(&victim_args);
-    wait_for(
-        &mut child,
-        || ckpt_files(&victim_ckpt_dir) >= 1,
-        Duration::from_secs(120),
+    let header_written =
+        || std::fs::read_to_string(&victim_manifest).is_ok_and(|s| s.ends_with('\n'));
+    wait_for(&mut child, header_written, Duration::from_secs(120));
+    assert!(
+        child.try_wait().expect("try_wait").is_none(),
+        "the victim exited before the kill"
     );
     let _ = child.kill();
     let _ = child.wait();
-
-    let mut resume_args = base.to_vec();
-    resume_args.extend(["--resume", victim_manifest.to_str().unwrap()]);
-    let resumed = run_to_completion(&resume_args);
     assert_eq!(
-        resumed, reference,
-        "a run resumed from mid-cell checkpoints must render byte-identical tables"
+        manifest_lines(&victim_manifest),
+        1,
+        "the kill landed before the cell journaled an attempt"
+    );
+
+    let out = Command::new(BIN)
+        .args(base)
+        .args(["--resume", victim_manifest.to_str().unwrap()])
+        .output()
+        .expect("spawn crisp-bench");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "resume failed: {}\n{stderr}",
+        out.status
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        reference,
+        "a cell recomputed on resume must render byte-identical tables"
+    );
+    assert!(
+        stderr.contains("(0 restored from manifest)"),
+        "the killed cell must be recomputed, not restored: {stderr}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `--audit-restore` is the end-to-end determinism proof the tests above
-/// rely on; run it through the binary at tiny scale.
+/// Flag validation: a flag a binary cannot honour is a usage error (exit
+/// 2, the reason on stderr), never a silent no-op, a panic or a
+/// wrapped-around number. The rows: the removed mid-run checkpoint flags,
+/// so an old script fails loudly instead of running without what it asked
+/// for; deadlines and ages beyond `Duration`'s range; and a pipeview
+/// window whose end overflows `u64`.
 #[test]
-fn audit_restore_mode_passes_at_tiny_scale() {
-    let out = Command::new(BIN)
-        .args([
-            "--tiny",
-            "--quiet",
-            "--audit-restore",
-            "--checkpoint-interval",
-            "10000",
-            "--workloads",
-            "pointer_chase,mcf,lbm",
-        ])
-        .output()
-        .expect("spawn crisp-bench");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "audit failed: {}\n{}",
-        String::from_utf8_lossy(&out.stderr),
-        stdout
-    );
-    assert!(stdout.contains("PASS"), "{stdout}");
-    for w in ["pointer_chase", "mcf", "lbm"] {
-        assert!(stdout.contains(w), "audit must cover {w}: {stdout}");
-    }
-}
-
-/// Flag validation: a flag value a binary cannot honour is a usage
-/// error (exit 2, the reason on stderr), never a silent no-op, a panic
-/// or a wrapped-around number. The rows: checkpointing without a
-/// manifest, deadlines and ages beyond `Duration`'s range, and a
-/// pipeview window whose end overflows `u64`.
-#[test]
-fn checkpoint_interval_without_manifest_is_a_usage_error() {
+fn flags_a_binary_cannot_honour_are_usage_errors() {
     const CRISP_BIN: &str = env!("CARGO_BIN_EXE_crisp");
     const SERVE_BIN: &str = env!("CARGO_BIN_EXE_crisp-serve");
     let dir = temp_dir("usage");
     let (data, store) = (dir.join("data"), dir.join("store"));
     let (data, store) = (data.to_str().unwrap(), store.to_str().unwrap());
-    let rows: [(&str, &[&str], &str); 5] = [
+    let rows: [(&str, &[&str], &str); 7] = [
         (
             BIN,
             &["--tiny", "--checkpoint-interval", "2000", "fig1"],
-            "requires --manifest",
+            "unknown flag",
+        ),
+        (BIN, &["--tiny", "--audit-restore"], "unknown flag"),
+        (
+            SERVE_BIN,
+            &["--data", data, "--checkpoint-interval", "2000"],
+            "unknown flag",
         ),
         (
             BIN,

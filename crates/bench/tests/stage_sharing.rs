@@ -101,7 +101,7 @@ fn every_cell_alone_matches_its_shared_run() {
     let out = run(&sweep(&CELL_FIGURES, 2));
     for figure in CELL_FIGURES {
         let job = cell_spec_pf(figure, "mcf", ExperimentScale::Tiny, None);
-        let alone = cells::run_cell(&job, &ctx(), ExperimentScale::Tiny, false, None, None, None)
+        let alone = cells::run_cell(&job, &ctx(), ExperimentScale::Tiny, false, None, None)
             .unwrap_or_else(|e| panic!("{}: {e}", job.id));
         let alone: Vec<u64> = alone.iter().map(|x| x.to_bits()).collect();
         assert_eq!(alone, payload(&out, &job.id), "{}", job.id);

@@ -21,9 +21,6 @@ pub enum CrispError {
     Simulation(SimError),
     /// The annotation stage produced an unusable criticality map.
     Annotation(String),
-    /// A checkpoint could not be written, read or restored (torn file,
-    /// fingerprint/version mismatch, or a snapshot that fails to apply).
-    Checkpoint(String),
 }
 
 impl fmt::Display for CrispError {
@@ -34,7 +31,6 @@ impl fmt::Display for CrispError {
             CrispError::Emulation(e) => write!(f, "emulation failed: {e}"),
             CrispError::Simulation(e) => write!(f, "simulation failed: {e}"),
             CrispError::Annotation(m) => write!(f, "annotation failed: {m}"),
-            CrispError::Checkpoint(m) => write!(f, "checkpoint failed: {m}"),
         }
     }
 }

@@ -21,8 +21,7 @@
 //! A [`StageMemo`] holds the program-sized results a sweep shares: its
 //! cells each get a [`Stages`] handle, which adds the trace-sized
 //! results of that one cell. Sweep-scoped stages are single-flight (see
-//! [`crate::memo`]). A simulation whose config carries a checkpoint sink
-//! or a restore snapshot is never memoized.
+//! [`crate::memo`]).
 
 use crate::error::CrispError;
 use crate::memo::{Served, Table};
@@ -413,22 +412,6 @@ impl<'m> Stages<'m> {
         Ok(value)
     }
 
-    /// A simulation stage: memoized in `table` unless `sim` checkpoints
-    /// or restores, whose runs have effects beyond their result.
-    fn get_sim(
-        &self,
-        kind: StageKind,
-        table: &Table<SimResult>,
-        key: String,
-        sim: &SimConfig,
-        compute: impl FnOnce() -> Result<SimResult, CrispError>,
-    ) -> Result<Arc<SimResult>, CrispError> {
-        if sim.checkpoint_sink.is_some() || sim.restore.is_some() {
-            return self.get(kind, &Table::default(), key, compute);
-        }
-        self.get(kind, table, key, compute)
-    }
-
     /// Runs one simulation, counted in the sweep's simulations and never
     /// memoized (the stages call it for what they compute).
     ///
@@ -495,16 +478,10 @@ impl<'m> Stages<'m> {
 
     fn profile(&self, train: Window, sim: &SimConfig) -> Result<Profiled, CrispError> {
         let key = format!("{train:?} {}", sim_key(sim));
-        let result = self.get_sim(
-            StageKind::Profile,
-            &self.memo.profile,
-            key.clone(),
-            sim,
-            || {
-                let t = self.traced(train)?;
-                self.simulate(sim.clone(), &t.workload.program, &t.trace, None)
-            },
-        )?;
+        let result = self.get(StageKind::Profile, &self.memo.profile, key.clone(), || {
+            let t = self.traced(train)?;
+            self.simulate(sim.clone(), &t.workload.program, &t.trace, None)
+        })?;
         Ok(Profiled {
             key,
             result,
@@ -654,7 +631,7 @@ impl<'m> Stages<'m> {
         map: Option<&[bool]>,
     ) -> Result<Arc<SimResult>, CrispError> {
         let key = format!("{eval:?} {} {}", sim_key(sim), bits_key(map));
-        self.get_sim(StageKind::Eval, &self.memo.eval, key, sim, || {
+        self.get(StageKind::Eval, &self.memo.eval, key, || {
             let t = self.traced(eval)?;
             let program = &t.workload.program;
             // The annotation was built for this very binary, so a length

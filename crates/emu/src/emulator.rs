@@ -73,10 +73,6 @@ pub struct Emulator<'p> {
     page_budget: Option<usize>,
 }
 
-// The program text is not captured: a restore target must be constructed
-// over the same program.
-crisp_words::fields! { Emulator<'_> { pc, halted, retired, regs, mem } }
-
 impl<'p> Emulator<'p> {
     /// Creates an emulator at the program entry with the given initial
     /// memory image and zeroed registers.
@@ -346,7 +342,6 @@ impl<'p> Emulator<'p> {
 mod tests {
     use super::*;
     use crisp_isa::{Cond, ProgramBuilder};
-    use crisp_words::Snapshot;
 
     fn r(i: u8) -> Reg {
         Reg::new(i)
@@ -576,52 +571,6 @@ mod tests {
         let mut emu = Emulator::new(&p, Memory::new()).with_page_budget(1);
         let (_, stop) = emu.try_run(100).unwrap();
         assert_eq!(stop, StopReason::Halted);
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_mid_run() {
-        let mut b = ProgramBuilder::new();
-        b.li(r(1), 0x1000);
-        b.li(r(2), 0);
-        b.li(r(3), 8);
-        let top = b.label();
-        b.bind(top);
-        b.load(r(4), r(1), 0, 8);
-        b.alu_rr(AluOp::Add, r(2), r(2), r(4));
-        b.alu_ri(AluOp::Add, r(1), r(1), 8);
-        b.alu_ri(AluOp::Sub, r(3), r(3), 1);
-        b.branch(Cond::Ne, r(3), Reg::ZERO, top);
-        b.halt();
-        let p = b.build();
-        let mut mem = Memory::new();
-        mem.write_u64_slice(0x1000, &[1, 2, 3, 4, 5, 6, 7, 8]);
-
-        // Straight-through reference.
-        let mut reference = Emulator::new(&p, mem.clone());
-        reference.run(10_000);
-
-        // Run half-way, snapshot, restore into a fresh emulator, finish.
-        let mut first = Emulator::new(&p, mem);
-        first.run(20);
-        let words = first.snapshot_words();
-        let mut second = Emulator::new(&p, Memory::new());
-        second.restore_words(&words).unwrap();
-        assert_eq!(second.retired(), 20);
-        second.run(10_000);
-
-        assert_eq!(second.reg(r(2)), reference.reg(r(2)));
-        assert_eq!(second.retired(), reference.retired());
-        assert_eq!(second.snapshot_words(), reference.snapshot_words());
-    }
-
-    #[test]
-    fn snapshot_rejects_garbage() {
-        let mut b = ProgramBuilder::new();
-        b.halt();
-        let p = b.build();
-        let mut emu = Emulator::new(&p, Memory::new());
-        assert!(emu.restore_words(&[]).is_err());
-        assert!(emu.restore_words(&[u64::MAX; 40]).is_err());
     }
 
     #[test]

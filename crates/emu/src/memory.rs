@@ -1,4 +1,3 @@
-use crisp_words::{Reader, Snapshot};
 use std::collections::HashMap;
 
 const PAGE_SHIFT: u64 = 12;
@@ -23,40 +22,6 @@ const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 #[derive(Clone, Debug, Default)]
 pub struct Memory {
     pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
-}
-
-/// `[page_count, (page_index, 512 data words)...]`, pages in ascending
-/// index order so the encoding does not depend on hash-map iteration
-/// order.
-impl Snapshot for Memory {
-    fn put(&self, out: &mut Vec<u64>) {
-        let mut keys: Vec<u64> = self.pages.keys().copied().collect();
-        keys.sort_unstable();
-        out.push(keys.len() as u64);
-        for k in keys {
-            out.push(k);
-            let page = self.pages[&k].chunks_exact(8);
-            out.extend(page.map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))));
-        }
-    }
-
-    fn take(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
-        let n = r.count()?;
-        self.pages.clear();
-        for _ in 0..n {
-            let idx = r.u64()?;
-            let mut words = [0u64; PAGE_SIZE / 8];
-            words.take(r)?;
-            let mut page = Box::new([0u8; PAGE_SIZE]);
-            for (bytes, w) in page.chunks_exact_mut(8).zip(words) {
-                bytes.copy_from_slice(&w.to_le_bytes());
-            }
-            if self.pages.insert(idx, page).is_some() {
-                return Err(format!("duplicate page {idx:#x}"));
-            }
-        }
-        Ok(())
-    }
 }
 
 impl Memory {
@@ -217,43 +182,5 @@ mod tests {
     #[should_panic(expected = "bad write width")]
     fn oversized_write_panics() {
         Memory::new().write(0, 0, 9);
-    }
-
-    #[test]
-    fn snapshot_round_trip_is_byte_identical() {
-        let mut m = Memory::new();
-        m.write_u64(0x1000, 0xDEAD);
-        m.write_u64(0x9_F000, 0xBEEF);
-        m.write_u8(0x42, 7);
-        let words = m.snapshot_words();
-        let mut n = Memory::new();
-        n.restore_words(&words).unwrap();
-        assert_eq!(n.read_u64(0x1000), 0xDEAD);
-        assert_eq!(n.read_u64(0x9_F000), 0xBEEF);
-        assert_eq!(n.read_u8(0x42), 7);
-        assert_eq!(n.snapshot_words(), words);
-    }
-
-    #[test]
-    fn restore_replaces_existing_contents() {
-        let mut src = Memory::new();
-        src.write_u64(0x2000, 11);
-        let words = src.snapshot_words();
-        let mut dst = Memory::new();
-        dst.write_u64(0x7000, 99);
-        dst.restore_words(&words).unwrap();
-        assert_eq!(dst.read_u64(0x7000), 0, "stale page must be dropped");
-        assert_eq!(dst.read_u64(0x2000), 11);
-        assert_eq!(dst.page_count(), 1);
-    }
-
-    #[test]
-    fn truncated_snapshot_is_rejected() {
-        let mut m = Memory::new();
-        m.write_u64(0x1000, 1);
-        let mut words = m.snapshot_words();
-        words.truncate(words.len() - 1);
-        assert!(Memory::new().restore_words(&words).is_err());
-        assert!(Memory::new().restore_words(&[]).is_err());
     }
 }

@@ -31,10 +31,6 @@ pub enum FailureClass {
     Config,
     /// The workload name is not registered.
     UnknownWorkload,
-    /// A checkpoint failed integrity or compatibility checks (torn file,
-    /// fingerprint/version mismatch, restore rejection). Deterministic:
-    /// retrying would re-read the same bytes, so it fails fast.
-    Checkpoint,
     /// A pool worker process died mid-cell (SIGKILL/SIGSEGV/OOM, frame
     /// corruption, or a missed lease heartbeat). Transient from the
     /// cell's point of view — the next attempt runs on a fresh worker.
@@ -70,7 +66,6 @@ impl FailureClass {
             FailureClass::CycleBudget => "cycle-budget",
             FailureClass::Config => "config",
             FailureClass::UnknownWorkload => "unknown-workload",
-            FailureClass::Checkpoint => "checkpoint",
             FailureClass::WorkerCrash => "worker-crash",
             FailureClass::Poisoned => "poisoned",
             FailureClass::Runtime => "runtime",
@@ -87,7 +82,6 @@ impl FailureClass {
             "cycle-budget" => FailureClass::CycleBudget,
             "config" => FailureClass::Config,
             "unknown-workload" => FailureClass::UnknownWorkload,
-            "checkpoint" => FailureClass::Checkpoint,
             "worker-crash" => FailureClass::WorkerCrash,
             "poisoned" => FailureClass::Poisoned,
             "runtime" => FailureClass::Runtime,
@@ -99,11 +93,9 @@ impl FailureClass {
     pub fn classify(e: &CrispError) -> FailureClass {
         match e {
             CrispError::UnknownWorkload(_) => FailureClass::UnknownWorkload,
-            CrispError::Checkpoint(_) => FailureClass::Checkpoint,
             CrispError::Config(_) => FailureClass::Config,
             CrispError::Simulation(sim) => match sim {
                 SimError::Deadlock(_) => FailureClass::Deadlock,
-                SimError::SnapshotRestore { .. } => FailureClass::Checkpoint,
                 SimError::DeadlineExceeded { .. } => FailureClass::Timeout,
                 SimError::Cancelled { .. } => FailureClass::Cancelled,
                 SimError::CycleBudgetExhausted { .. } => FailureClass::CycleBudget,
@@ -139,7 +131,6 @@ mod tests {
             FailureClass::CycleBudget,
             FailureClass::Config,
             FailureClass::UnknownWorkload,
-            FailureClass::Checkpoint,
             FailureClass::Poisoned,
             FailureClass::Runtime,
         ];
@@ -161,7 +152,6 @@ mod tests {
             FailureClass::CycleBudget,
             FailureClass::Config,
             FailureClass::UnknownWorkload,
-            FailureClass::Checkpoint,
             FailureClass::WorkerCrash,
             FailureClass::Poisoned,
             FailureClass::Runtime,
@@ -200,17 +190,6 @@ mod tests {
         assert_eq!(
             FailureClass::classify(&CrispError::Annotation("empty map".into())),
             FailureClass::Runtime
-        );
-        assert_eq!(
-            FailureClass::classify(&CrispError::Checkpoint("torn file".into())),
-            FailureClass::Checkpoint
-        );
-        assert_eq!(
-            FailureClass::classify(&CrispError::Simulation(SimError::SnapshotRestore {
-                section: "engine".into(),
-                message: "truncated".into()
-            })),
-            FailureClass::Checkpoint
         );
     }
 }

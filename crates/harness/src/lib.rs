@@ -18,9 +18,6 @@
 //!   protocol, with crash containment, lease-period liveness,
 //!   poison-cell quarantine and version-skew refusal;
 //! - [`journal`] — the JSONL manifest format and tolerant loader;
-//! - [`checkpoint`] — the versioned, CRC-checked binary container for
-//!   mid-run simulator snapshots (atomic write-rename, torn-file
-//!   detection, config fingerprinting);
 //! - [`retry`] — the backoff schedule;
 //! - [`class`] — the failure taxonomy (retryable vs fatal);
 //! - [`spanlog`] — the cross-process span log (`spans.jsonl`) every
@@ -46,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod class;
 pub mod journal;
 pub mod pool;
@@ -55,10 +51,6 @@ pub mod spanlog;
 pub mod store;
 pub mod supervisor;
 
-pub use checkpoint::{
-    checkpoint_file_name, newest_valid_checkpoint, read_checkpoint, write_checkpoint,
-    CheckpointError, CHECKPOINT_VERSION,
-};
 pub use class::FailureClass;
 /// The JSON codec, re-exported from `crisp-obs` for callers that name
 /// it through this crate.

@@ -425,9 +425,9 @@ struct Pending {
     ready_at: Instant,
 }
 
-/// Structured detail for a failed attempt: deadlock reports and
-/// checkpoint failures carry machine-readable fields into the manifest so
-/// a DEGRADED table can cite the failure, not just name it.
+/// Structured detail for a failed attempt: a deadlock report carries
+/// machine-readable fields into the manifest so a DEGRADED table can cite
+/// the failure, not just name it.
 pub fn failure_detail(e: &CrispError) -> Option<Value> {
     match e {
         CrispError::Simulation(crisp_sim::SimError::Deadlock(r)) => {
@@ -476,17 +476,6 @@ pub fn failure_detail(e: &CrispError) -> Option<Value> {
             }
             Some(Value::Obj(pairs))
         }
-        CrispError::Simulation(crisp_sim::SimError::SnapshotRestore { section, message }) => {
-            Some(Value::Obj(vec![
-                ("kind".to_string(), Value::Str("checkpoint".into())),
-                ("section".to_string(), Value::Str(section.clone())),
-                ("message".to_string(), Value::Str(message.clone())),
-            ]))
-        }
-        CrispError::Checkpoint(m) => Some(Value::Obj(vec![
-            ("kind".to_string(), Value::Str("checkpoint".into())),
-            ("message".to_string(), Value::Str(m.clone())),
-        ])),
         _ => None,
     }
 }
@@ -1501,14 +1490,6 @@ mod tests {
         let decoded = AttemptRecord::decode(&rec.encode()).unwrap();
         assert_eq!(decoded, rec);
 
-        assert_eq!(
-            failure_detail(&CrispError::Checkpoint("torn".into()))
-                .unwrap()
-                .get("kind")
-                .unwrap()
-                .as_str(),
-            Some("checkpoint")
-        );
         assert_eq!(failure_detail(&CrispError::Annotation("x".into())), None);
     }
 

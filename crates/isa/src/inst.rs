@@ -30,10 +30,9 @@ impl MemWidth {
 
 /// Control-transfer kind, used by the branch-target buffer and the
 /// return-address stack.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CtrlKind {
     /// Conditional direct branch.
-    #[default]
     CondBranch,
     /// Unconditional direct jump.
     Jump,

@@ -5,10 +5,9 @@ use std::fmt;
 /// Port counts come from Table 1 of the paper: 4 ALU, 2 load, 1 store.
 /// Long-latency arithmetic (`Mul`, `Div`, floating point) shares the ALU
 /// ports, as on Skylake, but with their own latencies.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FuClass {
     /// Simple and complex arithmetic, branches.
-    #[default]
     Alu,
     /// Load-port operations (address generation + cache access).
     Load,

@@ -137,7 +137,7 @@ pub struct FillOutcome {
     pub evicted_unused_prefetch: Option<u8>,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 struct Way {
     tag: u64,
     stamp: u64,
@@ -150,26 +150,6 @@ struct Way {
 crisp_words::fields! { CacheStats {
     accesses, misses, prefetch_fills, prefetch_hits, prefetch_probes, prefetch_misses
 } }
-
-/// Tag, stamp, then the valid bit and prefetch source packed in one word.
-impl crisp_words::Snapshot for Way {
-    fn put(&self, out: &mut Vec<u64>) {
-        out.extend([
-            self.tag,
-            self.stamp,
-            u64::from(self.valid) | u64::from(self.pf) << 1,
-        ]);
-    }
-
-    fn take(&mut self, r: &mut crisp_words::Reader<'_>) -> Result<(), String> {
-        self.tag = r.u64()?;
-        self.stamp = r.u64()?;
-        let flags = r.u64()?;
-        self.valid = flags & 1 != 0;
-        self.pf = u8::try_from(flags >> 1).map_err(|_| format!("bad way flags {flags}"))?;
-        Ok(())
-    }
-}
 
 /// A set-associative cache with true-LRU replacement.
 ///
@@ -195,15 +175,6 @@ pub struct Cache {
     stamp: u64,
     stats: CacheStats,
 }
-
-// The geometry (set and way counts) comes from the configuration; the
-// set count is echoed and checked, the per-set fill is bounded below.
-crisp_words::fields! { Cache { stamp, stats, sets as lists } check |c| {
-    match c.sets.iter().find(|set| set.len() > c.ways) {
-        Some(set) => Err(format!("{} ways in a set, expected at most {}", set.len(), c.ways)),
-        None => Ok(()),
-    }
-} }
 
 impl Cache {
     /// Builds a cache from its geometry.
@@ -370,7 +341,6 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crisp_words::Snapshot;
 
     fn small() -> Cache {
         // 4 sets x 2 ways.
@@ -464,22 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trip_preserves_lru_and_stats() {
-        let mut c = small();
-        c.fill(0, false);
-        c.fill(4, true);
-        c.access(0);
-        c.invalidate(4);
-        let words = c.snapshot_words();
-        let mut d = small();
-        d.restore_words(&words).unwrap();
-        assert_eq!(d.snapshot_words(), words);
-        assert_eq!(d.stats(), c.stats());
-        // Replacement behaviour continues identically in both copies.
-        assert_eq!(c.fill(8, false), d.fill(8, false));
-    }
-
-    #[test]
     fn tagged_fill_reports_source_on_demand_hit() {
         let mut c = small();
         c.fill_pf(3, 2);
@@ -528,29 +482,5 @@ mod tests {
         assert_eq!(c.claim_prefetch(5), None);
         assert_eq!(c.stats().prefetch_hits, 1);
         assert_eq!(c.claim_prefetch(100), None, "absent line claims nothing");
-    }
-
-    #[test]
-    fn snapshot_preserves_source_tags() {
-        let mut c = small();
-        c.fill_pf(0, 2);
-        c.fill_pf(4, PF_OTHER);
-        c.access_prefetch(4);
-        let words = c.snapshot_words();
-        let mut d = small();
-        d.restore_words(&words).unwrap();
-        assert_eq!(d.snapshot_words(), words);
-        assert_eq!(d.access_pf(0).prefetch_src, Some(2));
-        assert_eq!(d.access_pf(4).prefetch_src, Some(PF_OTHER));
-    }
-
-    #[test]
-    fn snapshot_geometry_mismatch_rejected() {
-        let c = small();
-        let words = c.snapshot_words();
-        let mut other = Cache::new(CacheConfig::new(16 * 64, 2, 64));
-        assert!(other.restore_words(&words).is_err());
-        let mut same = small();
-        assert!(same.restore_words(&words[..3]).is_err(), "truncated");
     }
 }

@@ -78,7 +78,6 @@ struct Bank {
 }
 
 crisp_words::fields! { DramStats { requests, row_hits, row_misses, row_conflicts, total_latency } }
-crisp_words::fields! { Bank { open_row, next_free } }
 
 /// A banked, open-page DDR4 channel model (the Ramulator substitute).
 ///
@@ -105,8 +104,6 @@ pub struct Dram {
     bus_free: u64,
     stats: DramStats,
 }
-
-crisp_words::fields! { Dram { bus_free, stats, banks } }
 
 impl Dram {
     /// Creates the channel model.
@@ -185,7 +182,6 @@ impl Dram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crisp_words::Snapshot;
 
     fn lat(dram: &mut Dram, addr: u64, now: u64) -> u64 {
         dram.request(addr, now) - now
@@ -276,30 +272,5 @@ mod tests {
             banks: 12,
             ..DramConfig::default()
         });
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_timing() {
-        let mut d = Dram::new(DramConfig::default());
-        d.request(0, 0);
-        d.request(8192, 5);
-        let words = d.snapshot_words();
-        let mut e = Dram::new(DramConfig::default());
-        e.restore_words(&words).unwrap();
-        assert_eq!(e.snapshot_words(), words);
-        // Future requests see identical bank/bus state.
-        assert_eq!(d.request(64, 100), e.request(64, 100));
-        assert_eq!(d.stats(), e.stats());
-    }
-
-    #[test]
-    fn snapshot_bank_mismatch_rejected() {
-        let d = Dram::new(DramConfig::default());
-        let words = d.snapshot_words();
-        let mut other = Dram::new(DramConfig {
-            banks: 8,
-            ..DramConfig::default()
-        });
-        assert!(other.restore_words(&words).is_err());
     }
 }

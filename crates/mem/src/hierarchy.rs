@@ -4,7 +4,6 @@ use crate::{
     line_of, Cache, CacheConfig, CacheStats, Dram, DramConfig, DramStats, Prefetcher,
     PrefetcherRegistry, PrefetcherSpec, LINE_BYTES, PF_OTHER,
 };
-use crisp_words::{section, Reader, Snapshot};
 use std::collections::HashMap;
 
 /// Which level served an access.
@@ -17,8 +16,6 @@ pub enum HitLevel {
     /// Served by DRAM (an LLC miss).
     Dram,
 }
-
-crisp_words::codes! { HitLevel { L1 = 0, Llc = 1, Dram = 2 } }
 
 /// The outcome of one memory access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -188,35 +185,6 @@ impl MemStats {
     }
 }
 
-/// FNV-1a over a unit name, used as a snapshot consistency check so a
-/// checkpoint cannot silently restore into a differently-specced zoo.
-fn name_hash(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// A configured unit: its name hash, then its state as a section.
-impl Snapshot for Box<dyn Prefetcher> {
-    fn put(&self, out: &mut Vec<u64>) {
-        out.push(name_hash(self.name()));
-        section::put(&**self, out);
-    }
-
-    fn take(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
-        if r.u64()? != name_hash(self.name()) {
-            return Err(format!(
-                "unit is not `{}` (selection mismatch)",
-                self.name()
-            ));
-        }
-        section::take(&mut **self, r)
-    }
-}
-
 /// An MSHR-style in-flight fill: completion cycle, the level the miss
 /// went to, and the prefetch source tag (0 = demand fill).
 type InflightFill = (u64, HitLevel, u8);
@@ -251,13 +219,6 @@ pub struct MemoryHierarchy {
     load_merges: u64,
     prefetches_issued: u64,
 }
-
-// The MSHR map is emitted sorted by line, so the encoding does not depend
-// on hash-map iteration order.
-crisp_words::fields! { MemoryHierarchy {
-    loads, stores, fetches, load_llc_misses, load_merges, prefetches_issued, l1i as section,
-    l1d as section, llc as section, dram as section, prefetchers, effects, inflight as map
-} }
 
 impl MemoryHierarchy {
     /// Builds the hierarchy from a configuration, resolving the
@@ -841,63 +802,6 @@ mod tests {
         assert_eq!(s.l1d.accesses, 2);
         assert_eq!(s.l1i.accesses, 1);
         assert!(s.dram.requests >= 3);
-    }
-
-    #[test]
-    fn hierarchy_snapshot_round_trip_mid_burst() {
-        let mut m = MemoryHierarchy::new(HierarchyConfig::skylake_like());
-        let mut t = 0u64;
-        for i in 0..64u64 {
-            let r = m.load(0x100_0000 + i * 64, 7, t);
-            t += r.latency / 2; // leave fills in flight
-        }
-        m.fetch(0x4000, t);
-        m.store(0x9_0000, 3, t);
-        let words = m.snapshot_words();
-        let mut n = MemoryHierarchy::new(HierarchyConfig::skylake_like());
-        n.restore_words(&words).unwrap();
-        assert_eq!(n.snapshot_words(), words, "snapshot must round-trip");
-        // Both copies now behave identically, merges included.
-        let a = m.load(0x100_0000 + 63 * 64, 7, t + 1);
-        let b = n.load(0x100_0000 + 63 * 64, 7, t + 1);
-        assert_eq!(a, b);
-        assert_eq!(m.snapshot_words(), n.snapshot_words());
-    }
-
-    #[test]
-    fn zoo_hierarchies_snapshot_round_trip() {
-        for spec in ["ghbw", "sisb", "spp", "spp:depth=4+stride"] {
-            let mut m = with_spec(spec);
-            let mut t = 0u64;
-            for i in 0..96u64 {
-                let r = m.load(0x100_0000 + i * 192, 7, t);
-                t += r.latency / 2;
-            }
-            let words = m.snapshot_words();
-            let mut n = with_spec(spec);
-            n.restore_words(&words)
-                .unwrap_or_else(|e| panic!("{spec}: {e}"));
-            assert_eq!(n.snapshot_words(), words, "{spec} must round-trip");
-            let a = m.load(0x100_0000, 7, t + 1);
-            let b = n.load(0x100_0000, 7, t + 1);
-            assert_eq!(a, b, "{spec}");
-        }
-    }
-
-    #[test]
-    fn hierarchy_snapshot_rejects_prefetcher_mismatch() {
-        let mut m = MemoryHierarchy::new(HierarchyConfig::skylake_like());
-        m.load(0x1000, 1, 0);
-        let words = m.snapshot_words();
-        let mut other = no_prefetch();
-        assert!(other.restore_words(&words).is_err(), "count mismatch");
-        // Same unit count, different selection: the name check fires.
-        let mut m = with_spec("sisb+spp");
-        m.load(0x1000, 1, 0);
-        let words = m.snapshot_words();
-        let mut other = with_spec("spp+sisb");
-        let err = other.restore_words(&words).unwrap_err();
-        assert!(err.contains("selection mismatch"), "{err}");
     }
 
     #[test]

@@ -1,13 +1,9 @@
-use crisp_words::{fields, Snapshot};
-
 /// A hardware data prefetcher observing the demand-access stream below L1.
 ///
 /// Implementations append candidate *line* addresses to `out`; the
 /// hierarchy issues them as prefetch fills into the LLC (and optionally
-/// L1). Every implementor must also be checkpointable: the [`Snapshot`]
-/// supertrait keeps `--audit-restore` byte-identity working for any
-/// prefetcher the registry can build.
-pub trait Prefetcher: Snapshot {
+/// L1).
+pub trait Prefetcher {
     /// Observes a demand access to `line` (a line address) by the load or
     /// store at `pc`. `l1_hit` tells whether L1 already had the line
     /// (prefetchers typically train on the miss stream only).
@@ -35,22 +31,13 @@ pub struct StreamPrefetcher {
     stamp: u64,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 struct StreamEntry {
     head: u64,
     dir: i64,
     confidence: u8,
     stamp: u64,
 }
-
-fields! { StreamEntry { head, dir, confidence, stamp } }
-fields! { StreamPrefetcher { stamp, streams as list } check |p| {
-    if p.streams.len() <= p.max_streams {
-        Ok(())
-    } else {
-        Err(format!("{} streams, capacity {}", p.streams.len(), p.max_streams))
-    }
-} }
 
 impl StreamPrefetcher {
     /// Creates a stream prefetcher; Table 1's "Stream" companion to BOP.
@@ -134,9 +121,6 @@ struct StrideEntry {
     confidence: u8,
 }
 
-fields! { StrideEntry { pc_tag, last, stride, confidence } }
-fields! { StridePrefetcher { table } }
-
 impl StridePrefetcher {
     /// Creates a stride prefetcher with `entries` table slots (power of
     /// two) issuing `degree` prefetches ahead.
@@ -207,16 +191,6 @@ pub struct Bop {
     score_max: u32,
     bad_score: u32,
 }
-
-// The candidate-offset list is a construction parameter; its length is
-// echoed by the score table's.
-fields! { Bop { test_idx, round, best_offset, active, scores, rr } check |b| {
-    if b.test_idx < b.scores.len() {
-        Ok(())
-    } else {
-        Err(format!("test index {} beyond {} candidates", b.test_idx, b.scores.len()))
-    }
-} }
 
 impl Bop {
     /// The candidate offset list of the original design, truncated to 64
@@ -497,67 +471,6 @@ mod tests {
         // Initial best offset is 1 and active.
         assert_eq!(out, vec![101]);
     }
-
-    #[test]
-    fn stream_snapshot_round_trip() {
-        let mut p = StreamPrefetcher::new(4, 4, 2);
-        let mut out = Vec::new();
-        for line in 100..110u64 {
-            p.on_access(line, 0, false, &mut out);
-        }
-        let words = p.snapshot_words();
-        let mut q = StreamPrefetcher::new(4, 4, 2);
-        q.restore_words(&words).unwrap();
-        assert_eq!(q.snapshot_words(), words);
-        // Future behaviour is identical.
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        p.on_access(110, 0, false, &mut a);
-        q.on_access(110, 0, false, &mut b);
-        assert_eq!(a, b);
-        // Too many streams for a smaller instance is rejected.
-        let mut tiny = StreamPrefetcher::new(1, 4, 2);
-        let mut big = StreamPrefetcher::new(4, 4, 2);
-        for base in [0u64, 1000, 2000] {
-            big.on_access(base, 0, false, &mut out);
-        }
-        assert!(tiny.restore_words(&big.snapshot_words()).is_err());
-    }
-
-    #[test]
-    fn stride_snapshot_round_trip() {
-        let mut p = StridePrefetcher::new(64, 2);
-        let mut out = Vec::new();
-        for i in 0..6u64 {
-            p.on_access(10 + 3 * i, 0x40, false, &mut out);
-        }
-        let words = p.snapshot_words();
-        let mut q = StridePrefetcher::new(64, 2);
-        q.restore_words(&words).unwrap();
-        assert_eq!(q.snapshot_words(), words);
-        let mut wrong = StridePrefetcher::new(32, 2);
-        assert!(wrong.restore_words(&words).is_err());
-    }
-
-    #[test]
-    fn bop_snapshot_round_trip() {
-        let mut p = Bop::new();
-        let mut out = Vec::new();
-        let mut line = 1000u64;
-        for _ in 0..500 {
-            out.clear();
-            p.on_access(line, 0, false, &mut out);
-            p.on_fill(line);
-            line += 4;
-        }
-        let words = p.snapshot_words();
-        let mut q = Bop::new();
-        q.restore_words(&words).unwrap();
-        assert_eq!(q.snapshot_words(), words);
-        assert_eq!(q.best_offset(), p.best_offset());
-        assert_eq!(q.is_active(), p.is_active());
-        let mut wrong = Bop::with_params(vec![1, 2], 256, 31, 100, 1);
-        assert!(wrong.restore_words(&words).is_err());
-    }
 }
 
 /// A Global History Buffer (GHB) delta-correlation prefetcher
@@ -578,16 +491,6 @@ pub struct Ghb {
     index_mask: u64,
     degree: usize,
 }
-
-fields! { Ghb { head, filled, buffer, index } check |g| {
-    let n = g.buffer.len();
-    let links = g.buffer.iter().filter_map(|e| e.1);
-    match links.chain(g.index.iter().flatten().map(|e| e.1)).find(|&at| at >= n) {
-        Some(at) => Err(format!("link {at} out of range")),
-        None if g.head >= n => Err(format!("head {} out of range", g.head)),
-        None => Ok(()),
-    }
-} }
 
 impl Ghb {
     /// Creates a GHB with `entries` history slots and an `index_entries`
@@ -743,26 +646,6 @@ mod ghb_tests {
             g.on_access(i, 0, true, &mut out);
         }
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn ghb_snapshot_round_trip() {
-        let mut g = Ghb::new(128, 64, 4);
-        let mut out = Vec::new();
-        for i in 0..40u64 {
-            g.on_access(100 + 7 * i, 0x40, false, &mut out);
-            g.on_access(9000 + 3 * i, 0x88, false, &mut out);
-        }
-        let words = g.snapshot_words();
-        let mut h = Ghb::new(128, 64, 4);
-        h.restore_words(&words).unwrap();
-        assert_eq!(h.snapshot_words(), words);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        g.on_access(100 + 7 * 40, 0x40, false, &mut a);
-        h.on_access(100 + 7 * 40, 0x40, false, &mut b);
-        assert_eq!(a, b);
-        let mut wrong = Ghb::new(64, 64, 4);
-        assert!(wrong.restore_words(&words).is_err());
     }
 
     #[test]

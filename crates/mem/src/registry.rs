@@ -496,7 +496,6 @@ mod tests {
                 "noop"
             }
         }
-        crisp_words::fields! { Noop {} }
         let mut r = PrefetcherRegistry::builtin();
         r.register("noop", "does nothing", Box::new(|_| Ok(Box::new(Noop))))
             .unwrap();

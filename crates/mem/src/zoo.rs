@@ -4,12 +4,9 @@
 //! streaming (Wu et al., MICRO 2019 lineage), and SPP signature-path
 //! prefetching with path-confidence throttling (Kim et al., MICRO 2016).
 //!
-//! Every design is table-bounded, deterministic, and carries a full
-//! word-vector snapshot codec so checkpoint/restore and `--audit-restore`
-//! hold for any registry selection.
+//! Every design is table-bounded and deterministic.
 
 use crate::prefetch::Prefetcher;
-use crisp_words::fields;
 
 /// Folds a signed line delta into a small hash key.
 #[inline]
@@ -42,32 +39,18 @@ pub struct GhbWidth {
     degree: usize,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 struct GhbwEntry {
     line: u64,
     valid: bool,
     prev: Option<usize>,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 struct AitEntry {
     delta: i64,
     at: usize,
 }
-
-fields! { GhbwEntry { line, valid, prev } }
-fields! { AitEntry { delta, at } }
-fields! { GhbWidth { head, live, last_line, has_last, buffer, ait } check |g| {
-    let n = g.buffer.len();
-    let links = g.buffer.iter().filter_map(|e| e.prev);
-    match links.chain(g.ait.iter().flatten().map(|a| a.at)).find(|&at| at >= n) {
-        Some(at) => Err(format!("link {at} out of range")),
-        None if g.head >= n || g.live > n => {
-            Err(format!("head {} / live {} outside {n} ring slots", g.head, g.live))
-        }
-        None => Ok(()),
-    }
-} }
 
 impl GhbWidth {
     /// Creates a GHB stride/width prefetcher.
@@ -216,8 +199,6 @@ pub struct Sisb {
     degree: usize,
 }
 
-fields! { Sisb { tu, map } }
-
 #[inline]
 fn line_slot(line: u64, mask: u64) -> usize {
     ((line ^ (line >> 13)) & mask) as usize
@@ -316,23 +297,12 @@ pub struct Spp {
     threshold: u64,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 struct StEntry {
     page: u64,
     sig: u16,
     last_off: u8,
 }
-
-fields! { StEntry { page, sig, last_off } check |e| {
-    if e.sig <= SIG_MASK && u64::from(e.last_off) < PAGE_LINES {
-        Ok(())
-    } else {
-        Err(format!("bad signature entry ({}, {})", e.sig, e.last_off))
-    }
-} }
-fields! { PtSlot { delta, c_delta } }
-fields! { PtEntry { c_sig, slots } }
-fields! { Spp { pf_issued, pf_useful, st, pt, filter } }
 
 #[derive(Clone, Copy, Debug, Default)]
 struct PtSlot {
@@ -500,7 +470,6 @@ impl Prefetcher for Spp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crisp_words::Snapshot;
 
     fn misses(p: &mut dyn Prefetcher, lines: &[u64], pc: u64) -> Vec<u64> {
         let mut out = Vec::new();
@@ -543,23 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn ghbw_snapshot_round_trip() {
-        let mut g = GhbWidth::new(64, 64, 3, 3, 3);
-        let lines: Vec<u64> = (0..40).map(|i| 500 + 3 * i).collect();
-        misses(&mut g, &lines, 0x40);
-        let words = GhbWidth::snapshot_words(&g);
-        let mut h = GhbWidth::new(64, 64, 3, 3, 3);
-        GhbWidth::restore_words(&mut h, &words).unwrap();
-        assert_eq!(GhbWidth::snapshot_words(&h), words);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        g.on_access(500 + 3 * 40, 0x40, false, &mut a);
-        h.on_access(500 + 3 * 40, 0x40, false, &mut b);
-        assert_eq!(a, b);
-        let mut wrong = GhbWidth::new(32, 64, 3, 3, 3);
-        assert!(GhbWidth::restore_words(&mut wrong, &words).is_err());
-    }
-
-    #[test]
     fn sisb_learns_temporal_chains() {
         let mut s = Sisb::new(64, 1024, 3);
         // An irregular but repeating pointer chain from one PC.
@@ -589,22 +541,6 @@ mod tests {
             s.on_access(l, 0x9, true, &mut out);
         }
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn sisb_snapshot_round_trip() {
-        let mut s = Sisb::new(64, 256, 3);
-        misses(&mut s, &[900, 17, 5000, 333, 900, 17], 0x20);
-        let words = Sisb::snapshot_words(&s);
-        let mut t = Sisb::new(64, 256, 3);
-        Sisb::restore_words(&mut t, &words).unwrap();
-        assert_eq!(Sisb::snapshot_words(&t), words);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        s.on_access(5000, 0x20, false, &mut a);
-        t.on_access(5000, 0x20, false, &mut b);
-        assert_eq!(a, b);
-        let mut wrong = Sisb::new(64, 128, 3);
-        assert!(Sisb::restore_words(&mut wrong, &words).is_err());
     }
 
     #[test]
@@ -662,22 +598,5 @@ mod tests {
         }
         assert!(e.c_sig < C_SAT, "saturation must halve the counters");
         assert!(e.best().expect("slot").c_delta > 0);
-    }
-
-    #[test]
-    fn spp_snapshot_round_trip() {
-        let mut p = Spp::new(64, 512, 128, 8, 250);
-        let lines: Vec<u64> = (0..30).map(|i| 64 * 5 + (3 * i) % 64).collect();
-        misses(&mut p, &lines, 0x4);
-        let words = Spp::snapshot_words(&p);
-        let mut q = Spp::new(64, 512, 128, 8, 250);
-        Spp::restore_words(&mut q, &words).unwrap();
-        assert_eq!(Spp::snapshot_words(&q), words);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        p.on_access(64 * 5 + 1, 0x4, false, &mut a);
-        q.on_access(64 * 5 + 1, 0x4, false, &mut b);
-        assert_eq!(a, b);
-        let mut wrong = Spp::new(64, 256, 128, 8, 250);
-        assert!(Spp::restore_words(&mut wrong, &words).is_err());
     }
 }

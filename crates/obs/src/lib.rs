@@ -10,15 +10,14 @@
 //! instruction's PC and stall class.
 //!
 //! The crate sits *below* `crisp-sim` in the dependency graph and depends
-//! only on the snapshot codec: the engine records into these types, and the
-//! harness/bench/CLI layers render or persist them. PCs are plain `u64`
+//! only on the value codec `crisp-words`: the engine records into these
+//! types, and the harness/bench/CLI layers render or persist them. PCs are plain `u64`
 //! here so the crate stays free-standing. Being the lowest layer that
 //! reads JSON, it also holds the workspace's one JSON codec, [`json`].
 //!
-//! All persistent state (`Tracer`, `StallTable`, `TelemetryLog`) implements
-//! the workspace-wide `crisp_words::Snapshot` trait, so checkpoint/restore
-//! and the `--audit-restore` byte-identity proof cover observability state
-//! exactly like machine state.
+//! The recorded values (`Tracer`, `StallTable`, `TelemetryLog`) implement
+//! the workspace-wide `crisp_words::Snapshot` trait, so a `SimResult`'s
+//! words, which digests and the engine oracle compare, cover them too.
 //!
 //! ## Example
 //!

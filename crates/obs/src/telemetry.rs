@@ -219,10 +219,7 @@ impl TelemetrySample {
 }
 
 /// The interval-telemetry log: the samples taken so far plus the previous
-/// cumulative baseline the next sample will be differenced against. The
-/// baseline is part of the snapshot state, so a checkpointed run resumes
-/// sampling at exactly the cycles (and with exactly the deltas) the
-/// straight-through run would have produced.
+/// cumulative baseline the next sample will be differenced against.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TelemetryLog {
     prev: TelemetryInputs,
@@ -287,7 +284,7 @@ impl TelemetryLog {
             pf_late: cum.pf_late.saturating_sub(p.pf_late),
         });
         // Occupancies are instantaneous, never differenced: zero them in
-        // the stored baseline so it matches its snapshot encoding exactly.
+        // the stored baseline so it matches its encoding exactly.
         self.prev = TelemetryInputs {
             rob: 0,
             rs: 0,

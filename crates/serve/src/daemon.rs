@@ -418,7 +418,7 @@ pub fn run_daemon(
             let draining = shutdown.is_cancelled();
             if draining && state.worker_parked.load(Ordering::SeqCst) {
                 // Drain complete: admission stopped, the executor has
-                // parked (in-flight work finished or checkpointed).
+                // parked (in-flight work finished or aborted, unrecorded).
                 return;
             }
             match listener.accept() {
@@ -1177,9 +1177,10 @@ mod tests {
             }
         }
 
-        /// `drain_lag` models checkpoint-flush time: how long the toy
-        /// executor keeps running after noticing the stop token. Tests
-        /// that probe draining behaviour need a non-zero window.
+        /// `drain_lag` models the time in-flight work takes to abort: how
+        /// long the toy executor keeps running after noticing the stop
+        /// token. Tests that probe draining behaviour need a non-zero
+        /// window.
         fn spawn_with_drain_lag(
             dir: &std::path::Path,
             queue_cap: usize,

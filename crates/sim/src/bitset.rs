@@ -1,8 +1,6 @@
 //! The fixed-capacity bit vector over reservation-station slots that the
 //! wakeup logic's ready and PRIO vectors (paper Figure 6) are made of.
 
-use crisp_words::{echo, Reader, Snapshot};
-
 /// A fixed-capacity bitset over issue-queue slots.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BitSet {
@@ -48,11 +46,6 @@ impl BitSet {
         i < self.capacity && self.words[i / 64] & (1u64 << (i % 64)) != 0
     }
 
-    /// Clears all bits.
-    pub fn clear_all(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
-    }
-
     /// Whether any bit is set.
     pub fn any(&self) -> bool {
         self.words.iter().any(|&w| w != 0)
@@ -80,25 +73,6 @@ impl BitSet {
     }
 }
 
-/// The capacity echo, then the bit words (no length word: the capacity
-/// fixes it).
-impl Snapshot for BitSet {
-    fn put(&self, out: &mut Vec<u64>) {
-        out.push(self.capacity as u64);
-        self.words.as_slice().put(out);
-    }
-
-    fn take(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
-        echo::take(&mut self.capacity, r).map_err(|e| format!("capacity {e}"))?;
-        self.words.as_mut_slice().take(r)?;
-        let tail = self.capacity % 64;
-        if tail != 0 && self.words.last().copied().unwrap_or(0) >> tail != 0 {
-            return Err("bits set beyond capacity".to_string());
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,7 +91,5 @@ mod tests {
         assert!(!b.get(64));
         let ones: Vec<usize> = b.iter_ones().collect();
         assert_eq!(ones, vec![0, 129]);
-        b.clear_all();
-        assert!(!b.any());
     }
 }

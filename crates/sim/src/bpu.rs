@@ -58,11 +58,6 @@ pub struct BranchPredictionUnit {
     ras_mispredicts: u64,
 }
 
-crisp_words::fields! { BranchPredictionUnit {
-    cond_branches, cond_mispredicts, indirect_mispredicts, ras_mispredicts, tage as section,
-    btb as section, ras as section, indirect as section
-} }
-
 impl BranchPredictionUnit {
     /// Builds the BPU.
     pub fn new(config: BpuConfig) -> BranchPredictionUnit {
@@ -162,7 +157,6 @@ impl BranchPredictionUnit {
 mod tests {
     use super::*;
     use crisp_isa::{Cond, Opcode, StaticInst};
-    use crisp_words::Snapshot;
 
     fn branch_inst() -> StaticInst {
         StaticInst::nullary(Opcode::Branch(Cond::Eq))
@@ -258,34 +252,6 @@ mod tests {
         let out = bpu.observe(&nop, 0x1, false, 0, 0x2);
         assert_eq!(out, BranchOutcome::default());
         assert_eq!(bpu.stats().0, 0);
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_predictors_and_counters() {
-        let mut bpu = BranchPredictionUnit::new(BpuConfig::default());
-        let inst = branch_inst();
-        for i in 0..50 {
-            bpu.observe(&inst, 0x100, i % 3 == 0, 0x40, 0x103);
-        }
-        bpu.observe(&call_inst(), 0x10, true, 0x100, 0x15);
-        let words = bpu.snapshot_words();
-        let mut other = BranchPredictionUnit::new(BpuConfig::default());
-        other.restore_words(&words).unwrap();
-        assert_eq!(other.snapshot_words(), words);
-        assert_eq!(other.stats(), bpu.stats());
-        // The restored unit continues in lockstep with the original.
-        for i in 0..30 {
-            let a = bpu.observe(&inst, 0x100, i % 3 == 0, 0x40, 0x103);
-            let b = other.observe(&inst, 0x100, i % 3 == 0, 0x40, 0x103);
-            assert_eq!(a, b);
-        }
-        assert_eq!(other.snapshot_words(), bpu.snapshot_words());
-        // A differently shaped BPU rejects the snapshot.
-        let mut wrong = BranchPredictionUnit::new(BpuConfig {
-            btb_entries: 4096,
-            ..BpuConfig::default()
-        });
-        assert!(wrong.restore_words(&words).is_err());
     }
 
     #[test]

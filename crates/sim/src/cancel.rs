@@ -89,8 +89,7 @@ impl CancelToken {
 /// cancellation-poll path, and an external supervisor samples it to
 /// journal heartbeat records. Like [`CancelToken`], cloning is an [`Arc`]
 /// bump and every clone observes the same values; the beacon never
-/// influences simulation state, so it is deliberately *not* part of the
-/// snapshot protocol.
+/// influences simulation state.
 #[derive(Clone, Debug, Default)]
 pub struct ProgressBeacon {
     inner: Arc<(AtomicU64, AtomicU64)>,

@@ -102,24 +102,6 @@ pub struct SimConfig {
     /// live* runs. `None` (the default) is unlimited; `Some(0)` is
     /// rejected by validation.
     pub cycle_budget: Option<u64>,
-    /// Cooperative checkpointing: when set (together with
-    /// [`SimConfig::checkpoint_sink`]), the engine emits a full-machine
-    /// [`crate::SimSnapshot`] roughly every this many cycles. Emission
-    /// happens on the cancellation poll path, so the actual cadence is
-    /// rounded up to the next multiple of
-    /// [`SimConfig::cancel_check_interval`]. Must be nonzero when set;
-    /// `None` (the default) never checkpoints.
-    pub checkpoint_interval: Option<u64>,
-    /// Receives the checkpoints emitted under
-    /// [`SimConfig::checkpoint_interval`]. Without a sink, the interval is
-    /// inert.
-    pub checkpoint_sink: Option<crate::snapshot::CheckpointSink>,
-    /// Resume state: a snapshot previously emitted by a checkpointing run
-    /// of the *same* program, trace, criticality map and configuration.
-    /// The engine restores it before executing any cycle and continues the
-    /// workload to completion; restoring into a mismatched machine fails
-    /// with [`crate::SimError::SnapshotRestore`].
-    pub restore: Option<std::sync::Arc<crate::snapshot::SimSnapshot>>,
     /// Flight-recorder capacity in pipeline events: when set, the engine
     /// records per-instruction lifecycle events into a ring buffer of this
     /// many entries (exported via `SimResult::tracer`). `None` (the
@@ -187,9 +169,6 @@ impl SimConfig {
             cancel: None,
             cancel_check_interval: 8192,
             cycle_budget: None,
-            checkpoint_interval: None,
-            checkpoint_sink: None,
-            restore: None,
             tracer_capacity: None,
             telemetry_interval: None,
             stall_attribution: false,
@@ -305,12 +284,6 @@ impl SimConfig {
                 "must be nonzero when set: a zero budget aborts every run at cycle 0",
             ));
         }
-        if self.checkpoint_interval == Some(0) {
-            return Err(ConfigError::new(
-                "checkpoint_interval",
-                "must be nonzero when set: a zero interval checkpoints every poll",
-            ));
-        }
         if self.tracer_capacity == Some(0) {
             return Err(ConfigError::new(
                 "tracer_capacity",
@@ -380,7 +353,7 @@ mod tests {
     #[test]
     fn degenerate_machines_name_the_offending_field() {
         type Mutate = fn(&mut SimConfig);
-        let cases: [(&str, Mutate); 15] = [
+        let cases: [(&str, Mutate); 14] = [
             ("fetch_width", |c| c.fetch_width = 0),
             ("issue_width", |c| c.issue_width = 0),
             ("rob_entries", |c| c.rob_entries = 0),
@@ -393,7 +366,6 @@ mod tests {
             ("watchdog_cycles", |c| c.watchdog_cycles = 0),
             ("cancel_check_interval", |c| c.cancel_check_interval = 0),
             ("cycle_budget", |c| c.cycle_budget = Some(0)),
-            ("checkpoint_interval", |c| c.checkpoint_interval = Some(0)),
             ("tracer_capacity", |c| c.tracer_capacity = Some(0)),
             ("telemetry_interval", |c| c.telemetry_interval = Some(0)),
         ];

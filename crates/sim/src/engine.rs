@@ -4,7 +4,6 @@ use crate::cancel::AbortReason;
 use crate::config::{SchedulerKind, SimConfig};
 use crate::error::{DeadlockReport, HeadState, SimError};
 use crate::select::select_order;
-use crate::snapshot::{CheckpointSink, RestoreAudit, SimSnapshot};
 use crate::stats::{SimResult, UpcTimeline};
 use crate::wakeup::{Operand, Wakeup, EDGES};
 use crisp_isa::{FuClass, Layout, Pc, Program, Trace};
@@ -12,12 +11,10 @@ use crisp_mem::{HitLevel, MemoryHierarchy};
 use crisp_obs::{
     EventKind, FillLevel, HostProf, Phase as HostPhase, StallClass, TelemetryInputs, Tracer,
 };
-use crisp_words::{echo, list, Reader, Snapshot};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 /// One in-flight instruction (a ROB entry).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct Entry {
     pc: Pc,
     fu: FuClass,
@@ -42,62 +39,14 @@ struct Entry {
     fill: Option<FillLevel>,
 }
 
-/// The functional-unit classes in snapshot-code order.
-const FU_CLASSES: [FuClass; 3] = [FuClass::Alu, FuClass::Load, FuClass::Store];
-
-/// The booleans and the fill level share one flags word: bits 0..=4 the
-/// booleans, bit 5 fill present, bits 6..=7 the fill level code.
-impl Snapshot for Entry {
-    fn put(&self, out: &mut Vec<u64>) {
-        let fu = FU_CLASSES.iter().position(|&f| f == self.fu);
-        let fill = self.fill.map_or(0, |level| 1 << 5 | level.code() << 6);
-        let flags = u64::from(self.unpipelined)
-            | u64::from(self.critical) << 1
-            | u64::from(self.is_load) << 2
-            | u64::from(self.is_store) << 3
-            | u64::from(self.mispredicted) << 4
-            | fill;
-        let fu = fu.expect("every FU class has a code") as u64;
-        out.extend([u64::from(self.pc), fu, self.latency, flags]);
-        (self.deps, self.mem_dep).put(out);
-        out.extend([self.addr, self.fetched_at, self.visible_at]);
-        (self.issued_at, self.complete_at, self.rs_slot).put(out);
-    }
-
-    fn take(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
-        self.pc.take(r)?;
-        let fu = r.u64()?;
-        self.fu = *usize::try_from(fu)
-            .ok()
-            .and_then(|i| FU_CLASSES.get(i))
-            .ok_or_else(|| format!("bad FU class {fu}"))?;
-        self.latency.take(r)?;
-        let flags = r.u64()?;
-        self.fill = match (flags >> 5 & 1, flags >> 6) {
-            (1, code @ 0..=3) => Some(FillLevel::from_code(code)?),
-            (0, 0) => None,
-            _ => return Err(format!("bad entry flags {flags:#x}")),
-        };
-        let bit = |i: u32| flags >> i & 1 != 0;
-        (self.unpipelined, self.critical, self.is_load) = (bit(0), bit(1), bit(2));
-        (self.is_store, self.mispredicted) = (bit(3), bit(4));
-        (self.deps, self.mem_dep) = r.read()?;
-        (self.addr, self.fetched_at, self.visible_at) = r.read()?;
-        (self.issued_at, self.complete_at, self.rs_slot) = r.read()?;
-        Ok(())
-    }
-}
-
 /// A fetched instruction waiting in the decoupled fetch buffer.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 struct Fetched {
     trace_idx: usize,
     fetched_at: u64,
     visible_at: u64,
     mispredicted: bool,
 }
-
-crisp_words::fields! { Fetched { trace_idx, fetched_at, visible_at, mispredicted } }
 
 /// The cycle-level out-of-order core simulator. See the crate docs for an
 /// overview and an example.
@@ -178,11 +127,7 @@ impl Simulator {
             }
         }
         let layout = program.layout(|pc| critical.is_some_and(|c| c[pc as usize]));
-        let mut engine = Engine::new(&self.config, program, &layout, trace, critical);
-        if let Some(snapshot) = &self.config.restore {
-            engine.restore(snapshot)?;
-        }
-        engine.run()
+        Engine::new(&self.config, program, &layout, trace, critical).run()
     }
 
     /// Fault-tolerant variant of [`Simulator::try_run`] for running with
@@ -205,60 +150,6 @@ impl Simulator {
         let mut normalized = critical.to_vec();
         normalized.resize(program.len(), false);
         self.try_run(program, trace, Some(&normalized))
-    }
-
-    /// The determinism audit behind `--audit-restore`: runs the trace
-    /// straight through while capturing a checkpoint roughly every
-    /// `checkpoint_interval` cycles, then resumes a fresh machine from
-    /// *every* captured checkpoint and verifies each resumed run finishes
-    /// with byte-identical statistics (the full [`SimResult`] encoding,
-    /// including per-PC maps and any recorded timelines).
-    ///
-    /// Checkpoints are emitted on the cancellation poll path, so a run
-    /// shorter than [`SimConfig::cancel_check_interval`] cycles captures
-    /// none and the audit trivially passes with zero verified checkpoints
-    /// — callers that require coverage should check
-    /// [`RestoreAudit::checkpoints_verified`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates ordinary run failures, and reports
-    /// [`SimError::RestoreAuditDivergence`] naming the first checkpoint
-    /// whose resumed run diverged.
-    pub fn audit_restore(
-        &self,
-        program: &Program,
-        trace: &Trace,
-        critical: Option<&[bool]>,
-        checkpoint_interval: u64,
-    ) -> Result<RestoreAudit, SimError> {
-        let captured: Arc<Mutex<Vec<SimSnapshot>>> = Arc::new(Mutex::new(Vec::new()));
-        let store = Arc::clone(&captured);
-        let mut cfg = self.config.clone();
-        cfg.checkpoint_interval = Some(checkpoint_interval);
-        cfg.checkpoint_sink = Some(CheckpointSink::new(move |s| {
-            store.lock().expect("audit sink lock").push(s.clone());
-        }));
-        cfg.restore = None;
-        let result = Simulator::try_new(cfg)?.try_run(program, trace, critical)?;
-        let reference = result.snapshot_words();
-        let snapshots = std::mem::take(&mut *captured.lock().expect("audit sink lock"));
-        let mut checkpoints_verified = 0;
-        for snapshot in snapshots {
-            let checkpoint_cycle = snapshot.cycle;
-            let mut cfg = self.config.clone();
-            cfg.restore = Some(Arc::new(snapshot));
-            let resumed = Simulator::try_new(cfg)?.try_run(program, trace, critical)?;
-            if resumed.snapshot_words() != reference {
-                return Err(SimError::RestoreAuditDivergence { checkpoint_cycle });
-            }
-            checkpoints_verified += 1;
-        }
-        Ok(RestoreAudit {
-            cycles: result.cycles,
-            checkpoints_verified,
-            result,
-        })
     }
 }
 
@@ -296,8 +187,7 @@ struct Engine<'a> {
     rs: Vec<Option<u64>>, // slot -> seq
     rs_free: Vec<usize>,
     rr_cursor: usize,
-    /// Live ready/PRIO vectors and wakeup lists: derived from the ROB,
-    /// never checkpointed, rebuilt on restore.
+    /// Live ready/PRIO vectors and wakeup lists, derived from the ROB.
     wake: Wakeup,
     /// Select's per-cycle scratch: the ready slots in pick order.
     pick_order: Vec<usize>,
@@ -314,77 +204,6 @@ struct Engine<'a> {
 
     // Host-side self-profiler (`HostProf::Off` unless `cfg.hostprof`).
     prof: HostProf,
-}
-
-/// The `engine` section of a checkpoint: frontend, window, scheduler and
-/// execution resources (the hierarchy, predictors and statistics are
-/// sections of their own). The trace length is echoed so a snapshot from a
-/// different workload is rejected.
-impl Snapshot for Engine<'_> {
-    fn put(&self, out: &mut Vec<u64>) {
-        (self.now, self.trace.len(), self.fetch_idx).put(out);
-        list::put(&self.fetch_buffer, out);
-        (self.fetch_blocked_by, self.fetch_blocked_until).put(out);
-        (self.icache_wait, self.current_line, self.ftq_cursor).put(out);
-        (self.last_prefetched_line, self.rob_base, self.next_seq).put(out);
-        list::put(&self.rob, out);
-        self.reg_producer.put(out);
-        list::put(&self.store_queue, out);
-        (self.loads_in_flight, self.stores_in_flight).put(out);
-        self.rs.put(out);
-        list::put(&self.rs_free, out);
-        self.rr_cursor.put(out);
-        self.alu_busy.put(out);
-        list::put(&self.outstanding_dram, out);
-    }
-
-    fn take(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
-        self.now.take(r)?;
-        echo::take(&mut self.trace.len(), r)
-            .map_err(|e| format!("trace length {e}: snapshot was taken on a different workload"))?;
-        self.fetch_idx.take(r)?;
-        list::take(&mut self.fetch_buffer, r)?;
-        (self.fetch_blocked_by, self.fetch_blocked_until) = r.read()?;
-        (self.icache_wait, self.current_line, self.ftq_cursor) = r.read()?;
-        (self.last_prefetched_line, self.rob_base, self.next_seq) = r.read()?;
-        list::take(&mut self.rob, r)?;
-        self.reg_producer.take(r)?;
-        list::take(&mut self.store_queue, r)?;
-        (self.loads_in_flight, self.stores_in_flight) = r.read()?;
-        self.rs.take(r).map_err(|e| format!("RS slots: {e}"))?;
-        list::take(&mut self.rs_free, r)?;
-        self.rr_cursor.take(r)?;
-        let ports = self.alu_busy.take(r);
-        ports.map_err(|e| format!("ALU ports: {e}"))?;
-        list::take(&mut self.outstanding_dram, r)?;
-
-        let (n, rs) = (self.trace.len(), self.cfg.rs_entries);
-        if self.fetch_idx > n || self.fetch_buffer.iter().any(|f| f.trace_idx >= n) {
-            return Err(format!("fetch index beyond the {n}-instruction trace"));
-        }
-        if self.fetch_buffer.len() > self.cfg.fetch_queue_entries
-            || self.rob.len() > self.cfg.rob_entries
-            || self.rs_free.len() > rs
-        {
-            return Err("fetch buffer, ROB or RS free list over capacity".to_string());
-        }
-        if self.rob_base.checked_add(self.rob.len() as u64) != Some(self.next_seq) {
-            return Err(format!(
-                "next_seq {} inconsistent with rob_base {} + {} entries",
-                self.next_seq,
-                self.rob_base,
-                self.rob.len()
-            ));
-        }
-        let slots = self.rob.iter().filter_map(|e| e.rs_slot);
-        match slots
-            .chain(self.rs_free.iter().copied())
-            .find(|&slot| slot >= rs)
-        {
-            Some(slot) => Err(format!("RS slot {slot} out of range")),
-            None => Ok(()),
-        }
-    }
 }
 
 impl<'a> Engine<'a> {
@@ -441,17 +260,12 @@ impl<'a> Engine<'a> {
 
     fn run(mut self) -> Result<SimResult, SimError> {
         let total = self.trace.len() as u64;
-        // (retired, cycle) — seeded from the current state so a restored
-        // run gives the watchdog a full grace period, not a stale epoch.
+        // (retired, cycle) at the last retirement, for the watchdog.
         let mut last_progress = (self.res.retired, self.now);
-        let mut next_checkpoint = match self.cfg.checkpoint_interval {
-            Some(interval) => self.now.saturating_add(interval),
-            None => u64::MAX,
-        };
-        // The profiler clock starts here so construction/restore time is
-        // excluded; each stage marks its own phase, and everything
-        // between `enter(Other)` below and the next stage mark (poll
-        // points, stall accounting, loop control) lands in `other`.
+        // The profiler clock starts here so construction time is excluded;
+        // each stage marks its own phase, and everything between
+        // `enter(Other)` below and the next stage mark (poll points, stall
+        // accounting, loop control) lands in `other`.
         self.prof.start();
         while self.res.retired < total {
             // Cooperative abort points, checked before the cycle's work so
@@ -483,26 +297,11 @@ impl<'a> Engine<'a> {
                 if let Some(beacon) = &self.cfg.progress {
                     beacon.publish(self.now, self.res.retired);
                 }
-                // Telemetry rides the same poll: the sample threshold lives
-                // in snapshotted state (the log's delta baseline), so a
-                // restored run samples at the same cycles the
-                // straight-through run would. Sampling happens *before*
-                // checkpoint emission so the checkpoint carries the sample.
+                // Telemetry rides the same poll.
                 if let Some(k) = self.cfg.telemetry_interval {
                     if self.now >= self.res.telemetry.last_cycle().saturating_add(k) {
                         let inputs = self.telemetry_inputs();
                         self.res.telemetry.record(inputs);
-                    }
-                }
-                // Checkpoints ride the same cooperative poll: emission is
-                // quantised to the poll cadence, and the state captured
-                // here is exactly the state a restored run resumes from.
-                if self.now >= next_checkpoint {
-                    next_checkpoint = self
-                        .now
-                        .saturating_add(self.cfg.checkpoint_interval.unwrap_or(u64::MAX));
-                    if let Some(sink) = &self.cfg.checkpoint_sink {
-                        sink.emit(&self.snapshot());
                     }
                 }
             }
@@ -604,10 +403,10 @@ impl<'a> Engine<'a> {
     /// repeats this one: it changes no machine state and only bumps the
     /// stall bookkeeping this cycle bumped (`counters` read before it,
     /// `charged` its stall-table charge). Those cycles are replayed in
-    /// bulk. The skip stops at the next cancellation poll, so polls,
-    /// telemetry samples and checkpoints keep their cycles, and at the
-    /// cycle budget and the watchdog horizon (`stalled_since` plus
-    /// `watchdog_cycles`), so both fire exactly where stepping would.
+    /// bulk. The skip stops at the next cancellation poll, so polls and
+    /// telemetry samples keep their cycles, and at the cycle budget and
+    /// the watchdog horizon (`stalled_since` plus `watchdog_cycles`), so
+    /// both fire exactly where stepping would.
     fn advance_clock(
         &mut self,
         counters: [u64; 3],
@@ -703,62 +502,6 @@ impl<'a> Engine<'a> {
                 .filter(|&&c| c > self.now)
                 .count() as u64,
         }
-    }
-
-    // ---- checkpoint/restore ----------------------------------------------
-
-    /// Captures the complete mutable machine state. Taken between cycles
-    /// (on the poll path, before any of the cycle's stages run), so the
-    /// snapshot is a consistent cut: restoring it and finishing the run
-    /// retraces the straight-through execution cycle for cycle.
-    fn snapshot(&self) -> SimSnapshot {
-        SimSnapshot {
-            cycle: self.now,
-            sections: vec![
-                ("engine".to_string(), self.snapshot_words()),
-                ("mem".to_string(), self.mem.snapshot_words()),
-                ("bpu".to_string(), self.bpu.snapshot_words()),
-                ("stats".to_string(), self.res.snapshot_words()),
-            ],
-        }
-    }
-
-    /// Applies a snapshot to a freshly constructed engine, then runs the
-    /// invariant checker over the restored machine: the word-level checks
-    /// cannot see cross-structure consistency (an RS slot naming a
-    /// sequence number outside the ROB would panic on the next cycle).
-    /// Last, it rebuilds the derived wakeup state and audits it against
-    /// the RS rescan. On error the engine must be discarded.
-    fn restore(&mut self, snapshot: &SimSnapshot) -> Result<(), SimError> {
-        let fail = |section: &str| {
-            let section = section.to_string();
-            move |message| SimError::SnapshotRestore { section, message }
-        };
-        let words = |name: &str| {
-            snapshot
-                .section(name)
-                .ok_or_else(|| fail(name)("section missing from snapshot".to_string()))
-        };
-        self.restore_words(words("engine")?)
-            .map_err(fail("engine"))?;
-        self.mem.restore_words(words("mem")?).map_err(fail("mem"))?;
-        self.bpu.restore_words(words("bpu")?).map_err(fail("bpu"))?;
-        self.res
-            .restore_words(words("stats")?)
-            .map_err(fail("stats"))?;
-        if self.now != snapshot.cycle {
-            return Err(fail("engine")(format!(
-                "engine cycle {} disagrees with snapshot header cycle {}",
-                self.now, snapshot.cycle
-            )));
-        }
-        self.check_invariants()
-            .map_err(|e| fail("engine")(e.to_string()))?;
-        // The rebuilt vectors stand as at the start of cycle `now`, so the
-        // check-mode rescan must already agree with them.
-        self.rebuild_wakeup();
-        self.check_ready_vectors()
-            .map_err(|e| fail("engine")(e.to_string()))
     }
 
     /// Occupied reservation-station slots.
@@ -1041,18 +784,6 @@ impl<'a> Engine<'a> {
         let producers: [Option<u64>; EDGES] = [d0, d1, d2, e.mem_dep];
         let operands = producers.map(|p| p.map(|p| self.operand(p)));
         self.wake.insert(slot, critical, visible_at, operands, from);
-    }
-
-    /// Rebuilds the wakeup lists and the ready/PRIO vectors from the
-    /// restored window. The vectors come out as they stood at the start
-    /// of cycle `now` in the straight-through run.
-    fn rebuild_wakeup(&mut self) {
-        self.wake.clear();
-        for seq in self.rob_base..self.next_seq {
-            if let Some(slot) = self.entry(seq).and_then(|e| e.rs_slot) {
-                self.wake_insert(seq, slot, self.now);
-            }
-        }
     }
 
     fn dep_ready(&self, seq: u64) -> bool {
@@ -2344,304 +2075,34 @@ mod tests {
         assert_eq!(res.retired, t.len() as u64);
     }
 
-    /// Store-forwarding loop: exercises the LSQ, caches and forwarding.
-    fn memory_loop() -> (crisp_isa::Program, Trace) {
-        let mut b = ProgramBuilder::new();
-        b.li(r(1), 0x8000);
-        b.li(r(3), 500);
-        let top = b.label();
-        b.bind(top);
-        b.load(r(4), r(1), 0, 8);
-        b.alu_ri(AluOp::Add, r(4), r(4), 5);
-        b.store(r(1), 0, r(4), 8);
-        b.alu_ri(AluOp::Sub, r(3), r(3), 1);
-        b.branch(Cond::Ne, r(3), Reg::ZERO, top);
-        b.halt();
-        let p = b.build();
-        let t = Emulator::new(&p, Memory::new()).run(100_000);
-        (p, t)
-    }
-
-    /// Data-dependent branches over xorshift parity: heavy mispredicts,
-    /// so the BPU state actually matters to the resumed run.
-    fn branchy_loop() -> (crisp_isa::Program, Trace) {
-        let mut mem = Memory::new();
-        let base = 0x4000u64;
-        let mut x = 0x9E3779B97F4A7C15u64;
-        for i in 0..1024 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            mem.write_u64(base + i * 8, x & 1);
-        }
-        let mut b = ProgramBuilder::new();
-        b.li(r(1), base as i64);
-        b.li(r(2), 1024);
-        let top = b.label();
-        let skip = b.label();
-        b.bind(top);
-        b.load(r(3), r(1), 0, 8);
-        b.branch(Cond::Eq, r(3), Reg::ZERO, skip);
-        b.alu_ri(AluOp::Add, r(4), r(4), 1);
-        b.bind(skip);
-        b.alu_ri(AluOp::Add, r(1), r(1), 8);
-        b.alu_ri(AluOp::Sub, r(2), r(2), 1);
-        b.branch(Cond::Ne, r(2), Reg::ZERO, top);
-        b.halt();
-        let p = b.build();
-        let t = Emulator::new(&p, mem).run(100_000);
-        (p, t)
-    }
-
-    /// Runs to completion while capturing every emitted checkpoint.
-    fn run_capturing(
-        cfg: SimConfig,
-        p: &crisp_isa::Program,
-        t: &Trace,
-    ) -> (SimResult, Vec<SimSnapshot>) {
-        let captured: Arc<Mutex<Vec<SimSnapshot>>> = Arc::new(Mutex::new(Vec::new()));
-        let store = Arc::clone(&captured);
-        let mut cfg = cfg;
-        cfg.checkpoint_sink = Some(CheckpointSink::new(move |s| {
-            store.lock().expect("sink lock").push(s.clone());
-        }));
-        let res = Simulator::new(cfg).run(p, t, None);
-        let snaps = std::mem::take(&mut *captured.lock().expect("sink lock"));
-        (res, snaps)
-    }
-
-    /// A config that polls often enough for short tests to checkpoint.
-    fn checkpointing_config(interval: u64) -> SimConfig {
-        let mut cfg = SimConfig::skylake();
-        cfg.cancel_check_interval = 64;
-        cfg.checkpoint_interval = Some(interval);
-        cfg
-    }
-
     #[test]
-    fn restored_run_finishes_with_identical_stats() {
-        let (p, t) = memory_loop();
-        let mut cfg = checkpointing_config(500);
-        cfg.record_upc_timeline = true;
-        cfg.tracer_capacity = Some(6 * t.len() + 1);
-        let (baseline, snapshots) = run_capturing(cfg.clone(), &p, &t);
-        assert!(
-            snapshots.len() >= 2,
-            "expected several checkpoints, got {}",
-            snapshots.len()
-        );
-        // Resume from the middle checkpoint and finish: every statistic —
-        // counters, per-PC maps, the UPC timeline and every recorded
-        // pipeline event —
-        // must land byte-identical to the straight-through run.
-        let snapshot = snapshots[snapshots.len() / 2].clone();
-        assert!(snapshot.cycle > 0 && snapshot.cycle < baseline.cycles);
-        let mut resume_cfg = cfg;
-        resume_cfg.checkpoint_interval = None;
-        resume_cfg.restore = Some(Arc::new(snapshot));
-        let resumed = Simulator::new(resume_cfg).run(&p, &t, None);
-        assert_eq!(resumed.snapshot_words(), baseline.snapshot_words());
-        assert_eq!(resumed.cycles, baseline.cycles);
-        assert_eq!(resumed.retired, t.len() as u64);
-    }
-
-    #[test]
-    fn audit_restore_proves_determinism_across_workloads() {
-        for (name, (p, t)) in [
-            ("alu", alu_loop()),
-            ("memory", memory_loop()),
-            ("branchy", branchy_loop()),
-        ] {
-            let mut cfg = SimConfig::skylake();
-            cfg.cancel_check_interval = 250;
-            let audit = Simulator::new(cfg)
-                .audit_restore(&p, &t, None, 1000)
-                .unwrap_or_else(|e| panic!("{name}: audit failed: {e}"));
-            assert!(
-                audit.checkpoints_verified >= 1,
-                "{name}: no checkpoints were captured"
-            );
-            assert_eq!(audit.result.retired, t.len() as u64, "{name}");
-        }
-    }
-
-    #[test]
-    fn audit_restore_verifies_the_crisp_scheduler_path() {
-        // The PRIO pick order and criticality map must survive
-        // restore too, not just the baseline scheduler.
-        let (p, t) = memory_loop();
-        let critical = vec![true; p.len()];
-        let mut cfg = SimConfig::skylake().with_scheduler(SchedulerKind::Crisp);
-        cfg.cancel_check_interval = 250;
-        let audit = Simulator::new(cfg)
-            .audit_restore(&p, &t, Some(&critical), 1000)
-            .expect("crisp audit");
-        assert!(audit.checkpoints_verified >= 1);
-    }
-
-    /// Independent L1-hitting loads outnumber the two load ports, so in
-    /// most cycles ready loads wait for a port beside ready ALU work.
-    fn load_burst_loop() -> (crisp_isa::Program, Trace) {
-        let mut b = ProgramBuilder::new();
-        b.li(r(1), 0x6000);
-        b.li(r(2), 300);
-        let top = b.label();
-        b.bind(top);
-        for k in 0..8u8 {
-            b.load(r(3 + k), r(1), 8 * i64::from(k), 8);
-        }
-        for k in 0..4u8 {
-            b.alu_rr(AluOp::Add, r(12 + k), r(12 + k), r(3 + k));
-        }
-        b.alu_ri(AluOp::Sub, r(2), r(2), 1);
-        b.branch(Cond::Ne, r(2), Reg::ZERO, top);
-        b.halt();
-        let p = b.build();
-        let t = Emulator::new(&p, Memory::new()).run(100_000);
-        (p, t)
-    }
-
-    #[test]
-    fn restore_rebuilds_ready_and_prio_vectors_under_contention() {
-        // Checkpoints every 64 cycles land while critical loads sit ready
-        // behind busy load ports: a restore that rebuilt the PRIO vector
-        // wrongly would reorder picks and move the recorded events.
-        let (p, t) = load_burst_loop();
-        let critical: Vec<bool> = (0..p.len()).map(|pc| p.inst(pc as Pc).is_load()).collect();
-        let mut cfg = SimConfig::skylake().with_scheduler(SchedulerKind::Crisp);
-        cfg.cancel_check_interval = 64;
-        cfg.tracer_capacity = Some(6 * t.len() + 1);
-        let audit = Simulator::new(cfg)
-            .audit_restore(&p, &t, Some(&critical), 64)
-            .expect("every restore rebuilds the scheduler vectors");
-        assert!(
-            audit.checkpoints_verified >= 10,
-            "{}",
-            audit.checkpoints_verified
-        );
-    }
-
-    #[test]
-    fn restore_rejects_snapshot_from_a_different_trace() {
+    fn invariant_checker_rejects_a_free_list_naming_a_taken_slot() {
+        // Dispatch pops the free list without looking, so a free list that
+        // names one slot twice, or an occupied slot, would hand one slot to
+        // two instructions. Both shapes below keep the occupied and free
+        // counts summing to the RS size, so only the per-slot rule sees them.
         let (p, t) = alu_loop();
-        let (_, snapshots) = run_capturing(checkpointing_config(500), &p, &t);
-        let snapshot = snapshots.first().expect("checkpoint").clone();
-        let (p2, t2) = memory_loop();
-        let mut cfg = SimConfig::skylake();
-        cfg.restore = Some(Arc::new(snapshot));
-        let err = Simulator::new(cfg).try_run(&p2, &t2, None).unwrap_err();
-        let SimError::SnapshotRestore { section, message } = err else {
-            panic!("expected restore rejection, got {err}");
-        };
-        assert_eq!(section, "engine");
-        assert!(message.contains("different workload"), "message: {message}");
-    }
-
-    #[test]
-    fn restore_rejects_tampered_and_truncated_snapshots() {
-        let (p, t) = memory_loop();
-        let (_, snapshots) = run_capturing(checkpointing_config(500), &p, &t);
-        let good = snapshots.first().expect("checkpoint").clone();
-
-        // Truncating a section must be detected, not mis-decoded.
-        let mut truncated = good.clone();
-        truncated.sections[0].1.pop();
-        let mut cfg = SimConfig::skylake();
-        cfg.restore = Some(Arc::new(truncated));
-        let err = Simulator::new(cfg).try_run(&p, &t, None).unwrap_err();
-        assert!(
-            matches!(err, SimError::SnapshotRestore { ref section, .. } if section == "engine"),
-            "got {err}"
-        );
-
-        // A missing section is named in the error.
-        let mut missing = good.clone();
-        missing.sections.retain(|(name, _)| name != "bpu");
-        let mut cfg = SimConfig::skylake();
-        cfg.restore = Some(Arc::new(missing));
-        let err = Simulator::new(cfg).try_run(&p, &t, None).unwrap_err();
-        assert!(
-            matches!(err, SimError::SnapshotRestore { ref section, .. } if section == "bpu"),
-            "got {err}"
-        );
-
-        // Corrupting the header cycle trips the final consistency check.
-        let mut skewed = good;
-        skewed.cycle += 1;
-        let mut cfg = SimConfig::skylake();
-        cfg.restore = Some(Arc::new(skewed));
-        let err = Simulator::new(cfg).try_run(&p, &t, None).unwrap_err();
-        assert!(
-            matches!(err, SimError::SnapshotRestore { ref section, .. } if section == "engine"),
-            "got {err}"
-        );
-    }
-
-    #[test]
-    fn restore_rejects_a_free_list_naming_a_taken_slot() {
-        // Dispatch pops the free list without looking, so a checkpoint
-        // whose free list names an occupied slot, or one slot twice, would
-        // hand one slot to two instructions. Restore must refuse it.
-        let (p, t) = memory_loop();
-        let (_, snapshots) = run_capturing(checkpointing_config(64), &p, &t);
         let cfg = SimConfig::skylake();
         let layout = p.layout(|_| false);
-        let mut engine = Engine::new(&cfg, &p, &layout, &t, None);
-        let partly_occupied = |s: &SimSnapshot, e: &mut Engine| {
-            let words = s.section("engine").expect("engine section");
-            e.restore_words(words).expect("clean engine words");
-            (2..cfg.rs_entries).contains(&e.rs_free.len())
-        };
-        let good = snapshots
-            .into_iter()
-            .find(|s| partly_occupied(s, &mut engine))
-            .expect("a checkpoint with the RS partly occupied");
-        let free = engine.rs_free.clone();
-        let occupied = engine.rs.iter().position(Option::is_some);
-        for taken in [occupied.expect("an occupied RS slot"), free[0]] {
-            engine.rs_free = free.clone();
-            *engine.rs_free.last_mut().expect("a free slot") = taken;
-            let mut bad = good.clone();
-            bad.sections[0].1 = engine.snapshot_words();
-            let mut cfg = SimConfig::skylake();
-            cfg.restore = Some(Arc::new(bad));
-            let err = Simulator::new(cfg).try_run(&p, &t, None).unwrap_err();
-            let SimError::SnapshotRestore { section, message } = err else {
-                panic!("slot {taken}: expected restore rejection, got {err}");
+        let fresh = || Engine::new(&cfg, &p, &layout, &t, None);
+        // One slot listed twice; the slot it displaced is missing.
+        let mut twice = fresh();
+        twice.rs_free[0] = twice.rs_free[1];
+        // An occupied slot still listed, while another free slot is missing.
+        let mut taken = fresh();
+        let missing = taken.rs_free.pop().expect("a free slot");
+        let occupied = *taken.rs_free.last().expect("another free slot");
+        assert_ne!(missing, occupied);
+        taken.rs[occupied] = Some(0);
+        for (shape, engine) in [("twice", twice), ("taken", taken)] {
+            let err = engine.check_invariants().unwrap_err();
+            let SimError::InvariantViolation { message, .. } = &err else {
+                panic!("{shape}: expected an invariant violation, got {err}");
             };
-            assert_eq!(section, "engine");
-            assert!(message.contains("free list names slot"), "{message}");
-        }
-    }
-
-    #[test]
-    fn checkpoints_ride_the_cancel_poll_cadence() {
-        let (p, t) = alu_loop();
-        // Poll every 64 cycles, checkpoint every 100: emission quantises
-        // up to the next poll, so consecutive checkpoints are >= 100
-        // cycles apart and always on a poll boundary.
-        let (res, snapshots) = run_capturing(checkpointing_config(100), &p, &t);
-        assert!(snapshots.len() >= 2);
-        for s in &snapshots {
             assert!(
-                s.cycle > 0 && s.cycle.is_multiple_of(64),
-                "cycle {}",
-                s.cycle
+                message.contains("free list names slot"),
+                "{shape}: {message}"
             );
-            assert!(s.cycle <= res.cycles);
         }
-        for w in snapshots.windows(2) {
-            assert!(w[1].cycle - w[0].cycle >= 100);
-        }
-    }
-
-    #[test]
-    fn unconfigured_runs_never_emit_checkpoints() {
-        let (p, t) = alu_loop();
-        let mut cfg = SimConfig::skylake();
-        cfg.cancel_check_interval = 64;
-        // Sink present but no interval: the hook must stay dormant.
-        let (_, snapshots) = run_capturing(cfg, &p, &t);
-        assert!(snapshots.is_empty());
     }
 }

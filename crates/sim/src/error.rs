@@ -159,24 +159,6 @@ pub enum SimError {
         /// Total instructions in the trace.
         total: u64,
     },
-    /// A [`crate::SimConfig::restore`] snapshot failed to apply: it is
-    /// malformed, or it was taken from a machine with different
-    /// configuration or inputs than the one restoring it.
-    SnapshotRestore {
-        /// Which snapshot section failed (`engine`, `mem`, `bpu`,
-        /// `stats`).
-        section: String,
-        /// The decoder's explanation.
-        message: String,
-    },
-    /// The checkpoint/restore determinism audit
-    /// ([`crate::Simulator::audit_restore`]) found a divergence: resuming
-    /// from a checkpoint produced final statistics different from the
-    /// straight-through run.
-    RestoreAuditDivergence {
-        /// Cycle of the checkpoint whose resumed run diverged.
-        checkpoint_cycle: u64,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -214,14 +196,6 @@ impl fmt::Display for SimError {
             } => write!(
                 f,
                 "cycle budget of {budget} exhausted (retired {retired}/{total})"
-            ),
-            SimError::SnapshotRestore { section, message } => {
-                write!(f, "checkpoint restore failed in section '{section}': {message}")
-            }
-            SimError::RestoreAuditDivergence { checkpoint_cycle } => write!(
-                f,
-                "determinism audit failed: the run resumed from the checkpoint at cycle \
-                 {checkpoint_cycle} diverged from the straight-through run"
             ),
         }
     }
@@ -290,20 +264,6 @@ mod tests {
             total: 9,
         };
         assert!(b.to_string().contains("budget of 1000"));
-    }
-
-    #[test]
-    fn snapshot_errors_name_the_failure() {
-        let e = SimError::SnapshotRestore {
-            section: "engine".to_string(),
-            message: "truncated at word 3".to_string(),
-        };
-        assert!(e.to_string().contains("section 'engine'"));
-        assert!(e.to_string().contains("truncated at word 3"));
-        let d = SimError::RestoreAuditDivergence {
-            checkpoint_cycle: 8192,
-        };
-        assert!(d.to_string().contains("cycle 8192"));
     }
 
     #[test]

@@ -71,7 +71,6 @@ mod config;
 mod engine;
 mod error;
 mod select;
-mod snapshot;
 mod stats;
 mod wakeup;
 
@@ -79,10 +78,8 @@ pub use bitset::BitSet;
 pub use bpu::{BpuConfig, BranchOutcome, BranchPredictionUnit};
 pub use cancel::{AbortReason, CancelToken, ProgressBeacon};
 pub use config::{SchedulerKind, SimConfig};
-pub use crisp_words::Snapshot;
 pub use engine::Simulator;
 pub use error::{ConfigError, DeadlockReport, HeadState, SimError};
-pub use snapshot::{CheckpointSink, RestoreAudit, SimSnapshot};
 pub use stats::{BranchPcStats, LoadPcStats, SimResult, UpcTimeline};
 
 // Re-exported for convenience: the memory config lives in crisp-mem.

@@ -168,8 +168,8 @@ pub struct SimResult {
     pub telemetry: crisp_obs::TelemetryLog,
     /// Host-side self-profile (all-zero unless `SimConfig::hostprof`).
     /// Deliberately *excluded* from [`SimResult::snapshot_words`]: host
-    /// nanoseconds are nondeterministic, and the snapshot encoding is
-    /// the byte-identity witness behind `--audit-restore`.
+    /// nanoseconds are nondeterministic, and those words are the
+    /// byte-identity witness that digests and oracles compare.
     pub hostprof: crisp_obs::HostProfReport,
 }
 
@@ -267,9 +267,9 @@ impl SimResult {
         }
     }
 
-    /// The result's snapshot words (see the [`crisp_words::Snapshot`]
-    /// impl): the byte-identity witness of `--audit-restore`, callable
-    /// without importing the trait.
+    /// The result's words (see the [`crisp_words::Snapshot`] impl): the
+    /// byte-identity witness that output digests and the engine oracle
+    /// compare, callable without importing the trait.
     pub fn snapshot_words(&self) -> Vec<u64> {
         crisp_words::Snapshot::snapshot_words(self)
     }

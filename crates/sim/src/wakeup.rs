@@ -10,8 +10,7 @@
 //! The lists are intrusive and indexed by RS slot (every unissued
 //! instruction holds one), so nothing is allocated after construction.
 //!
-//! All of this is derived from the ROB. Checkpoints never carry it; a
-//! restored engine rebuilds it by inserting every waiting entry again.
+//! All of this is derived from the ROB.
 
 use crate::bitset::BitSet;
 use std::cmp::Reverse;
@@ -73,14 +72,6 @@ impl Wakeup {
             prio: BitSet::new(slots),
             woken: 0,
         }
-    }
-
-    /// Forgets every entry, before a rebuild.
-    pub(crate) fn clear(&mut self) {
-        self.head.fill(END);
-        self.timed.clear();
-        self.ready.clear_all();
-        self.prio.clear_all();
     }
 
     /// Enters the instruction dispatched into `slot` at cycle `visible_at`
@@ -238,8 +229,5 @@ mod tests {
             4,
         );
         assert_eq!(ones(&w.ready), [3]);
-        w.clear();
-        assert!(!w.ready.any());
-        assert_eq!(w.next_ready(), None);
     }
 }

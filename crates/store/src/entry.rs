@@ -1,9 +1,8 @@
 //! The on-disk cell-entry container and its codec.
 //!
 //! One store entry wraps one cell's result payload in a versioned,
-//! integrity-checked binary envelope, following the checkpoint
-//! container's discipline (magic, version, CRCs, end marker, typed torn
-//! errors, atomic tmp+fsync+rename writes):
+//! integrity-checked binary envelope (magic, version, CRCs, end marker,
+//! typed torn errors, atomic tmp+fsync+rename writes):
 //!
 //! ```text
 //! magic "CRSPCELL"           8 bytes

@@ -47,8 +47,8 @@ use std::sync::OnceLock;
 use std::time::{Duration, SystemTime};
 
 /// Writes `bytes` to `path` atomically — the one crash-safe write the
-/// workspace's on-disk formats share (store entries, checkpoints, the
-/// daemon's job records). The bytes are assembled under a process-unique
+/// workspace's on-disk formats share (store entries and the daemon's job
+/// records). The bytes are assembled under a process-unique
 /// `.tmp` name, `sync_data`'d, renamed over `path`, and the parent
 /// directory is `sync_all`'d so the rename itself is durable. A SIGKILL
 /// at any point leaves either the previous file or an orphaned `.tmp` —
@@ -84,8 +84,8 @@ fn tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes` — shared by the entry
-/// container here and the harness's checkpoint container.
+/// CRC-32 (IEEE 802.3, reflected) over `bytes`, as the entry container
+/// uses it.
 pub fn crc32(bytes: &[u8]) -> u32 {
     static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
     let table = TABLE.get_or_init(|| {

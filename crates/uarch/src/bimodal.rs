@@ -22,8 +22,6 @@ pub struct Bimodal {
     mask: u64,
 }
 
-crisp_words::fields! { Bimodal { table } }
-
 impl Bimodal {
     /// Creates a predictor with `entries` counters.
     ///

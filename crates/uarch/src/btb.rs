@@ -1,7 +1,7 @@
 use crisp_isa::CtrlKind;
 
 /// One branch-target-buffer entry.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BtbEntry {
     /// Full tag (the branch byte address).
     pub pc: u64,
@@ -10,37 +10,6 @@ pub struct BtbEntry {
     /// Kind of control transfer, so the frontend knows whether to consult
     /// the direction predictor, the RAS or the indirect predictor.
     pub kind: CtrlKind,
-}
-
-/// The control kinds in snapshot-code order.
-const KINDS: [CtrlKind; 5] = [
-    CtrlKind::CondBranch,
-    CtrlKind::Jump,
-    CtrlKind::IndirectJump,
-    CtrlKind::Call,
-    CtrlKind::Ret,
-];
-
-impl crisp_words::Snapshot for BtbEntry {
-    fn put(&self, out: &mut Vec<u64>) {
-        let code = KINDS.iter().position(|&k| k == self.kind);
-        out.extend([
-            self.pc,
-            self.target,
-            code.expect("every kind has a code") as u64,
-        ]);
-    }
-
-    fn take(&mut self, r: &mut crisp_words::Reader<'_>) -> Result<(), String> {
-        self.pc = r.u64()?;
-        self.target = r.u64()?;
-        let code = r.u64()?;
-        self.kind = *usize::try_from(code)
-            .ok()
-            .and_then(|i| KINDS.get(i))
-            .ok_or_else(|| format!("bad control kind {code}"))?;
-        Ok(())
-    }
 }
 
 /// A set-associative branch target buffer.
@@ -67,13 +36,6 @@ pub struct Btb {
     lookups: u64,
     misses: u64,
 }
-
-crisp_words::fields! { Btb { stamp, lookups, misses, sets as lists } check |b| {
-    match b.sets.iter().find(|set| set.len() > b.ways) {
-        Some(set) => Err(format!("{} ways in a set, expected at most {}", set.len(), b.ways)),
-        None => Ok(()),
-    }
-} }
 
 impl Btb {
     /// Creates a BTB with `entries` total entries and `ways` associativity.
@@ -150,7 +112,6 @@ impl Btb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crisp_words::Snapshot;
 
     #[test]
     fn miss_then_hit_after_insert() {
@@ -201,23 +162,5 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_geometry_rejected() {
         let _ = Btb::new(12, 4);
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_lru_and_counters() {
-        let mut btb = Btb::new(64, 4);
-        btb.insert(0x100, 0x200, CtrlKind::CondBranch);
-        btb.insert(0x104, 0x300, CtrlKind::Call);
-        btb.lookup(0x100);
-        btb.lookup(0x999); // miss
-        let words = btb.snapshot_words();
-        let mut other = Btb::new(64, 4);
-        other.restore_words(&words).unwrap();
-        assert_eq!(other.snapshot_words(), words);
-        assert_eq!(other.stats(), btb.stats());
-        assert_eq!(other.lookup(0x104).unwrap().kind, CtrlKind::Call);
-        // Geometry mismatch is rejected.
-        let mut wrong = Btb::new(32, 4);
-        assert!(wrong.restore_words(&words).is_err());
     }
 }

@@ -24,8 +24,6 @@ pub struct IndirectPredictor {
     hist_bits: u32,
 }
 
-crisp_words::fields! { IndirectPredictor { history, table } }
-
 impl IndirectPredictor {
     /// Creates a predictor with `entries` slots and `hist_bits` bits of
     /// path history.
@@ -69,7 +67,6 @@ impl IndirectPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crisp_words::Snapshot;
 
     #[test]
     fn monomorphic_target_is_predicted() {
@@ -119,20 +116,5 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_size_rejected() {
         let _ = IndirectPredictor::new(3, 4);
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_history() {
-        let mut p = IndirectPredictor::new(256, 8);
-        for t in [0x100u64, 0x200, 0x100, 0x300] {
-            p.update(0x40, t);
-        }
-        let words = p.snapshot_words();
-        let mut q = IndirectPredictor::new(256, 8);
-        q.restore_words(&words).unwrap();
-        assert_eq!(q.snapshot_words(), words);
-        assert_eq!(q.predict(0x40), p.predict(0x40));
-        let mut wrong = IndirectPredictor::new(128, 8);
-        assert!(wrong.restore_words(&words).is_err());
     }
 }

@@ -124,23 +124,6 @@ impl SatCounter {
     }
 }
 
-/// One word: the value's byte, then the saturation bound's byte.
-impl crisp_words::Snapshot for SatCounter {
-    fn put(&self, out: &mut Vec<u64>) {
-        out.push(u64::from(self.value as u8) | u64::from(self.max as u8) << 8);
-    }
-
-    fn take(&mut self, r: &mut crisp_words::Reader<'_>) -> Result<(), String> {
-        let w = r.u64()?;
-        let (value, max) = (w as u8 as i8, (w >> 8) as u8 as i8);
-        if w >> 16 != 0 || max < 0 || !(-max - 1..=max).contains(&value) {
-            return Err(format!("bad saturating counter {w:#x}"));
-        }
-        *self = SatCounter { value, max };
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

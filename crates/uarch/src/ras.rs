@@ -20,14 +20,6 @@ pub struct Ras {
     capacity: usize,
 }
 
-crisp_words::fields! { Ras { top, depth, stack } check |r| {
-    if r.top < r.capacity && r.depth <= r.capacity {
-        Ok(())
-    } else {
-        Err(format!("top {} / depth {} outside capacity {}", r.top, r.depth, r.capacity))
-    }
-} }
-
 impl Ras {
     /// Creates a RAS holding up to `capacity` return addresses.
     ///
@@ -79,7 +71,6 @@ impl Ras {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crisp_words::Snapshot;
 
     #[test]
     fn lifo_order() {
@@ -132,22 +123,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_capacity_rejected() {
         let _ = Ras::new(0);
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_stack() {
-        let mut r = Ras::new(4);
-        r.push(10);
-        r.push(20);
-        r.push(30);
-        r.pop();
-        let words = r.snapshot_words();
-        let mut s = Ras::new(4);
-        s.restore_words(&words).unwrap();
-        assert_eq!(s.snapshot_words(), words);
-        assert_eq!(s.pop(), Some(20));
-        assert_eq!(s.pop(), Some(10));
-        let mut wrong = Ras::new(8);
-        assert!(wrong.restore_words(&words).is_err());
     }
 }

@@ -59,14 +59,6 @@ struct FoldedHistory {
     out_point: u32,
 }
 
-crisp_words::fields! { FoldedHistory { comp } check |f| {
-    if f.comp >> f.comp_len == 0 {
-        Ok(())
-    } else {
-        Err(format!("folded history {:#x} wider than {} bits", f.comp, f.comp_len))
-    }
-} }
-
 impl FoldedHistory {
     fn new(orig_len: u32, comp_len: u32) -> FoldedHistory {
         FoldedHistory {
@@ -95,8 +87,6 @@ struct TageEntry {
     useful: u8,
 }
 
-crisp_words::fields! { TageEntry { tag, ctr, useful } }
-
 /// The TAGE conditional-branch predictor (Seznec, "A case for
 /// (partially)-tagged geometric history length predictors", JILP 2006).
 ///
@@ -124,22 +114,6 @@ pub struct Tage {
     // Per-prediction bookkeeping (filled by `predict`, consumed by `update`).
     last: PredState,
 }
-
-// The per-prediction scratch (`last`) is not captured: snapshots are
-// taken at instruction boundaries, never between a predict and its
-// update, and `predict` rewrites it whole.
-crisp_words::fields! { Tage {
-    base, tables, history, hist_pos, index_fold, tag_fold0, tag_fold1, use_alt_on_na, lfsr, updates
-} check |t| {
-    let tag_mask = !((1u16 << t.config.tag_bits) - 1);
-    if let Some(e) = t.tables.iter().flatten().find(|e| e.tag & tag_mask != 0) {
-        return Err(format!("tag {:#x} wider than configured", e.tag));
-    }
-    if t.hist_pos >= t.history.len() {
-        return Err(format!("history cursor {} out of range", t.hist_pos));
-    }
-    Ok(())
-} }
 
 #[derive(Clone, Copy, Debug, Default)]
 struct PredState {
@@ -379,7 +353,6 @@ impl DirectionPredictor for Tage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crisp_words::Snapshot;
 
     fn run_pattern(tage: &mut Tage, pc: u64, pattern: &[bool], reps: usize) -> (u64, u64) {
         let mut total = 0;
@@ -517,55 +490,6 @@ mod tests {
             tage_wrong < bim_wrong / 4,
             "TAGE ({tage_wrong}) should decisively beat bimodal ({bim_wrong})"
         );
-    }
-
-    #[test]
-    fn snapshot_round_trip_continues_in_lockstep() {
-        let mut t = Tage::default_config();
-        // Warm up with a mixed pattern so tables, folds and the LFSR all
-        // carry non-trivial state.
-        let mut x = 0xC0FFEEu64;
-        for _ in 0..5000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let pc = 0x40 + (x & 0xF0);
-            let taken = (x >> 62) & 1 == 1;
-            let pred = t.predict(pc);
-            t.update(pc, taken, pred);
-        }
-        let words = t.snapshot_words();
-        let mut u = Tage::default_config();
-        u.restore_words(&words).unwrap();
-        assert_eq!(u.snapshot_words(), words, "snapshot must round-trip");
-        // Both predictors must now agree on every future prediction.
-        for _ in 0..2000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let pc = 0x40 + (x & 0xF0);
-            let taken = (x >> 62) & 1 == 1;
-            let a = t.predict(pc);
-            let b = u.predict(pc);
-            assert_eq!(a, b, "divergence after restore");
-            t.update(pc, taken, a);
-            u.update(pc, taken, b);
-        }
-        assert_eq!(t.snapshot_words(), u.snapshot_words());
-    }
-
-    #[test]
-    fn snapshot_rejects_mismatched_geometry_and_garbage() {
-        let t = Tage::default_config();
-        let words = t.snapshot_words();
-        let mut small = Tage::new(TageConfig {
-            table_entries: 1 << 8,
-            ..TageConfig::default()
-        });
-        assert!(small.restore_words(&words).is_err());
-        let mut u = Tage::default_config();
-        assert!(u.restore_words(&words[..10]).is_err(), "truncated");
-        let mut corrupt = words.clone();
-        let last = corrupt.len() - 1;
-        corrupt[last] = u64::MAX; // updates is unconstrained; add a word instead
-        corrupt.push(0);
-        assert!(u.restore_words(&corrupt).is_err(), "trailing words");
     }
 
     #[test]

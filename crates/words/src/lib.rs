@@ -1,22 +1,21 @@
 //! # crisp-words
 //!
-//! The one snapshot codec of the CRISP reproduction. Every checkpointable
-//! structure — predictors, caches, DRAM, prefetchers, the emulator, the
-//! observability recorders and the core itself — serialises its complete
-//! mutable state as a flat `Vec<u64>` through the [`Snapshot`] trait and
-//! restores it, in place, into an identically configured instance.
+//! The value codec of the CRISP reproduction. A simulation's result —
+//! `SimResult` and its sections: memory and cache statistics, per-PC
+//! tables, the UPC timeline, the flight recorder, the stall table and the
+//! telemetry log — encodes as a flat `Vec<u64>` through the [`Snapshot`]
+//! trait and decodes, in place, into an identically configured value.
+//! Those words are the byte-identity witness that output digests and the
+//! engine oracle compare.
 //!
-//! Configuration is never serialised. Where a snapshot carries a
-//! geometry value (a table length, a capacity), restore compares it with
-//! the live instance and rejects a mismatch, so a snapshot only lands in a
-//! machine shaped exactly like the one that wrote it. Every read is
+//! Where the words carry a configuration value (a capacity), decoding
+//! compares it with the live value and rejects a mismatch. Every read is
 //! bounds-checked and every count is bounded by the words remaining
 //! before anything is allocated, so malformed input is an `Err`, never a
 //! panic.
 //!
-//! Most structures name their fields once with [`fields!`]; enums with a
-//! stable numeric code use [`codes!`]. Durable framing (file format
-//! version, CRCs, fingerprints) lives in `crisp-harness`.
+//! Most values name their fields once with [`fields!`]; enums with a
+//! stable numeric code use [`codes!`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -233,7 +232,7 @@ impl<T: Snapshot, const N: usize> Snapshot for [T; N] {
     }
 }
 
-/// A fixed-geometry table: its length, checked against the live table on
+/// A fixed-size table: its length, checked against the live table on
 /// restore, then every element in place. Variable-length sequences use
 /// [`list`] instead.
 impl<T: Snapshot> Snapshot for Vec<T> {
@@ -277,31 +276,6 @@ pub mod list {
         let n = r.count()?;
         *items = (0..n).map(|_| r.read()).collect::<Result<C, String>>()?;
         Ok(())
-    }
-}
-
-/// A fixed-geometry table of variable-length lists (cache and BTB sets):
-/// the table length, checked like a `Vec`'s, then each [`list`].
-pub mod lists {
-    use super::{list, Reader, Snapshot};
-
-    /// Appends the table length and every list.
-    pub fn put<T: Snapshot>(sets: &[Vec<T>], out: &mut Vec<u64>) {
-        out.push(sets.len() as u64);
-        sets.iter().for_each(|set| list::put(set, out));
-    }
-
-    /// Restores every list of an identically sized table.
-    /// Fails on a table-size mismatch or malformed input.
-    pub fn take<T: Snapshot + Default>(
-        sets: &mut [Vec<T>],
-        r: &mut Reader<'_>,
-    ) -> Result<(), String> {
-        let n = r.u64()?;
-        if n != sets.len() as u64 {
-            return Err(format!("{n} sets, expected {}", sets.len()));
-        }
-        sets.iter_mut().try_for_each(|set| list::take(set, r))
     }
 }
 
@@ -403,8 +377,7 @@ pub mod echo {
 /// layout order.
 ///
 /// Each field is written with its own `Snapshot` impl, or with a helper
-/// module named after `as`: [`list`], [`lists`], [`map`], [`section`] or
-/// [`echo`]. Restore errors are prefixed with the field's name. An
+/// module named after `as`: [`list`], [`map`], [`section`] or [`echo`]. Restore errors are prefixed with the field's name. An
 /// optional `check` closure runs after every field is restored and
 /// rejects states the words alone cannot rule out (index ranges, widths,
 /// capacities). Invoke it with braces, as an item, so formatters leave the
@@ -474,7 +447,7 @@ macro_rules! fields {
 macro_rules! codes {
     ($t:ident { $first:ident = $c0:literal $(, $v:ident = $c:literal)* $(,)? }) => {
         impl $t {
-            /// Stable numeric code used by the snapshot codec.
+            /// Stable numeric code used by the value codec.
             pub fn code(self) -> u64 {
                 match self {
                     $t::$first => $c0,
@@ -570,19 +543,6 @@ mod tests {
         let mut back = VecDeque::from([9]);
         list::take(&mut back, &mut Reader::new(&w)).unwrap();
         assert_eq!(back, q);
-    }
-
-    #[test]
-    fn set_tables_check_their_geometry() {
-        let sets = vec![vec![1u64], vec![], vec![2, 3]];
-        let mut w = Vec::new();
-        lists::put(&sets, &mut w);
-        assert_eq!(w, [3, 1, 1, 0, 2, 2, 3]);
-        let mut back: Vec<Vec<u64>> = vec![Vec::new(); 3];
-        lists::take(&mut back, &mut Reader::new(&w)).unwrap();
-        assert_eq!(back, sets);
-        let mut wrong = vec![Vec::<u64>::new(); 2];
-        assert!(lists::take(&mut wrong, &mut Reader::new(&w)).is_err());
     }
 
     #[test]

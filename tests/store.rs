@@ -170,3 +170,51 @@ fn warm_journaled_sweep_is_fully_cached_and_identical() {
     let _ = ResultStoreConfig::new(&store);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The prefetcher-zoo figure is deterministic *through the store*: a
+/// cold sweep computes every `prefzoo` cell, a warm re-run serves them
+/// from the content-addressed store, and both the rendered matrix and
+/// every payload word are bit-identical — the SimResult-derived numbers
+/// survive the encode/decode round trip exactly.
+#[test]
+fn prefzoo_store_warm_rerun_is_byte_identical() {
+    let dir = std::env::temp_dir().join("crisp-snap-prefzoo-warm");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let store = dir.join("store");
+    let cfg_for = |manifest: &str| SweepConfig {
+        scale: ExperimentScale::Tiny,
+        targets: vec!["prefzoo".to_string()],
+        workloads: Some(vec!["pointer_chase".to_string()]),
+        manifest: Some(dir.join(manifest)),
+        store: Some(store.clone()),
+        ..SweepConfig::default()
+    };
+
+    let cold = run_supervised_sweep(&cfg_for("cold.jsonl")).expect("cold sweep");
+    assert_eq!(cold.report.store_computed, 1);
+    let warm = run_supervised_sweep(&cfg_for("warm.jsonl")).expect("warm sweep");
+    assert_eq!(warm.report.store_hits, 1);
+    assert_eq!(
+        warm.rendered, cold.rendered,
+        "matrix must render identically"
+    );
+
+    for (job, outcome) in &cold.report.outcomes {
+        let JobOutcome::Completed { payload: a, .. } = outcome else {
+            panic!("{job} did not complete: {outcome:?}");
+        };
+        let Some(JobOutcome::Completed { payload: b, .. }) = warm.report.outcomes.get(job) else {
+            panic!("{job} missing from warm run");
+        };
+        assert_eq!(a.len(), b.len(), "{job}: payload length changed");
+        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{job}: payload word {i} not bit-identical ({x} vs {y})"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
