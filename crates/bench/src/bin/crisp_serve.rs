@@ -22,12 +22,8 @@
 //!   --store DIR          Shared result store (default <data>/store)
 //!   --queue N            Admission cap: queued + running jobs (default 16)
 //!   --max-conns N        Concurrent connection cap (default 32)
-//!   --jobs N             Sweep worker threads per job (default 1)
-//!   --workers N          Multi-process pool: fork/exec N crisp-worker
-//!                        processes at startup and dispatch every
-//!                        computed cell to them (crash containment,
-//!                        heartbeat-renewed leases, poison quarantine).
-//!                        Default 0 = simulate in-process.
+//!   --jobs N             Sweep worker threads per job, sharing one
+//!                        stage memo (default 1)
 //!   --deadline SECS      Per-attempt cell deadline
 //!   --heartbeat MS       Supervisor heartbeat cadence (default 250)
 //!   --retry-after-ms MS  Backpressure hint in 429/503 responses
@@ -42,7 +38,7 @@
 
 use crisp_bench::sweep::{build_jobs, run_supervised_sweep, sweep_spec, SweepConfig};
 use crisp_bench::{all_targets, ExperimentScale};
-use crisp_harness::{cell_key, EventSink, PoolOptions, WorkerPool};
+use crisp_harness::{cell_key, EventSink};
 use crisp_obs::json::Value;
 use crisp_serve::{
     run_daemon, signal, DaemonConfig, ExecCtx, ExecResult, JobPlan, JobRecord, PrefetchTotals,
@@ -52,17 +48,15 @@ use crisp_sim::CancelToken;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 const EXIT_USAGE: u8 = 2;
 const EXIT_STARTUP: u8 = 5;
 
 /// Daemon-side sweep knobs that are not part of a submission.
-#[derive(Clone)]
 struct ServeOptions {
     workers: usize,
-    pool_workers: usize,
     deadline: Option<Duration>,
     heartbeat: Duration,
     cell_delay: Option<Duration>,
@@ -74,7 +68,7 @@ struct UsageError(String);
 fn usage() {
     eprintln!(
         "usage: crisp-serve [--data DIR] [--addr HOST:PORT] [--store DIR] [--queue N]\n\
-         \x20                  [--max-conns N] [--jobs N] [--workers N] [--deadline SECS]\n\
+         \x20                  [--max-conns N] [--jobs N] [--deadline SECS]\n\
          \x20                  [--heartbeat MS] [--retry-after-ms MS]\n\
          \x20                  [--cell-delay-ms MS] [--quiet]"
     );
@@ -84,7 +78,6 @@ fn parse_args(args: &[String]) -> Result<(DaemonConfig, ServeOptions), UsageErro
     let mut cfg = DaemonConfig::default();
     let mut opts = ServeOptions {
         workers: 1,
-        pool_workers: 0,
         deadline: None,
         heartbeat: Duration::from_millis(250),
         cell_delay: None,
@@ -119,13 +112,6 @@ fn parse_args(args: &[String]) -> Result<(DaemonConfig, ServeOptions), UsageErro
                 opts.workers = v.parse::<usize>().ok().filter(|n| *n > 0).ok_or_else(|| {
                     UsageError(format!("--jobs expects a positive integer, got `{v}`"))
                 })?;
-            }
-            "--workers" => {
-                let v = value("--workers", &mut it)?;
-                opts.pool_workers =
-                    v.parse::<usize>().ok().filter(|n| *n > 0).ok_or_else(|| {
-                        UsageError(format!("--workers expects a positive integer, got `{v}`"))
-                    })?;
             }
             "--deadline" => {
                 let v = value("--deadline", &mut it)?;
@@ -237,12 +223,7 @@ fn plan(request: &SubmitRequest) -> Result<JobPlan, String> {
     })
 }
 
-fn exec(
-    opts: &ServeOptions,
-    pool: Option<&Arc<WorkerPool>>,
-    record: &JobRecord,
-    ctx: &ExecCtx,
-) -> Result<ExecResult, String> {
+fn exec(opts: &ServeOptions, record: &JobRecord, ctx: &ExecCtx) -> Result<ExecResult, String> {
     let mut cfg = sweep_config(&record.request)?;
     cfg.workers = opts.workers;
     cfg.deadline = opts.deadline;
@@ -253,8 +234,7 @@ fn exec(
     cfg.heartbeat = Some(opts.heartbeat);
     cfg.cell_delay = opts.cell_delay;
     cfg.progress = opts.progress;
-    cfg.pool = pool.cloned();
-    // Supervisor and worker spans hang under the daemon's execute span.
+    // Supervisor and stage spans hang under the daemon's execute span.
     cfg.spans = Some(crisp_harness::SpanScope {
         path: ctx.spans.clone(),
         trace: ctx.trace.clone(),
@@ -333,49 +313,15 @@ fn prefetch_totals(report: &crisp_harness::SweepReport) -> Vec<PrefetchTotals> {
     totals
 }
 
-/// Spawns the `--workers N` pool: the `crisp-worker` binary is expected
-/// beside this one (same build), and must handshake with this binary's
-/// own version and schema — version skew is refused at startup.
-fn spawn_pool(workers: usize) -> Result<Arc<WorkerPool>, String> {
-    let worker_bin = std::env::current_exe()
-        .map_err(|e| format!("locate crisp-serve binary: {e}"))?
-        .with_file_name("crisp-worker");
-    let pool = WorkerPool::spawn(PoolOptions {
-        worker_bin,
-        workers,
-        ..PoolOptions::default()
-    })?;
-    Ok(Arc::new(pool))
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mut cfg, opts) = match parse_args(&args) {
+    let (cfg, opts) = match parse_args(&args) {
         Ok(parsed) => parsed,
         Err(UsageError(msg)) => {
             eprintln!("crisp-serve: {msg}");
             usage();
             return ExitCode::from(EXIT_USAGE);
         }
-    };
-
-    let pool = if opts.pool_workers > 0 {
-        match spawn_pool(opts.pool_workers) {
-            Ok(pool) => {
-                eprintln!(
-                    "[crisp-serve] worker pool ready: {} process(es)",
-                    opts.pool_workers
-                );
-                cfg.pool = Some(pool.status());
-                Some(pool)
-            }
-            Err(e) => {
-                eprintln!("crisp-serve: worker pool failed to start: {e}");
-                return ExitCode::from(EXIT_STARTUP);
-            }
-        }
-    } else {
-        None
     };
 
     // SIGTERM/SIGINT → cancel the shutdown token → the daemon stops
@@ -385,17 +331,12 @@ fn main() -> ExitCode {
     let shutdown = CancelToken::new();
     signal::watch(shutdown.clone());
 
-    let exec_opts = opts.clone();
-    let exec_pool = pool.clone();
     let outcome = run_daemon(
         &cfg,
         &plan,
-        &move |record: &JobRecord, ctx: &ExecCtx| exec(&exec_opts, exec_pool.as_ref(), record, ctx),
+        &move |record: &JobRecord, ctx: &ExecCtx| exec(&opts, record, ctx),
         &shutdown,
     );
-    if let Some(pool) = pool {
-        pool.shutdown();
-    }
     match outcome {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

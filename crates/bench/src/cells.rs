@@ -565,7 +565,6 @@ mod tests {
             attempt: 1,
             cancel: CancelToken::new(),
             progress: ProgressBeacon::new(),
-            lease: crisp_harness::LeaseGuard::default(),
         }
     }
 

@@ -6,7 +6,7 @@
 //! pipeline stages that the cells of one sweep share through a
 //! `crisp_core::StageMemo`. The `crisp-bench` binary is
 //! the one way to regenerate them: it runs the sweep ([`sweep`]) under
-//! the `crisp-harness` supervisor — worker pool, panic isolation,
+//! the `crisp-harness` supervisor — worker threads, panic isolation,
 //! per-job deadlines, retries with backoff, and a resumable JSONL run
 //! manifest — salvaging partial results into `DEGRADED` reports when
 //! cells fail permanently. The same sweep backs the `crisp-serve`

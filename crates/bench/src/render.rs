@@ -22,8 +22,8 @@ struct CellView<'a> {
     /// `(class, attempts, error)` for permanent failures; also synthesized
     /// for cells with no outcome at all (sweep crashed before they ran).
     failure: Option<(String, u32, String)>,
-    /// Structured failure record (deadlock report, panic payload,
-    /// poisoned-cell forensics) persisted in the manifest, if any.
+    /// Structured failure record (deadlock report, panic payload, last
+    /// published progress) persisted in the manifest, if any.
     detail: Option<&'a Value>,
 }
 

@@ -1,18 +1,16 @@
 //! The supervised sweep: figures × workloads on the crisp-harness
-//! worker pool, with chaos injection for testing the robustness paths.
+//! worker threads, with chaos injection for testing the robustness paths.
 
 use crate::cells::{self, CellOptions, ObsPolicy, CELL_FORMAT, FIGURES};
 use crate::experiments::{table1, ExperimentScale};
 use crate::render::render_figure;
-use crisp_core::{StageCounts, StageMemo};
+use crisp_core::{CrispError, StageCounts, StageMemo};
 use crisp_harness::{
-    run_sweep, EventSink, HarnessError, JobSpec, RetryPolicy, RunContext, RunError,
-    SupervisorOptions, SweepReport, WorkerPool,
+    run_sweep, EventSink, HarnessError, JobSpec, RetryPolicy, RunContext, SupervisorOptions,
+    SweepReport,
 };
-use crisp_obs::json::Value;
 use crisp_sim::{CancelToken, PrefetcherSpec};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Fault injection applied by the sweep runner (CI smoke + tests).
@@ -85,20 +83,12 @@ pub struct SweepConfig {
     /// this long while polling its cancel token, widening the mid-cell
     /// window that chaos tests (SIGKILL, drain) need to hit reliably.
     pub cell_delay: Option<Duration>,
-    /// `--workers N` on `crisp-serve`: dispatch every computed cell to
-    /// this multi-process [`WorkerPool`] instead of simulating in-process.
-    /// Workers inherit `cell_delay` and the chaos stall flags; telemetry
-    /// sinks are an in-process feature and are skipped (the pool's unit
-    /// of recovery is the whole cell). In pool mode `chaos.panic_once`
-    /// aborts the worker process on *every* attempt, exercising the
-    /// poison-quarantine path.
-    pub pool: Option<Arc<WorkerPool>>,
     /// Live event sink threaded into the supervisor (cell started /
     /// heartbeat / retry / degraded / done), feeding `GET /jobs/ID/events`.
     pub events: Option<EventSink>,
-    /// Cross-process span scope threaded into the supervisor and, in
-    /// pool mode, down to the worker processes (each cell's `simulate`
-    /// span carries the worker's pid), feeding `crisp obs spans`.
+    /// Span scope threaded into the supervisor (one `cell` span per
+    /// attempt) and the stage memo (one span per stage request under
+    /// it), feeding `crisp obs spans`.
     pub spans: Option<crisp_harness::SpanScope>,
 }
 
@@ -123,7 +113,6 @@ impl Default for SweepConfig {
             store: None,
             stop: None,
             cell_delay: None,
-            pool: None,
             events: None,
             spans: None,
         }
@@ -164,8 +153,7 @@ pub struct SweepOutput {
     /// The rendered reports, in target order — empty if the sweep crashed.
     pub rendered: String,
     /// What the sweep's stage memo did: simulations run, and stage
-    /// requests computed and shared. In-process cells only: pooled cells
-    /// run in worker processes, each over its own memo.
+    /// requests computed and shared.
     pub stages: StageCounts,
 }
 
@@ -219,97 +207,52 @@ pub fn run_supervised_sweep(cfg: &SweepConfig) -> Result<SweepOutput, HarnessErr
         events: cfg.events.clone(),
         spans: cfg.spans.clone(),
     };
-    let chaos = cfg.chaos.clone();
-    let scale = cfg.scale;
-    let pool = cfg.pool.clone();
     let obs = (cfg.telemetry.is_some() || cfg.pipe_trace.is_some()).then(|| ObsPolicy {
         telemetry_dir: cfg.telemetry.clone(),
         pipe_trace_dir: cfg.pipe_trace.clone(),
         ..ObsPolicy::new()
     });
-    let cell_delay = cfg.cell_delay;
-    let spans = cfg.spans.clone();
-    let prefetcher = cfg.prefetcher;
     let cell_opts = CellOptions {
-        scale,
+        scale: cfg.scale,
         obs: obs.as_ref(),
-        prefetcher,
+        prefetcher: cfg.prefetcher,
     };
     // One memo per sweep, shared by the worker threads: each distinct
     // pipeline stage runs once however many cells ask for it.
     let memo = StageMemo::new();
-    let memo = &memo;
-    let runner = move |job: &JobSpec, ctx: &RunContext| -> Result<Vec<f64>, RunError> {
-        let stall = chaos.stall.iter().any(|s| job.id.contains(s.as_str()));
-        if let Some(pool) = pool.as_deref() {
-            // Multi-process path: ship the cell to a pooled crisp-worker.
-            // panic_once cells abort the worker on every attempt — after
-            // enough consecutive crashes the pool quarantines the cell.
-            let abort = chaos.panic_once.iter().any(|s| job.id.contains(s.as_str()));
-            let mut extra = vec![("scale".to_string(), Value::Str(scale.name().to_string()))];
-            if let Some(p) = &prefetcher {
-                extra.push(("prefetcher".to_string(), Value::Str(p.to_string())));
-            }
-            if stall {
-                extra.push(("stall".to_string(), Value::Bool(true)));
-            }
-            if abort {
-                extra.push(("abort".to_string(), Value::Bool(true)));
-            }
-            if let Some(delay) = cell_delay {
-                extra.push((
-                    "cell_delay_ms".to_string(),
-                    Value::Num(delay.as_millis() as f64),
-                ));
-            }
-            if let Some(scope) = &spans {
-                // The worker re-derives the supervisor's cell-span id
-                // from (trace, name) and parents its simulate span on
-                // it. Ids ride as hex strings — u64 overflows the JSON
-                // subset's f64 numbers.
-                let parent = crisp_harness::span_id(
-                    &scope.trace,
-                    &format!("cell {}#{}", job.id, ctx.attempt),
-                );
-                extra.push(("trace".to_string(), Value::Str(scope.trace.clone())));
-                extra.push((
-                    "span_path".to_string(),
-                    Value::Str(scope.path.display().to_string()),
-                ));
-                extra.push((
-                    "span_parent".to_string(),
-                    Value::Str(format!("{parent:016x}")),
-                ));
-            }
-            return pool.run_cell(&job.id, &job.spec, ctx, &Value::Obj(extra));
-        }
-        if let Some(delay) = cell_delay {
+    let runner = |job: &JobSpec, ctx: &RunContext| -> Result<Vec<f64>, CrispError> {
+        let stall = cfg.chaos.stall.iter().any(|s| job.id.contains(s.as_str()));
+        if let Some(delay) = cfg.cell_delay {
             // Idle cooperatively before simulating, so chaos tests get a
             // wide, interruptible mid-cell window.
             let until = Instant::now() + delay;
             while Instant::now() < until {
                 if let Some(reason) = ctx.cancel.should_abort() {
-                    return Err(crisp_core::CrispError::aborted(reason).into());
+                    return Err(CrispError::aborted(reason));
                 }
                 std::thread::sleep(Duration::from_millis(2));
             }
         }
-        if ctx.attempt == 1 && chaos.panic_once.iter().any(|s| job.id.contains(s.as_str())) {
+        if ctx.attempt == 1
+            && cfg
+                .chaos
+                .panic_once
+                .iter()
+                .any(|s| job.id.contains(s.as_str()))
+        {
             panic!("injected fault: chaos panic for {}", job.id);
         }
         // Stage spans hang under the supervisor's span for this attempt.
-        let scope = spans.as_ref().map(|s| crisp_harness::SpanScope {
+        let scope = cfg.spans.as_ref().map(|s| crisp_harness::SpanScope {
             parent: crisp_harness::span_id(&s.trace, &format!("cell {}#{}", job.id, ctx.attempt)),
             ..s.clone()
         });
         let stages = memo.cell(Some(ctx.cancel.clone()));
         let stages = match &scope {
-            Some(scope) => {
-                stages.observed(scope.stage_observer(&job.id, ctx.attempt, "supervisor"))
-            }
+            Some(scope) => stages.observed(scope.stage_observer(&job.id, ctx.attempt)),
             None => stages,
         };
-        cells::run_cell_in(&stages, job, ctx, stall, &cell_opts).map_err(RunError::from)
+        cells::run_cell_in(&stages, job, ctx, stall, &cell_opts)
     };
     let report = run_sweep(&jobs, &opts, &runner)?;
 
@@ -410,7 +353,6 @@ mod tests {
             attempt: 1,
             cancel: CancelToken::new(),
             progress: crisp_sim::ProgressBeacon::new(),
-            lease: crisp_harness::LeaseGuard::default(),
         };
         let fig4_lbm = cells::cell_spec("fig4", "lbm", ExperimentScale::Tiny);
         let alone = cells::run_cell(&fig4_lbm, &ctx, cfg.scale, false, None, None)

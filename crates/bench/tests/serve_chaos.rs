@@ -15,6 +15,9 @@
 //!   and no refused job leaves any trace.
 //! - **Graceful drain**: SIGTERM mid-job exits 0, leaves the job
 //!   incomplete, and a restart recovers and finishes it.
+//! - **Events over the wire**: a submitted job's supervisor events
+//!   (`cell-started`, `cell-done`) stream through `GET /jobs/ID/events`
+//!   to their end, and the result exists once the stream ends.
 
 use crisp_harness::journal::{AttemptOutcome, AttemptRecord};
 use crisp_harness::RetryPolicy;
@@ -413,5 +416,98 @@ fn sigterm_drains_exit_zero_and_restart_completes_the_job() {
     );
     assert!(rendered(&result).contains("Figure 11"));
     d2.sigterm();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Over the wire: the daemon streams a submitted job's live NDJSON
+/// supervisor events, and the stream ends exactly when the result is
+/// available.
+#[test]
+fn serve_streams_events_through_to_result() {
+    let root = temp_dir("wire");
+    let data = root.join("data");
+    std::fs::create_dir_all(&data).unwrap();
+    let mut child = Command::new(SERVE_BIN)
+        .arg("--data")
+        .arg(&data)
+        .arg("--store")
+        .arg(root.join("store"))
+        .args(["--heartbeat", "50", "--quiet"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn crisp-serve");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let addr = loop {
+        if let Ok(s) = std::fs::read_to_string(data.join("endpoint")) {
+            if !s.is_empty() {
+                break s;
+            }
+        }
+        assert!(Instant::now() < deadline, "daemon never published endpoint");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let client = Client::new(ClientConfig {
+        addr,
+        ..ClientConfig::default()
+    });
+
+    let ack = client
+        .submit(&SubmitRequest {
+            targets: vec!["fig11".to_string()],
+            workloads: Some(vec!["mcf".to_string()]),
+            scale: "tiny".to_string(),
+            prefetcher: None,
+        })
+        .expect("submit");
+    let id = ack
+        .get("id")
+        .and_then(Value::as_str)
+        .expect("ack has id")
+        .to_string();
+
+    // Follow the live stream to its end, reconnecting on drops exactly
+    // like `crisp watch --follow` does.
+    let mut names = Vec::new();
+    let mut cursor = 0;
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        assert!(Instant::now() < deadline, "event stream never ended");
+        let (delivered, ended) = client
+            .follow(&id, cursor, &mut |event| {
+                if let Some(name) = event.get("event").and_then(Value::as_str) {
+                    names.push(name.to_string());
+                }
+            })
+            .expect("follow events");
+        cursor += delivered;
+        if ended {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    for want in ["cell-started", "cell-done"] {
+        assert!(names.iter().any(|n| n == want), "missing {want}: {names:?}");
+    }
+
+    // The stream only ends once the result exists.
+    let result = client
+        .result(&id)
+        .expect("poll result")
+        .expect("stream ended, result must exist");
+    let rendered = result
+        .get("rendered")
+        .and_then(Value::as_str)
+        .expect("result has rendered tables");
+    assert!(rendered.contains("Figure 11"), "{rendered}");
+
+    let ok = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("run kill")
+        .success();
+    assert!(ok);
+    let status = child.wait().expect("reap daemon");
+    assert_eq!(status.code(), Some(0), "drain must exit 0");
     std::fs::remove_dir_all(&root).ok();
 }

@@ -5,7 +5,7 @@
 use crisp_bench::cells::{self, cell_spec_pf};
 use crisp_bench::sweep::{run_supervised_sweep, SweepConfig, SweepOutput};
 use crisp_bench::ExperimentScale;
-use crisp_harness::{JobOutcome, LeaseGuard, RunContext, SpanScope};
+use crisp_harness::{JobOutcome, RunContext, SpanScope};
 use crisp_sim::{CancelToken, PrefetcherSpec, ProgressBeacon};
 
 /// The figures that decompose into pipeline cells (all but Figure 1).
@@ -77,7 +77,6 @@ fn ctx() -> RunContext {
         attempt: 1,
         cancel: CancelToken::new(),
         progress: ProgressBeacon::new(),
-        lease: LeaseGuard::default(),
     }
 }
 

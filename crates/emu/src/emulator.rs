@@ -92,7 +92,7 @@ impl<'p> Emulator<'p> {
     /// allocates past the cap fails with [`EmuError::PageBudgetExceeded`]
     /// instead of growing without bound — a runaway workload then degrades
     /// into a typed per-cell failure rather than taking down the whole
-    /// worker pool. The initial image may already exceed the budget; only
+    /// sweep process. The initial image may already exceed the budget; only
     /// growth during emulation is policed.
     #[must_use]
     pub fn with_page_budget(mut self, pages: usize) -> Emulator<'p> {

@@ -31,13 +31,6 @@ pub enum FailureClass {
     Config,
     /// The workload name is not registered.
     UnknownWorkload,
-    /// A pool worker process died mid-cell (SIGKILL/SIGSEGV/OOM, frame
-    /// corruption, or a missed lease heartbeat). Transient from the
-    /// cell's point of view — the next attempt runs on a fresh worker.
-    WorkerCrash,
-    /// The cell killed enough consecutive workers to be quarantined.
-    /// Deterministic by declaration: retrying would burn another worker.
-    Poisoned,
     /// Any other pipeline error (emulation, annotation, invariant
     /// violation, map mismatch).
     Runtime,
@@ -49,10 +42,7 @@ impl FailureClass {
     pub fn retryable(&self) -> bool {
         matches!(
             self,
-            FailureClass::Panic
-                | FailureClass::Timeout
-                | FailureClass::Deadlock
-                | FailureClass::WorkerCrash
+            FailureClass::Panic | FailureClass::Timeout | FailureClass::Deadlock
         )
     }
 
@@ -66,8 +56,6 @@ impl FailureClass {
             FailureClass::CycleBudget => "cycle-budget",
             FailureClass::Config => "config",
             FailureClass::UnknownWorkload => "unknown-workload",
-            FailureClass::WorkerCrash => "worker-crash",
-            FailureClass::Poisoned => "poisoned",
             FailureClass::Runtime => "runtime",
         }
     }
@@ -82,8 +70,6 @@ impl FailureClass {
             "cycle-budget" => FailureClass::CycleBudget,
             "config" => FailureClass::Config,
             "unknown-workload" => FailureClass::UnknownWorkload,
-            "worker-crash" => FailureClass::WorkerCrash,
-            "poisoned" => FailureClass::Poisoned,
             "runtime" => FailureClass::Runtime,
             _ => return None,
         })
@@ -124,14 +110,12 @@ mod tests {
             FailureClass::Panic,
             FailureClass::Timeout,
             FailureClass::Deadlock,
-            FailureClass::WorkerCrash,
         ];
         let fatal = [
             FailureClass::Cancelled,
             FailureClass::CycleBudget,
             FailureClass::Config,
             FailureClass::UnknownWorkload,
-            FailureClass::Poisoned,
             FailureClass::Runtime,
         ];
         for c in retryable {
@@ -152,8 +136,6 @@ mod tests {
             FailureClass::CycleBudget,
             FailureClass::Config,
             FailureClass::UnknownWorkload,
-            FailureClass::WorkerCrash,
-            FailureClass::Poisoned,
             FailureClass::Runtime,
         ] {
             assert_eq!(FailureClass::from_name(c.name()), Some(c));

@@ -64,7 +64,7 @@ pub enum AttemptOutcome {
         /// The error message, single line.
         error: String,
         /// Structured failure payload — deadlock-report fields, the panic
-        /// message, a poisoned cell's forensics — so DEGRADED tables can cite
+        /// message, the last published progress — so DEGRADED tables can cite
         /// *why* a cell is missing. `None` when the failure carries no
         /// structure beyond `error`.
         detail: Option<Value>,

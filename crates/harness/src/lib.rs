@@ -1,8 +1,8 @@
 //! # crisp-harness
 //!
 //! The supervised experiment harness behind `crisp-bench`: every
-//! (workload, config) cell of a sweep becomes a *job* run on a worker
-//! pool with panic isolation, a per-job wall-clock deadline (enforced
+//! (workload, config) cell of a sweep becomes a *job* run on worker
+//! threads with panic isolation, a per-job wall-clock deadline (enforced
 //! cooperatively inside the simulator via [`crisp_sim::CancelToken`]),
 //! and bounded retries with exponential backoff for transient failures.
 //! Progress is journaled to an append-only JSONL run manifest — one
@@ -12,16 +12,12 @@
 //!
 //! Module map:
 //!
-//! - [`supervisor`] — job specs, the worker pool, retry/resume logic;
-//! - [`pool`] — the multi-process executor: cell shards fork/exec'd
-//!   into `crisp-worker` processes over a length-prefixed JSON frame
-//!   protocol, with crash containment, lease-period liveness,
-//!   poison-cell quarantine and version-skew refusal;
+//! - [`supervisor`] — job specs, the worker threads, retry/resume logic;
 //! - [`journal`] — the JSONL manifest format and tolerant loader;
 //! - [`retry`] — the backoff schedule;
 //! - [`class`] — the failure taxonomy (retryable vs fatal);
-//! - [`spanlog`] — the cross-process span log (`spans.jsonl`) every
-//!   layer of a job appends to, rendered by `crisp obs spans`;
+//! - [`spanlog`] — the span log (`spans.jsonl`) every layer of a job
+//!   appends to, rendered by `crisp obs spans`;
 //! - [`store`] — the content-addressed result store surface: keying
 //!   policy plus re-exports of the `crisp-store` crate (verified cache
 //!   hits skip simulation; corrupt entries quarantine and re-simulate).
@@ -45,7 +41,6 @@
 
 pub mod class;
 pub mod journal;
-pub mod pool;
 pub mod retry;
 pub mod spanlog;
 pub mod store;
@@ -59,11 +54,10 @@ pub use journal::{
     fnv1a64, load_manifest, AttemptOutcome, AttemptRecord, JournalError, ManifestSummary,
     ProgressRecord, SweepHeader,
 };
-pub use pool::{read_frame, write_frame, PoolOptions, PoolStatus, WorkerPool, MAX_FRAME};
 pub use retry::RetryPolicy;
 pub use spanlog::{append_span, load_spans, span_id, unix_ns, SpanScope};
 pub use store::{cell_key, cell_key_material, ResultStoreConfig, RESULT_SCHEMA};
 pub use supervisor::{
-    failure_detail, run_sweep, EventSink, HarnessError, JobOutcome, JobRunner, JobSpec, LeaseGuard,
-    RunContext, RunError, SupervisorOptions, SweepReport,
+    run_sweep, EventSink, HarnessError, JobOutcome, JobRunner, JobSpec, RunContext,
+    SupervisorOptions, SweepReport,
 };

@@ -1,25 +1,26 @@
-//! Cross-process span log: the on-disk format behind `crisp obs spans`.
+//! Span log: the on-disk format behind `crisp obs spans`.
 //!
-//! Every layer that touches a job — daemon, supervisor, worker — appends
-//! spans to the same per-job `spans.jsonl`, one JSON object per line:
+//! Every layer that touches a job — the daemon, the supervisor and the
+//! sweep's stage threads — appends spans to the same per-job
+//! `spans.jsonl`, one JSON object per line:
 //!
 //! ```text
 //! {"trace":"<32-hex>","span":"<16-hex>","parent":"<16-hex|0>",
 //!  "name":"cell fig1:mcf#1","proc":"supervisor","start_ns":"...","end_ns":"..."}
 //! ```
 //!
-//! Three properties make this safe without any cross-process
-//! coordination:
+//! Three properties make this safe without any coordination between
+//! writers:
 //!
 //! 1. **O_APPEND single-`write` lines.** Each record is one `write(2)`
 //!    of one `\n`-terminated line well under `PIPE_BUF`, so concurrent
 //!    appenders never interleave bytes (same contract as the daemon's
 //!    event sink).
 //! 2. **Deterministic span ids.** [`span_id`] hashes `trace|name`, so a
-//!    parent process can name a child's span *before* the child runs
-//!    (the supervisor mints `cell fig1:mcf#1` and passes it down; the
-//!    worker derives the identical id independently). No id registry,
-//!    no handshake.
+//!    layer can name a parent's span without being handed its id (the
+//!    supervisor mints `cell fig1:mcf#1`; the stage observer derives the
+//!    identical id independently and hangs its stage spans under it).
+//!    No id registry, no handshake.
 //! 3. **Strings for wide integers.** Span ids and unix-epoch
 //!    nanosecond timestamps exceed the 2^53 exact-integer range of the
 //!    JSON subset's f64 numbers, so they are encoded as hex / decimal
@@ -102,7 +103,6 @@ impl SpanScope {
         &'a self,
         job: &str,
         attempt: u32,
-        proc_name: &'a str,
     ) -> impl Fn(&crisp_core::StageEvent) + 'a {
         let cell = format!("{job}#{attempt}");
         move |e| {
@@ -119,7 +119,7 @@ impl SpanScope {
                 parent,
                 ..self.clone()
             }
-            .emit(&span_name, proc_name, e.start_ns, e.end_ns);
+            .emit(&span_name, "supervisor", e.start_ns, e.end_ns);
         }
     }
 }

@@ -1,4 +1,4 @@
-//! The experiment supervisor: a worker pool that runs every (workload,
+//! The experiment supervisor: worker threads that run every (workload,
 //! config) cell of a sweep as an isolated job.
 //!
 //! Per job, the supervisor provides:
@@ -81,74 +81,6 @@ pub struct RunContext {
     /// monitor can journal how far the cell has gotten. Failures cite the
     /// last published values in their structured detail.
     pub progress: ProgressBeacon,
-    /// The cell's store lease (advisory lock), when this attempt holds
-    /// one. A pool executor renews it on every worker heartbeat so a
-    /// long cell outlives the store's staleness window.
-    pub lease: LeaseGuard,
-}
-
-/// A shared handle on the cell's store lease: the supervisor installs
-/// the attempt's [`CellLock`] (if any) and the runner — typically a
-/// multi-process pool executor — renews it while the cell computes.
-#[derive(Clone, Debug, Default)]
-pub struct LeaseGuard(Arc<Mutex<Option<CellLock>>>);
-
-impl LeaseGuard {
-    fn install(&self, lock: Option<CellLock>) {
-        *self.0.lock().expect("lease lock") = lock;
-    }
-
-    fn take(&self) -> Option<CellLock> {
-        self.0.lock().expect("lease lock").take()
-    }
-
-    /// Renews the held store lease (refreshing its staleness clock).
-    /// Returns `false` when no lease is held or the lease was stolen.
-    pub fn renew(&self) -> bool {
-        self.0
-            .lock()
-            .expect("lease lock")
-            .as_ref()
-            .is_some_and(CellLock::renew)
-    }
-}
-
-/// How a job attempt failed, as reported by the runner.
-///
-/// Most runners fail with a pipeline error, classified through
-/// [`FailureClass::classify`]. Executors that know better — the
-/// multi-process pool observing a worker SIGKILL, or quarantining a
-/// poison cell — report a pre-classified failure with its own forensic
-/// detail instead.
-#[derive(Debug)]
-pub enum RunError {
-    /// A pipeline error; the supervisor classifies it.
-    Pipeline(CrispError),
-    /// A failure the executor already classified (worker crash, poison
-    /// quarantine), carried verbatim into the manifest.
-    Classified {
-        /// The retry-taxonomy class.
-        class: FailureClass,
-        /// Human-readable error message.
-        error: String,
-        /// Structured forensic payload for DEGRADED tables.
-        detail: Option<Value>,
-    },
-}
-
-impl From<CrispError> for RunError {
-    fn from(e: CrispError) -> RunError {
-        RunError::Pipeline(e)
-    }
-}
-
-impl fmt::Display for RunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RunError::Pipeline(e) => write!(f, "{e}"),
-            RunError::Classified { class, error, .. } => write!(f, "{class}: {error}"),
-        }
-    }
 }
 
 /// A live event listener: the supervisor calls it once per lifecycle
@@ -196,10 +128,8 @@ fn emit_event(sink: &Option<EventSink>, event: &str, job: &str, extra: Vec<(Stri
 }
 
 /// The function the supervisor runs per attempt. Returns the cell's
-/// payload vector; [`RunError::Pipeline`] errors are classified via
-/// [`FailureClass::classify`], [`RunError::Classified`] ones pass
-/// through unchanged.
-pub type JobRunner<'a> = dyn Fn(&JobSpec, &RunContext) -> Result<Vec<f64>, RunError> + Sync + 'a;
+/// payload vector; errors are classified via [`FailureClass::classify`].
+pub type JobRunner<'a> = dyn Fn(&JobSpec, &RunContext) -> Result<Vec<f64>, CrispError> + Sync + 'a;
 
 /// Supervisor configuration.
 #[derive(Clone, Debug)]
@@ -237,8 +167,8 @@ pub struct SupervisorOptions {
     /// cancelled, workers stop dequeuing, every in-flight attempt's
     /// cancel token trips (they share this token's flag via
     /// [`CancelToken::linked`]), interrupted cells are left *unrecorded*
-    /// so `--resume` re-runs them, and the pool exits promptly. `None`
-    /// disables external stop.
+    /// so `--resume` re-runs them, and the worker threads exit promptly.
+    /// `None` disables external stop.
     pub stop: Option<CancelToken>,
     /// Test hook: the first `n` attempt-record appends fail like a
     /// transient ENOSPC (see [`Journal::fail_appends`]).
@@ -325,7 +255,7 @@ pub struct SweepReport {
     pub store_computed: usize,
     /// Corrupt store entries quarantined (then re-simulated) this sweep.
     pub store_quarantined: usize,
-    /// Whether a stop token drained the pool before every job reached a
+    /// Whether a stop token drained the sweep before every job reached a
     /// final outcome (the sweep is incomplete and composes with
     /// `--resume`, like a crash but with a clean manifest).
     pub interrupted: bool,
@@ -428,7 +358,7 @@ struct Pending {
 /// Structured detail for a failed attempt: a deadlock report carries
 /// machine-readable fields into the manifest so a DEGRADED table can cite
 /// the failure, not just name it.
-pub fn failure_detail(e: &CrispError) -> Option<Value> {
+fn failure_detail(e: &CrispError) -> Option<Value> {
     match e {
         CrispError::Simulation(crisp_sim::SimError::Deadlock(r)) => {
             let mut pairs = vec![
@@ -740,7 +670,7 @@ fn probe_store(store: &Store, key: u128, job_id: &str, counters: &StoreCounters)
 }
 
 /// Samples every running job's progress beacon at the heartbeat cadence
-/// and journals a `progress` record per job. Exits with the worker pool.
+/// and journals a `progress` record per job. Exits with the worker threads.
 fn monitor_loop(
     opts: &SupervisorOptions,
     registry: &Mutex<BTreeMap<String, (ProgressBeacon, Instant)>>,
@@ -829,7 +759,7 @@ fn worker_loop(
             return;
         }
         // Graceful drain: once the stop token trips, stop dequeuing and
-        // let the pool wind down; queued jobs stay un-final so a resume
+        // let the workers wind down; queued jobs stay un-final so a resume
         // picks them up.
         if opts.stop.as_ref().is_some_and(CancelToken::is_cancelled) {
             return;
@@ -862,7 +792,7 @@ fn worker_loop(
         let job = &jobs[pending.idx];
         let attempt = pending.attempt;
         // Span per attempt: probe → (run → publish), emitted at every
-        // exit below. Deterministic naming lets the worker process
+        // exit below. Deterministic naming lets the stage observer
         // derive this span's id independently and parent on it.
         let attempt_started_ns = crate::spanlog::unix_ns();
         let emit_cell = |end_ns: u64| -> u64 {
@@ -877,11 +807,12 @@ fn worker_loop(
         };
 
         // Store fast path: serve a verified entry without simulating, or
-        // take the cell's lease so concurrent sweeps compute it once.
+        // take the cell's lock so concurrent sweeps compute it once. The
+        // lock is held until the computed payload is published.
         let key = cell_key(&job.id, &job.spec);
-        let mut cell_lock: Option<CellLock> = None;
-        if let Some(st) = &store {
-            match probe_store(st, key, &job.id, store_counters) {
+        let cell_lock = match &store {
+            None => None,
+            Some(st) => match probe_store(st, key, &job.id, store_counters) {
                 StoreProbe::Hit(payload) => {
                     // A hit is journaled like a computed success, with the
                     // store key as provenance, so `--resume` composes with
@@ -934,9 +865,9 @@ fn worker_loop(
                     remaining.fetch_sub(1, Ordering::SeqCst);
                     continue;
                 }
-                StoreProbe::Compute(lock) => cell_lock = lock,
-            }
-        }
+                StoreProbe::Compute(lock) => lock,
+            },
+        };
 
         // Each attempt's token carries its own deadline but shares the
         // sweep-wide stop flag, so SIGTERM reaches in-flight simulations
@@ -950,9 +881,7 @@ fn worker_loop(
             attempt,
             cancel,
             progress: ProgressBeacon::new(),
-            lease: LeaseGuard::default(),
         };
-        ctx.lease.install(cell_lock.take());
         emit_event(
             &opts.events,
             "cell-started",
@@ -968,16 +897,11 @@ fn worker_loop(
         type Failure = (FailureClass, String, Option<Value>);
         let attempt_result: Result<Vec<f64>, Failure> = match result {
             Ok(Ok(payload)) => Ok(payload),
-            Ok(Err(RunError::Pipeline(e))) => Err((
+            Ok(Err(e)) => Err((
                 FailureClass::classify(&e),
                 e.to_string(),
                 with_progress(failure_detail(&e), &ctx.progress),
             )),
-            Ok(Err(RunError::Classified {
-                class,
-                error,
-                detail,
-            })) => Err((class, error, with_progress(detail, &ctx.progress))),
             Err(panic) => {
                 let msg = panic_message(panic);
                 let detail = with_progress(Some(panic_detail(&msg)), &ctx.progress);
@@ -1010,7 +934,7 @@ fn worker_loop(
                 Ok(AppendStatus::Written) => {}
                 Ok(AppendStatus::Crashed) => {
                     // The simulated SIGKILL: drop the in-memory outcome too
-                    // (a dead process records nothing) and stop the pool.
+                    // (a dead process records nothing) and stop the workers.
                     crashed.store(true, Ordering::SeqCst);
                     return;
                 }
@@ -1038,7 +962,7 @@ fn worker_loop(
                         }
                     }
                 }
-                drop(ctx.lease.take());
+                drop(cell_lock);
                 let cell_span = emit_cell(crate::spanlog::unix_ns());
                 if let (Some(scope), Some((start_ns, end_ns))) = (&opts.spans, publish_window) {
                     crate::spanlog::SpanScope {
@@ -1080,18 +1004,16 @@ fn worker_loop(
                 remaining.fetch_sub(1, Ordering::SeqCst);
             }
             Err((class, error, detail)) => {
+                drop(cell_lock);
+                emit_cell(crate::spanlog::unix_ns());
                 if class == FailureClass::Cancelled
                     && opts.stop.as_ref().is_some_and(CancelToken::is_cancelled)
                 {
                     // Drained, not broken: record no final outcome (the
                     // journaled fail line never outranks a later ok), so
                     // a resume re-runs the cell with a fresh budget.
-                    drop(ctx.lease.take());
-                    emit_cell(crate::spanlog::unix_ns());
                     return;
                 }
-                drop(ctx.lease.take());
-                emit_cell(crate::spanlog::unix_ns());
                 if class.retryable() && attempt < opts.retry.max_attempts() {
                     let delay = opts.retry.delay(attempt, job.fingerprint64());
                     if opts.progress {
@@ -1229,7 +1151,10 @@ mod tests {
         let calls = AtomicU32::new(0);
         let report = run_sweep(&js, &opts, &|_job, _ctx| {
             calls.fetch_add(1, Ordering::SeqCst);
-            Err(CrispError::Config(ConfigError::new("rob", "must be nonzero")).into())
+            Err(CrispError::Config(ConfigError::new(
+                "rob",
+                "must be nonzero",
+            )))
         })
         .unwrap();
         assert_eq!(
@@ -1297,14 +1222,13 @@ mod tests {
             loop {
                 if let Some(reason) = ctx.cancel.should_abort() {
                     assert_eq!(reason, crisp_sim::AbortReason::DeadlineExceeded);
-                    return Err(
-                        CrispError::Simulation(crisp_sim::SimError::DeadlineExceeded {
+                    return Err(CrispError::Simulation(
+                        crisp_sim::SimError::DeadlineExceeded {
                             cycle: 7,
                             retired: 0,
                             total: 10,
-                        })
-                        .into(),
-                    );
+                        },
+                    ));
                 }
                 std::thread::sleep(Duration::from_micros(200));
             }
@@ -1541,14 +1465,13 @@ mod tests {
         };
         let report = run_sweep(&js, &opts, &|_job, ctx| {
             ctx.progress.publish(4096, 512);
-            Err(
-                CrispError::Simulation(crisp_sim::SimError::DeadlineExceeded {
+            Err(CrispError::Simulation(
+                crisp_sim::SimError::DeadlineExceeded {
                     cycle: 4096,
                     retired: 512,
                     total: 1000,
-                })
-                .into(),
-            )
+                },
+            ))
         })
         .unwrap();
         match report.outcomes.get("slow") {
@@ -1704,8 +1627,7 @@ mod tests {
                         cycle: 3,
                         retired: 1,
                         total: 10,
-                    })
-                    .into());
+                    }));
                 }
                 std::thread::sleep(Duration::from_micros(200));
             }

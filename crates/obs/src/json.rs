@@ -3,8 +3,8 @@
 //! The workspace builds with no external crates (everything is vendored),
 //! so nothing here can use `serde`. This module serves every JSON text
 //! the workspace reads or writes: telemetry JSONL (`crisp obs
-//! summarize`), the run-manifest journal, worker-pool frames, span logs
-//! and the daemon's HTTP bodies. It lives in this crate, the lowest
+//! summarize`), the run-manifest journal, span logs and the daemon's
+//! HTTP bodies. It lives in this crate, the lowest
 //! layer that needs it, so every layer above imports the same code.
 //!
 //! Output is deterministic: object keys keep insertion order, and

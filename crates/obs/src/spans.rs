@@ -1,8 +1,8 @@
-//! Cross-process span model and tree renderer.
+//! Span model and tree renderer.
 //!
 //! A *span* is one named interval of host wall-clock time — `[start_ns,
-//! end_ns)` in unix nanoseconds, so spans written by different
-//! processes (daemon, supervisor, pool workers) share a clock. Spans
+//! end_ns)` in unix nanoseconds, so spans written by different layers
+//! and threads (daemon, supervisor, stages) share a clock. Spans
 //! link into a tree through `parent` span ids; the daemon's root span
 //! covers a job from submission to result, and every layer underneath
 //! appends its own children to the job's `spans.jsonl`.
@@ -21,9 +21,9 @@ pub struct SpanRec {
     pub span: u64,
     /// Parent span id; `0` marks a root.
     pub parent: u64,
-    /// Span name, e.g. `queue`, `cell fig1:mcf#1`, `simulate`.
+    /// Span name, e.g. `queue`, `cell fig1:mcf#1`, `profile fig1:mcf#1.1`.
     pub name: String,
-    /// Emitting process, e.g. `daemon`, `supervisor`, `worker:4711`.
+    /// Emitting layer, e.g. `daemon` or `supervisor`.
     pub proc: String,
     /// Start, unix nanoseconds.
     pub start_ns: u64,
@@ -53,7 +53,7 @@ fn fmt_ms(ns: u64) -> String {
 
 /// Renders the span tree plus a critical-path breakdown.
 ///
-/// Orphan spans (parent id never recorded — e.g. a worker crashed
+/// Orphan spans (parent id never recorded — e.g. the process died
 /// before its ancestors closed) render as extra roots rather than being
 /// dropped, so partial traces stay inspectable. The breakdown
 /// aggregates *exclusive* time (a span's duration minus its children's)

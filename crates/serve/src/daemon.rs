@@ -38,7 +38,7 @@ use crate::http::{
 };
 use crate::metrics::{Counter, Histogram, LabeledCounter, Metrics, Scalar};
 use crate::registry::{JobRecord, Registry};
-use crisp_harness::{load_manifest, spanlog, PoolStatus};
+use crisp_harness::{load_manifest, spanlog};
 use crisp_obs::json::Value;
 use crisp_obs::SpanRec;
 use crisp_sim::CancelToken;
@@ -48,7 +48,7 @@ use std::io::{Read, Seek, SeekFrom};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Default bound on jobs admitted but not yet finished.
@@ -86,7 +86,7 @@ pub struct ExecCtx {
     /// `crisp_harness::spanlog`).
     pub spans: PathBuf,
     /// Span id of the daemon's `execute` span — the parent under which
-    /// the executor's layers (supervisor, workers) hang their spans.
+    /// the executor's layers (supervisor, stages) hang their spans.
     pub span_parent: u64,
 }
 
@@ -149,10 +149,6 @@ pub struct DaemonConfig {
     pub io_timeout: Duration,
     /// Value advertised in `Retry-After` on 429/503.
     pub retry_after: Duration,
-    /// Worker-pool gauges (`--workers N`): exported into `/stats`, and
-    /// `/readyz` answers 503 until the pool's handshake completes.
-    /// `None` means the in-process executor — no pool gating.
-    pub pool: Option<Arc<PoolStatus>>,
 }
 
 impl Default for DaemonConfig {
@@ -166,7 +162,6 @@ impl Default for DaemonConfig {
             limits: HttpLimits::default(),
             io_timeout: Duration::from_secs(5),
             retry_after: Duration::from_secs(2),
-            pool: None,
         }
     }
 }
@@ -206,10 +201,10 @@ struct State {
 /// The `/metrics` families read from the `/stats` document at scrape
 /// time, so the two endpoints cannot disagree: (`/stats` key, family
 /// name, exposition type, help). A row whose key is absent from the
-/// document (pool keys without `--workers`, store keys when the store
-/// cannot be read) renders no family; booleans render as 0/1.
+/// document (store keys when the store cannot be read) renders no
+/// family; booleans render as 0/1.
 #[rustfmt::skip]
-const STATS_FAMILIES: [(&str, &str, &str, &str); 20] = [
+const STATS_FAMILIES: [(&str, &str, &str, &str); 14] = [
     ("queue_depth", "crisp_queue_depth", "gauge", "Jobs admitted but not yet finished."),
     ("queue_cap", "crisp_queue_cap", "gauge", "Admission bound before 429."),
     ("jobs_admitted", "crisp_jobs_admitted", "gauge", "Jobs with a durable request.json."),
@@ -224,12 +219,6 @@ const STATS_FAMILIES: [(&str, &str, &str, &str); 20] = [
     ("store_quarantined", "crisp_store_quarantined", "gauge", "Store entries quarantined as corrupt."),
     ("store_hits_total", "crisp_store_hits_total", "counter", "Cells served warm from the store across finished jobs."),
     ("store_misses_total", "crisp_store_misses_total", "counter", "Cells simulated fresh (store misses) across finished jobs."),
-    ("pool_ready", "crisp_pool_ready", "gauge", "1 once every pool worker handshook."),
-    ("workers_alive", "crisp_workers_alive", "gauge", "Live worker processes."),
-    ("workers_busy", "crisp_workers_busy", "gauge", "Workers currently executing a cell."),
-    ("lease_steals", "crisp_lease_steals_total", "counter", "Leases stolen from dead or wedged workers."),
-    ("poisoned_cells", "crisp_poisoned_cells", "gauge", "Cells quarantined as poisonous."),
-    ("worker_crashes", "crisp_worker_crashes_total", "counter", "Workers that died mid-cell and were replaced."),
 ];
 
 /// The Prometheus families with no `/stats` counterpart, observed
@@ -449,8 +438,8 @@ pub fn run_daemon(
 }
 
 /// Serial job executor: pops admitted jobs in order and runs their
-/// sweeps. One job at a time keeps the simulator's worker pool the only
-/// parallelism knob and makes per-job manifests race-free.
+/// sweeps. One job at a time keeps the sweep's worker threads (`--jobs`)
+/// the only parallelism knob and makes per-job manifests race-free.
 fn worker_loop(state: &State, exec: &ExecFn<'_>, shutdown: &CancelToken) {
     loop {
         let next = state.queue.lock().expect("queue lock").pop_front();
@@ -799,18 +788,8 @@ fn route(
         ),
         ("GET", "/readyz") => {
             let full = state.queue_depth() >= cfg.queue_cap;
-            let warming = cfg
-                .pool
-                .as_ref()
-                .is_some_and(|p| !p.ready.load(Ordering::SeqCst));
-            if draining || full || warming {
-                let why = if draining {
-                    "draining"
-                } else if full {
-                    "queue full"
-                } else {
-                    "pool warming"
-                };
+            if draining || full {
+                let why = if draining { "draining" } else { "queue full" };
                 (
                     503,
                     vec![retry_after_header(cfg)],
@@ -883,41 +862,6 @@ fn stats_doc(cfg: &DaemonConfig, state: &State, draining: bool) -> Value {
             Value::Num(state.store_misses_total.load(Ordering::SeqCst) as f64),
         ),
     ];
-    if let Some(pool) = &cfg.pool {
-        pairs.push((
-            "pool_ready".to_string(),
-            Value::Bool(pool.ready.load(Ordering::SeqCst)),
-        ));
-        pairs.push((
-            "workers_alive".to_string(),
-            Value::Num(pool.workers_alive.load(Ordering::SeqCst) as f64),
-        ));
-        pairs.push((
-            "workers_busy".to_string(),
-            Value::Num(pool.workers_busy.load(Ordering::SeqCst) as f64),
-        ));
-        pairs.push((
-            "lease_steals".to_string(),
-            Value::Num(pool.steals.load(Ordering::SeqCst) as f64),
-        ));
-        pairs.push((
-            "poisoned_cells".to_string(),
-            Value::Num(pool.poisoned.load(Ordering::SeqCst) as f64),
-        ));
-        pairs.push((
-            "worker_crashes".to_string(),
-            Value::Num(pool.crashes.load(Ordering::SeqCst) as f64),
-        ));
-        pairs.push((
-            "workers_pids".to_string(),
-            Value::Arr(
-                pool.pids()
-                    .into_iter()
-                    .map(|p| Value::Num(f64::from(p)))
-                    .collect(),
-            ),
-        ));
-    }
     if let Ok(store) = Store::open(&state.store_dir) {
         if let Ok(s) = store.stats() {
             pairs.push(("store_entries".to_string(), Value::Num(s.entries as f64)));
@@ -1145,27 +1089,12 @@ mod tests {
         where
             F: Fn(&JobRecord, &ExecCtx) -> Result<ExecResult, String> + Send + Sync + 'static,
         {
-            Daemon::spawn_pooled(dir, queue_cap, None, exec)
-        }
-
-        /// [`Daemon::spawn_custom`] with the pool gauges a `--workers`
-        /// daemon exports.
-        fn spawn_pooled<F>(
-            dir: &std::path::Path,
-            queue_cap: usize,
-            pool: Option<Arc<PoolStatus>>,
-            exec: F,
-        ) -> Daemon
-        where
-            F: Fn(&JobRecord, &ExecCtx) -> Result<ExecResult, String> + Send + Sync + 'static,
-        {
             let endpoint_file = dir.join("endpoint");
             std::fs::remove_file(&endpoint_file).ok();
             let shutdown = CancelToken::new();
             let cfg = DaemonConfig {
                 data_dir: dir.to_path_buf(),
                 queue_cap,
-                pool,
                 ..DaemonConfig::default()
             };
             let token = shutdown.clone();
@@ -1540,9 +1469,7 @@ mod tests {
         assert!(metric_value(&text, "crisp_http_requests_total") >= 1.0);
         assert!(metric_value(&text, "crisp_job_seconds_count") >= 1.0);
         assert!(metric_value(&text, "crisp_uptime_seconds") >= 0.0);
-        // A family shows exactly when its /stats key does: an
-        // in-process daemon has no pool keys, so no pool families.
-        assert!(stats.get("workers_alive").is_none(), "{stats:?}");
+        // A family shows exactly when its /stats key does.
         for &(key, name, _, _) in &STATS_FAMILIES {
             let shown = text.contains(&format!("\n{name} "));
             assert_eq!(shown, stats.get(key).is_some(), "{name}:\n{text}");
@@ -1554,14 +1481,7 @@ mod tests {
     #[test]
     fn every_stats_row_agrees_with_its_metrics_family() {
         let dir = temp_dir("metrics-rows");
-        let pool = Arc::new(PoolStatus::default());
-        pool.ready.store(true, Ordering::SeqCst);
-        pool.workers_alive.store(5, Ordering::SeqCst);
-        pool.workers_busy.store(2, Ordering::SeqCst);
-        pool.steals.store(3, Ordering::SeqCst);
-        pool.poisoned.store(4, Ordering::SeqCst);
-        pool.crashes.store(6, Ordering::SeqCst);
-        let d = Daemon::spawn_pooled(&dir, 4, Some(pool), |record: &JobRecord, _ctx: &ExecCtx| {
+        let d = Daemon::spawn_custom(&dir, 4, |record: &JobRecord, _ctx: &ExecCtx| {
             Ok(ExecResult {
                 rendered: "t".into(),
                 completed: record.cells.len(),
@@ -1597,19 +1517,13 @@ mod tests {
                 _ => assert_eq!((got, stat(&before, key)), (want, want), "{name}"),
             }
         }
-        // The families CI greps, and distinct values in each pool row,
-        // so a renamed or crossed row fails here.
+        // The families CI greps, with distinct values, so a renamed or
+        // crossed row fails here.
         for (name, want) in [
             ("crisp_jobs_admitted_total", 1.0),
             ("crisp_jobs_finished", 1.0),
             ("crisp_store_hits_total", 7.0),
             ("crisp_store_misses_total", 8.0),
-            ("crisp_pool_ready", 1.0),
-            ("crisp_workers_alive", 5.0),
-            ("crisp_workers_busy", 2.0),
-            ("crisp_lease_steals_total", 3.0),
-            ("crisp_poisoned_cells", 4.0),
-            ("crisp_worker_crashes_total", 6.0),
         ] {
             assert_eq!(metric_value(&text, name), want, "{name}");
         }

@@ -108,9 +108,9 @@ impl Registry {
         self.job_dir(id).join("events.jsonl")
     }
 
-    /// Where a job's cross-process span log lives — what
-    /// `crisp obs spans` renders. Every layer (daemon, supervisor,
-    /// worker) appends via `crisp_harness::spanlog`.
+    /// Where a job's span log lives — what `crisp obs spans` renders.
+    /// Every layer (daemon, supervisor, stages) appends via
+    /// `crisp_harness::spanlog`.
     pub fn spans_path(&self, id: u128) -> PathBuf {
         self.job_dir(id).join("spans.jsonl")
     }

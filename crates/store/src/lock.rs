@@ -69,28 +69,6 @@ impl CellLock {
     pub fn path(&self) -> &Path {
         &self.path
     }
-
-    /// Renews the lease: rewrites the lock file (refreshing its mtime,
-    /// which the age-fallback staleness check reads) — but only while
-    /// the file still carries this holder's token. Returns `false` if
-    /// the lease was already stolen; the holder should treat its claim
-    /// as lost and stop publishing under it.
-    pub fn renew(&self) -> bool {
-        match std::fs::read_to_string(&self.path) {
-            Ok(content) if content.contains(&self.token) => {}
-            _ => return false,
-        }
-        std::fs::write(
-            &self.path,
-            format!(
-                "pid={}\n{}\nrenewed_unix={}\n",
-                std::process::id(),
-                self.token,
-                unix_secs()
-            ),
-        )
-        .is_ok()
-    }
 }
 
 impl Drop for CellLock {
@@ -273,22 +251,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         let guard = acquire(&path, &opts).expect("steal by age");
         drop(guard);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn renew_refreshes_a_held_lease_and_refuses_a_stolen_one() {
-        let dir = temp_dir("renew");
-        let path = dir.join("cell.lock");
-        let guard = acquire(&path, &fast_opts()).unwrap();
-        assert!(guard.renew(), "holder renews its own lease");
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.contains("renewed_unix="), "{content}");
-        // Another process steals and re-acquires: renew must refuse.
-        std::fs::write(&path, "pid=1\ntoken=1-0\n").unwrap();
-        assert!(!guard.renew(), "a stolen lease cannot be renewed");
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.contains("token=1-0"), "thief's lock untouched");
         std::fs::remove_dir_all(&dir).ok();
     }
 
