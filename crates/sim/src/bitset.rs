@@ -1,7 +1,7 @@
-//! The fixed-capacity bit vector over reservation-station slots that the
-//! wakeup logic's ready and PRIO vectors (paper Figure 6) are made of.
+//! The fixed-capacity bit vector that the wakeup logic's ready and PRIO
+//! vectors (paper Figure 6), keyed by ROB position, are made of.
 
-/// A fixed-capacity bitset over issue-queue slots.
+/// A fixed-capacity bitset over window positions.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BitSet {
     words: Vec<u64>,
@@ -44,6 +44,13 @@ impl BitSet {
     #[inline]
     pub fn get(&self, i: usize) -> bool {
         i < self.capacity && self.words[i / 64] & (1u64 << (i % 64)) != 0
+    }
+
+    /// The backing words: bit `i` is bit `i % 64` of word `i / 64`, and
+    /// bits at or beyond the capacity are clear.
+    #[inline]
+    pub(crate) fn as_words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Whether any bit is set.

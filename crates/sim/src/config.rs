@@ -75,11 +75,11 @@ pub struct SimConfig {
     pub watchdog_cycles: u64,
     /// Opt-in invariant checker (`crisp --check`), the engine's reference
     /// path: step every cycle (no idle-cycle skip) and verify each one —
-    /// the live ready/PRIO vectors equal a full `slot_ready` rescan of the
-    /// RS, per-instruction stage ordering, ROB/RS/LSQ occupancy bounds and
-    /// age-matrix/RS consistency — then MSHR leak-freedom at drain. Results
-    /// are identical with it off; it costs a full RS rescan and a window
-    /// scan per simulated cycle. Off by default.
+    /// the live ready/PRIO vectors equal a full `operands_ready` rescan of
+    /// the ROB's unissued entries, per-instruction stage ordering,
+    /// ROB/RS/LSQ occupancy bounds and RS/ROB consistency — then MSHR
+    /// leak-freedom at drain. Results are identical with it off; it costs
+    /// a full rescan and a window scan per simulated cycle. Off by default.
     pub check_invariants: bool,
     /// Fault-injection hook for testing the watchdog: the scheduler stops
     /// issuing once this many instructions have retired, freezing the

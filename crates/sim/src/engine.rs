@@ -3,7 +3,7 @@ use crate::bpu::{BpuConfig, BranchPredictionUnit};
 use crate::cancel::AbortReason;
 use crate::config::{SchedulerKind, SimConfig};
 use crate::error::{DeadlockReport, HeadState, SimError};
-use crate::select::select_order;
+use crate::select::{random_order, select_ring};
 use crate::stats::{SimResult, UpcTimeline};
 use crate::wakeup::{Operand, Wakeup, EDGES};
 use crisp_isa::{FuClass, Layout, Pc, Program, Trace};
@@ -33,6 +33,9 @@ struct Entry {
     visible_at: u64,
     issued_at: Option<u64>,
     complete_at: Option<u64>,
+    /// The RS slot this instruction holds until it issues. Slots count
+    /// occupancy; only the random-pick ablation's order depends on which
+    /// slot an entry holds.
     rs_slot: Option<usize>,
     /// Cache level that served this load (set at issue; `None` until then
     /// and for non-loads). Drives stall attribution and trace annotation.
@@ -177,6 +180,8 @@ struct Engine<'a> {
     // Window state.
     rob: VecDeque<Entry>,
     rob_base: u64, // sequence number of rob[0]
+    /// ROB position of rob[0]: `rob_base` mod `rob_entries`.
+    rob_head: usize,
     next_seq: u64,
     reg_producer: [Option<u64>; crisp_isa::Reg::COUNT],
     store_queue: VecDeque<(u64, u64, u64)>, // (seq, addr, width)
@@ -187,9 +192,11 @@ struct Engine<'a> {
     rs: Vec<Option<u64>>, // slot -> seq
     rs_free: Vec<usize>,
     rr_cursor: usize,
-    /// Live ready/PRIO vectors and wakeup lists, derived from the ROB.
+    /// Live ready/PRIO vectors and wakeup lists over ROB positions,
+    /// derived from the ROB.
     wake: Wakeup,
-    /// Select's per-cycle scratch: the ready slots in pick order.
+    /// Select's per-cycle scratch: the cycle's picks as ROB positions, or
+    /// under the random-pick ablation every ready RS slot in slot order.
     pick_order: Vec<usize>,
     /// The earliest cycle at which a stage that made no progress this
     /// cycle can act again; `now + 1` once any stage made progress.
@@ -233,6 +240,7 @@ impl<'a> Engine<'a> {
             last_prefetched_line: None,
             rob: VecDeque::with_capacity(cfg.rob_entries),
             rob_base: 0,
+            rob_head: 0,
             next_seq: 0,
             reg_producer: [None; crisp_isa::Reg::COUNT],
             store_queue: VecDeque::new(),
@@ -241,7 +249,7 @@ impl<'a> Engine<'a> {
             rs: vec![None; cfg.rs_entries],
             rs_free: (0..cfg.rs_entries).rev().collect(),
             rr_cursor: 0,
-            wake: Wakeup::new(cfg.rs_entries),
+            wake: Wakeup::new(cfg.rob_entries),
             pick_order: Vec::with_capacity(cfg.rs_entries),
             next_event: u64::MAX,
             alu_busy: vec![0; cfg.alu_ports],
@@ -550,6 +558,14 @@ impl<'a> Engine<'a> {
             })
         };
         // Occupancy bounds.
+        if self.rob_head as u64 != self.rob_base % self.cfg.rob_entries as u64 {
+            return fail(format!(
+                "ROB head at position {} but seq {} maps to {}",
+                self.rob_head,
+                self.rob_base,
+                self.rob_base % self.cfg.rob_entries as u64
+            ));
+        }
         if self.rob.len() > self.cfg.rob_entries {
             return fail(format!(
                 "ROB over capacity: {} > {}",
@@ -659,7 +675,8 @@ impl<'a> Engine<'a> {
                 return fail(format!("seq {seq} (pc {}): complete without issue", e.pc));
             }
             // Exactly the unissued entries wait in the RS, each in the slot
-            // that names it: the wakeup lists are keyed by those slots.
+            // that names it. The RS holds occupancy only: the wakeup lists
+            // are keyed by ROB position.
             let in_rs = e
                 .rs_slot
                 .is_some_and(|slot| self.rs.get(slot) == Some(&Some(seq)));
@@ -743,6 +760,11 @@ impl<'a> Engine<'a> {
                 self.loads_in_flight -= 1;
             }
             self.rob_base += 1;
+            self.rob_head = if self.rob_head + 1 == self.cfg.rob_entries {
+                0
+            } else {
+                self.rob_head + 1
+            };
             self.res.retired += 1;
             retired += 1;
         }
@@ -761,29 +783,45 @@ impl<'a> Engine<'a> {
         self.rob.get((seq - self.rob_base) as usize)
     }
 
+    /// The ROB position of the in-flight instruction `seq`.
+    fn position(&self, seq: u64) -> usize {
+        let pos = self.rob_head + (seq - self.rob_base) as usize;
+        if pos < self.cfg.rob_entries {
+            pos
+        } else {
+            pos - self.cfg.rob_entries
+        }
+    }
+
+    /// The sequence number of the in-flight instruction at ROB position
+    /// `pos`.
+    fn seq_at(&self, pos: usize) -> u64 {
+        self.rob_base + behind_head(self.rob_head, pos, self.cfg.rob_entries) as u64
+    }
+
     /// What the wakeup logic needs of producer `seq`: its completion
-    /// cycle once issued (0 once retired), else the RS slot it waits in.
+    /// cycle once issued (0 once retired), else the ROB position it waits
+    /// at.
     fn operand(&self, seq: u64) -> Operand {
         match self.entry(seq) {
             None => Operand::Completes(0),
-            Some(e) => match (e.complete_at, e.rs_slot) {
-                (Some(c), _) => Operand::Completes(c),
-                (None, Some(slot)) => Operand::Waits(slot),
-                (None, None) => unreachable!("seq {seq} is neither issued nor in the RS"),
+            Some(e) => match e.complete_at {
+                Some(c) => Operand::Completes(c),
+                None => Operand::Waits(self.position(seq)),
             },
         }
     }
 
-    /// Enters the instruction `seq`, waiting in `slot`, into the wakeup
-    /// logic: it is pickable once its producers complete, and never before
-    /// cycle `from`.
-    fn wake_insert(&mut self, seq: u64, slot: usize, from: u64) {
+    /// Enters the instruction `seq` into the wakeup logic: it is pickable
+    /// once its producers complete, and never before cycle `from`.
+    fn wake_insert(&mut self, seq: u64, from: u64) {
         let e = self.entry(seq).expect("live entry");
         let (critical, visible_at) = (e.critical, e.visible_at);
         let [d0, d1, d2] = e.deps;
         let producers: [Option<u64>; EDGES] = [d0, d1, d2, e.mem_dep];
         let operands = producers.map(|p| p.map(|p| self.operand(p)));
-        self.wake.insert(slot, critical, visible_at, operands, from);
+        let pos = self.position(seq);
+        self.wake.insert(pos, critical, visible_at, operands, from);
     }
 
     fn dep_ready(&self, seq: u64) -> bool {
@@ -795,8 +833,8 @@ impl<'a> Engine<'a> {
 
     /// The reference readiness test: every producer complete by `now`.
     /// Only check mode runs it, to audit the live vectors.
-    fn slot_ready(&self, seq: u64) -> bool {
-        let e = self.entry(seq).expect("RS references live entry");
+    fn operands_ready(&self, seq: u64) -> bool {
+        let e = self.entry(seq).expect("live entry");
         if e.visible_at > self.now {
             return false;
         }
@@ -814,16 +852,18 @@ impl<'a> Engine<'a> {
     }
 
     /// Check mode's per-cycle audit of the wakeup logic: the live ready and
-    /// PRIO vectors must equal a full rescan of the reservation station.
+    /// PRIO vectors must equal a full rescan of the ROB's unissued entries,
+    /// built by ROB position.
     fn check_ready_vectors(&self) -> Result<(), SimError> {
-        let cap = self.cfg.rs_entries;
+        let cap = self.cfg.rob_entries;
         let (mut ready, mut prio) = (BitSet::new(cap), BitSet::new(cap));
-        for (slot, occ) in self.rs.iter().enumerate() {
-            let Some(seq) = *occ else { continue };
-            if self.slot_ready(seq) {
-                ready.set(slot);
-                if self.entry(seq).expect("live").critical {
-                    prio.set(slot);
+        for (i, e) in self.rob.iter().enumerate() {
+            let seq = self.rob_base + i as u64;
+            if e.issued_at.is_none() && self.operands_ready(seq) {
+                let pos = self.position(seq);
+                ready.set(pos);
+                if e.critical {
+                    prio.set(pos);
                 }
             }
         }
@@ -834,7 +874,7 @@ impl<'a> Engine<'a> {
         Err(SimError::InvariantViolation {
             cycle: self.now,
             message: format!(
-                "wakeup vectors disagree with the RS rescan: ready {:?} (rescan {:?}), \
+                "wakeup vectors disagree with the ROB rescan: ready {:?} (rescan {:?}), \
                  PRIO {:?} (rescan {:?})",
                 ones(&self.wake.ready),
                 ones(&ready),
@@ -872,39 +912,57 @@ impl<'a> Engine<'a> {
         // Figure 6), *then* binds them to functional-unit ports. A pick
         // whose port class is exhausted this cycle wastes its issue slot,
         // exactly like a real matrix scheduler's select-then-dispatch.
-        // The order is fixed before the first issue: instructions woken by
+        // The picks are fixed before the first issue: instructions woken by
         // this cycle's issues become pickable next cycle.
         self.prof.enter(HostPhase::Select);
-        let cap = self.cfg.rs_entries;
-        select_order(
-            self.cfg.scheduler,
-            &self.wake.ready,
-            &self.wake.prio,
-            &self.rs,
-            &mut self.pick_order,
-        );
+        let random = self.cfg.scheduler == SchedulerKind::RandomReady;
+        if random {
+            let (rob, head, cap) = (&self.rob, self.rob_head, self.cfg.rob_entries);
+            let slot_of = |pos: usize| {
+                rob[behind_head(head, pos, cap)]
+                    .rs_slot
+                    .expect("a ready entry holds an RS slot")
+            };
+            random_order(&self.wake.ready, slot_of, &mut self.pick_order);
+        } else {
+            let prio = (self.cfg.scheduler == SchedulerKind::Crisp).then_some(&self.wake.prio);
+            select_ring(
+                &self.wake.ready,
+                prio,
+                self.rob_head,
+                self.cfg.issue_width,
+                &mut self.pick_order,
+            );
+        }
+        let picks = self.cfg.issue_width.min(self.pick_order.len());
+        if self.prof.is_on() {
+            // Select candidates examined: at each pick, the ready
+            // instructions not yet picked.
+            let ready = self.wake.ready.count();
+            self.prof
+                .age_compared((0..picks).map(|k| (ready - k) as u64).sum());
+        }
         // ALU ports below the cursor are taken or busy this cycle.
         let mut alu_cursor = 0;
         let mut loads_left = self.cfg.load_ports;
         let mut stores_left = self.cfg.store_ports;
 
-        for k in 0..self.cfg.issue_width.min(self.pick_order.len()) {
+        for k in 0..picks {
             self.prof.enter(HostPhase::Select);
-            // Select candidates examined: the ready slots not yet picked.
-            self.prof.age_compared((self.pick_order.len() - k) as u64);
-            if self.cfg.scheduler == SchedulerKind::RandomReady {
+            let seq = if random {
                 // Rotating-start slot scan, blind to age: the first unpicked
                 // slot at or after the cursor, else the lowest. The unpicked
                 // tail stays in slot order.
-                let start = self.rr_cursor % cap;
+                let start = self.rr_cursor % self.cfg.rs_entries;
                 let left = &mut self.pick_order[k..];
                 let at = left.iter().position(|&s| s >= start).unwrap_or(0);
                 left[..=at].rotate_right(1);
-            }
-            let slot = self.pick_order[k];
+                self.rs[self.pick_order[k]].expect("occupied slot")
+            } else {
+                self.seq_at(self.pick_order[k])
+            };
             self.rr_cursor = self.rr_cursor.wrapping_add(7);
 
-            let seq = self.rs[slot].expect("occupied slot");
             let fu = self.entry(seq).expect("live").fu;
             // Port binding: an unavailable port wastes this issue slot.
             let alu_port = match fu {
@@ -930,14 +988,13 @@ impl<'a> Engine<'a> {
                     None
                 }
             };
-            self.execute_slot(slot, alu_port);
+            self.execute(seq, alu_port);
         }
         Ok(())
     }
 
-    fn execute_slot(&mut self, slot: usize, alu_port: Option<usize>) {
+    fn execute(&mut self, seq: u64, alu_port: Option<usize>) {
         self.prof.enter(HostPhase::Execute);
-        let seq = self.rs[slot].expect("occupied slot");
         let now = self.now;
         let idx = (seq - self.rob_base) as usize;
 
@@ -1003,16 +1060,18 @@ impl<'a> Engine<'a> {
             s.total_latency += self.cfg.forward_latency;
         }
 
-        {
+        let slot = {
             let e = &mut self.rob[idx];
             if e.is_store {
                 complete_at = now + 1;
             }
             e.issued_at = Some(now);
             e.complete_at = Some(complete_at);
-            e.rs_slot = None;
             e.fill = fill;
-        }
+            e.rs_slot
+                .take()
+                .expect("an unissued entry holds an RS slot")
+        };
         let (is_store, unpipelined, latency, critical) = {
             let e = &self.rob[idx];
             (e.is_store, e.unpipelined, e.latency, e.critical)
@@ -1056,7 +1115,8 @@ impl<'a> Engine<'a> {
         // Broadcast the result tag down the consumer list: consumers it
         // was the last producer of become pickable from the next cycle on.
         self.prof.enter(HostPhase::Wakeup);
-        self.wake.issue(slot, complete_at, now + 1);
+        let pos = self.position(seq);
+        self.wake.issue(pos, complete_at, now + 1);
     }
 
     // ---- dispatch --------------------------------------------------------
@@ -1154,7 +1214,7 @@ impl<'a> Engine<'a> {
             self.rob.push_back(entry);
             // Dispatch follows issue in the cycle, so the earliest pick is
             // next cycle.
-            self.wake_insert(seq, slot, self.now + 1);
+            self.wake_insert(seq, self.now + 1);
             self.res
                 .tracer
                 .record(self.now, seq, u64::from(rec.pc), EventKind::Dispatch, None);
@@ -1309,6 +1369,16 @@ impl<'a> Engine<'a> {
         if self.ftq_cursor != cursor {
             self.event_at(self.now + 1);
         }
+    }
+}
+
+/// How many entries behind the head at position `head` of a `cap`-entry
+/// ROB the position `pos` lies: its index in the ROB.
+fn behind_head(head: usize, pos: usize, cap: usize) -> usize {
+    if pos >= head {
+        pos - head
+    } else {
+        pos + cap - head
     }
 }
 
@@ -1793,6 +1863,56 @@ mod tests {
         // 6 insts per iteration, iteration >= 20 cycles (4 divs on 4
         // ports, unpipelined) => IPC <= ~0.35.
         assert!(res.ipc() < 0.5, "divides must serialise: ipc {}", res.ipc());
+    }
+
+    #[test]
+    fn a_pick_whose_port_class_is_full_wastes_its_issue_slot() {
+        // A DRAM load feeds a divide, and the divide feeds nine consumers:
+        // in age order three loads and three ALU ops, then three more ALU
+        // ops. The miss keeps the divide waiting until all nine are in the
+        // window, so all nine wake in cycle T, the divide's completion.
+        let mut mem = Memory::new();
+        mem.write_u64(0x10_0000, 0x8000);
+        let mut b = ProgramBuilder::new();
+        b.load(r(1), Reg::ZERO, 0x10_0000, 8); // seq 0
+        b.li(r(2), 1); // seq 1
+        b.div(r(3), r(1), r(2)); // seq 2
+        for k in 0..3 {
+            b.load(r(4 + k), r(3), 8 * i64::from(k), 8); // seqs 3-5
+        }
+        for k in 0..6 {
+            b.alu_ri(AluOp::Add, r(7 + k), r(3), i64::from(k)); // seqs 6-11
+        }
+        b.halt();
+        let p = b.build();
+        let t = Emulator::new(&p, mem).run(100);
+        let mut cfg = SimConfig::skylake();
+        cfg.tracer_capacity = Some(1 << 10);
+        let res = Simulator::new(cfg).run(&p, &t, None);
+        let events = res.tracer.events();
+        let issued = |cycle: u64| -> Vec<u64> {
+            let mut seqs: Vec<u64> = events
+                .iter()
+                .filter(|e| e.kind == EventKind::Issue && e.cycle == cycle)
+                .map(|e| e.seq)
+                .collect();
+            seqs.sort_unstable();
+            seqs
+        };
+        let div_done = events
+            .iter()
+            .find(|e| e.kind == EventKind::Complete && e.seq == 2)
+            .expect("the divide completes")
+            .cycle;
+        // Cycle T: select takes the six oldest ready, L3 L4 L5 A6 A7 A8,
+        // then binds ports. Two load ports take L3 and L4; L5 finds its
+        // class full and wastes its slot; A6-A8 take three of the four ALU
+        // ports (the divide frees its port in cycle T). 2 + 3 = 5 issue,
+        // and the fourth ALU port idles although A9 is ready: select
+        // stopped after six picks, not after six issues.
+        assert_eq!(issued(div_done), [3, 4, 6, 7, 8]);
+        // Cycle T + 1: the wasted load and the three younger ALU ops.
+        assert_eq!(issued(div_done + 1), [5, 9, 10, 11]);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   one-bit CRISP PRIO extension, plus an oldest-ready-first baseline and
 //!   a random-pick ablation; its ready and PRIO vectors are live, set by
 //!   producer→consumer wakeup lists as in the paper's hardware. Dispatch
-//!   is in program order and nothing is squashed, so age is the sequence
-//!   number: select sorts the ready slots by (not PRIO, sequence number)
-//!   instead of keeping age vectors;
+//!   is in program order and nothing is squashed, so age is the distance
+//!   from the ROB head: with the vectors keyed by ROB position, select is
+//!   a ring scan from the ROB head instead of a matrix of age vectors;
 //! * per-class functional units (4 ALU, 2 load, 1 store — Table 1),
 //!   unpipelined dividers;
 //! * exact memory disambiguation with store-to-load forwarding, load/store

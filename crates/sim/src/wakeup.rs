@@ -1,14 +1,17 @@
 //! The scheduler's wakeup logic (paper Section 4.2, Figure 6): the ready
 //! (BID) and PRIO vectors are live state, set when an instruction's last
-//! producer has issued. Only check mode rescans the reservation station,
-//! as the reference the live vectors must equal every cycle.
+//! producer has issued. Only check mode rescans the ROB's unissued
+//! entries, as the reference the live vectors must equal every cycle.
 //!
 //! At dispatch an entry counts its unissued producers and links itself
 //! onto each one's consumer list. Issuing a producer walks its list; a
 //! consumer whose count reaches zero becomes ready in the cycle its last
 //! operand completes, directly or through a queue ordered by that cycle.
-//! The lists are intrusive and indexed by RS slot (every unissued
-//! instruction holds one), so nothing is allocated after construction.
+//! Everything here is indexed by ROB position, the sequence number mod the
+//! ROB capacity (every in-flight instruction holds one, and dispatch is in
+//! program order), so age order is ring order from the ROB head and select
+//! can pick by a ring scan. The lists are intrusive, so nothing is
+//! allocated after construction.
 //!
 //! All of this is derived from the ROB.
 
@@ -28,27 +31,28 @@ const END: u32 = u32::MAX;
 pub(crate) enum Operand {
     /// The producer has issued; its result is available from this cycle.
     Completes(u64),
-    /// The producer still waits, unissued, in this RS slot.
+    /// The producer still waits, unissued, at this ROB position.
     Waits(usize),
 }
 
 /// Live ready/PRIO vectors plus the producer→consumer lists that set them.
 #[derive(Debug)]
 pub(crate) struct Wakeup {
-    /// Unissued producers each occupied slot still waits on.
+    /// Unissued producers each unissued position still waits on.
     pending: Vec<u8>,
-    /// The cycle each slot's operands are available, over the producers
-    /// that have issued so far.
+    /// The cycle each position's operands are available, over the
+    /// producers that have issued so far.
     ready_at: Vec<u64>,
-    /// Slots holding a CRISP-critical instruction.
+    /// Positions holding a CRISP-critical instruction.
     critical: BitSet,
-    /// First link of each slot's consumer list. A link names one consumer
-    /// edge: `consumer_slot * EDGES + edge`.
+    /// First link of each position's consumer list. A link names one
+    /// consumer edge: `consumer_position * EDGES + edge`.
     head: Vec<u32>,
-    /// Per slot and edge, the next link in that producer's consumer list.
+    /// Per position and edge, the next link in that producer's consumer
+    /// list.
     next: Vec<[u32; EDGES]>,
-    /// Slots whose producers have all issued but whose operands complete
-    /// in a later cycle, ordered by that cycle.
+    /// Positions whose producers have all issued but whose operands
+    /// complete in a later cycle, ordered by that cycle.
     timed: BinaryHeap<Reverse<(u64, usize)>>,
     /// The ready (BID) vector.
     pub(crate) ready: BitSet,
@@ -59,28 +63,28 @@ pub(crate) struct Wakeup {
 }
 
 impl Wakeup {
-    /// Empty wakeup state over `slots` RS slots.
-    pub(crate) fn new(slots: usize) -> Wakeup {
+    /// Empty wakeup state over a ROB of `positions` entries.
+    pub(crate) fn new(positions: usize) -> Wakeup {
         Wakeup {
-            pending: vec![0; slots],
-            ready_at: vec![0; slots],
-            critical: BitSet::new(slots),
-            head: vec![END; slots],
-            next: vec![[END; EDGES]; slots],
-            timed: BinaryHeap::with_capacity(slots),
-            ready: BitSet::new(slots),
-            prio: BitSet::new(slots),
+            pending: vec![0; positions],
+            ready_at: vec![0; positions],
+            critical: BitSet::new(positions),
+            head: vec![END; positions],
+            next: vec![[END; EDGES]; positions],
+            timed: BinaryHeap::with_capacity(positions),
+            ready: BitSet::new(positions),
+            prio: BitSet::new(positions),
             woken: 0,
         }
     }
 
-    /// Enters the instruction dispatched into `slot` at cycle `visible_at`
-    /// with its producers `operands` (one per edge). It becomes pickable
-    /// once every producer has issued and completed, and never before
-    /// cycle `from`.
+    /// Enters the instruction dispatched into ROB position `pos` at cycle
+    /// `visible_at` with its producers `operands` (one per edge). It
+    /// becomes pickable once every producer has issued and completed, and
+    /// never before cycle `from`.
     pub(crate) fn insert(
         &mut self,
-        slot: usize,
+        pos: usize,
         critical: bool,
         visible_at: u64,
         operands: [Option<Operand>; EDGES],
@@ -93,32 +97,32 @@ impl Wakeup {
                 None => {}
                 Some(Operand::Completes(at)) => ready_at = ready_at.max(at),
                 Some(Operand::Waits(producer)) => {
-                    self.next[slot][edge] = self.head[producer];
-                    self.head[producer] = (slot * EDGES + edge) as u32;
+                    self.next[pos][edge] = self.head[producer];
+                    self.head[producer] = (pos * EDGES + edge) as u32;
                     pending += 1;
                 }
             }
         }
-        self.pending[slot] = pending;
-        self.ready_at[slot] = ready_at;
+        self.pending[pos] = pending;
+        self.ready_at[pos] = ready_at;
         if critical {
-            self.critical.set(slot);
+            self.critical.set(pos);
         } else {
-            self.critical.clear(slot);
+            self.critical.clear(pos);
         }
         if pending == 0 {
-            self.schedule(slot, from);
+            self.schedule(pos, from);
         }
     }
 
-    /// The instruction in `slot` issued, its result available at
+    /// The instruction at `pos` issued, its result available at
     /// `complete_at`: it leaves the ready and PRIO vectors, and every
     /// consumer it was the last unissued producer of is scheduled, never
     /// before cycle `from`.
-    pub(crate) fn issue(&mut self, slot: usize, complete_at: u64, from: u64) {
-        self.ready.clear(slot);
-        self.prio.clear(slot);
-        let mut link = std::mem::replace(&mut self.head[slot], END);
+    pub(crate) fn issue(&mut self, pos: usize, complete_at: u64, from: u64) {
+        self.ready.clear(pos);
+        self.prio.clear(pos);
+        let mut link = std::mem::replace(&mut self.head[pos], END);
         while link != END {
             let (consumer, edge) = (link as usize / EDGES, link as usize % EDGES);
             link = self.next[consumer][edge];
@@ -130,19 +134,19 @@ impl Wakeup {
         }
     }
 
-    /// Moves every queued slot whose operands complete by `now` into the
-    /// ready vector.
+    /// Moves every queued position whose operands complete by `now` into
+    /// the ready vector.
     pub(crate) fn drain(&mut self, now: u64) {
-        while let Some(&Reverse((at, slot))) = self.timed.peek() {
+        while let Some(&Reverse((at, pos))) = self.timed.peek() {
             if at > now {
                 break;
             }
             self.timed.pop();
-            self.make_ready(slot);
+            self.make_ready(pos);
         }
     }
 
-    /// The next cycle a queued slot becomes ready.
+    /// The next cycle a queued position becomes ready.
     pub(crate) fn next_ready(&self) -> Option<u64> {
         self.timed.peek().map(|&Reverse((at, _))| at)
     }
@@ -153,19 +157,19 @@ impl Wakeup {
         self.woken
     }
 
-    fn schedule(&mut self, slot: usize, from: u64) {
-        let at = self.ready_at[slot];
+    fn schedule(&mut self, pos: usize, from: u64) {
+        let at = self.ready_at[pos];
         if at <= from {
-            self.make_ready(slot);
+            self.make_ready(pos);
         } else {
-            self.timed.push(Reverse((at, slot)));
+            self.timed.push(Reverse((at, pos)));
         }
     }
 
-    fn make_ready(&mut self, slot: usize) {
-        self.ready.set(slot);
-        if self.critical.get(slot) {
-            self.prio.set(slot);
+    fn make_ready(&mut self, pos: usize) {
+        self.ready.set(pos);
+        if self.critical.get(pos) {
+            self.prio.set(pos);
         }
         self.woken += 1;
     }
@@ -182,8 +186,8 @@ mod tests {
     #[test]
     fn consumer_wakes_when_its_last_producer_completes() {
         let mut w = Wakeup::new(8);
-        // Producers in slots 2 and 5, both unissued; the consumer in slot
-        // 7 reads both, the second one twice.
+        // Producers at positions 2 and 5, both unissued; the consumer at
+        // position 7 reads both, the second one twice.
         w.insert(2, false, 0, [None; EDGES], 1);
         w.insert(5, false, 0, [None; EDGES], 1);
         let waits = [
@@ -197,7 +201,7 @@ mod tests {
         w.issue(2, 10, 4);
         assert_eq!(ones(&w.ready), [5]);
         w.issue(5, 30, 5);
-        // Both edges to slot 5 were walked; the consumer waits for cycle 30.
+        // Both edges to position 5 were walked; the consumer waits for cycle 30.
         assert_eq!(w.next_ready(), Some(30));
         w.drain(29);
         assert!(!w.ready.get(7));

@@ -91,16 +91,20 @@ fn unix_secs() -> u64 {
         .unwrap_or(0)
 }
 
+/// The holder's PID from a lock file's `pid=` line.
+fn holder_pid(content: &str) -> Option<u32> {
+    content
+        .lines()
+        .find_map(|l| l.strip_prefix("pid="))
+        .and_then(|p| p.trim().parse().ok())
+}
+
 /// Whether the lock at `path` is held by a dead or expired owner.
 fn holder_is_stale(path: &Path, opts: &LockOptions) -> bool {
     // PID liveness: authoritative where /proc exists.
     if cfg!(target_os = "linux") {
         if let Ok(content) = std::fs::read_to_string(path) {
-            if let Some(pid) = content
-                .lines()
-                .find_map(|l| l.strip_prefix("pid="))
-                .and_then(|p| p.trim().parse::<u32>().ok())
-            {
+            if let Some(pid) = holder_pid(&content) {
                 return !Path::new(&format!("/proc/{pid}")).exists();
             }
         }
@@ -146,15 +150,16 @@ pub fn acquire(path: &Path, opts: &LockOptions) -> Result<CellLock, StoreError> 
     loop {
         match OpenOptions::new().write(true).create_new(true).open(path) {
             Ok(mut file) => {
-                // Lock metadata is advisory (liveness + forensics); a
-                // crash between create and write leaves an empty lock
-                // that the age fallback reclaims.
-                let _ = writeln!(
-                    file,
-                    "pid={}\n{token}\nacquired_unix={}",
+                // Lock metadata is advisory (liveness + forensics). It
+                // goes out in one write, so a crash leaves either an empty
+                // lock, which the age fallback reclaims, or one whose
+                // `pid=` line parses; never a bare `pid=`.
+                let meta = format!(
+                    "pid={}\n{token}\nacquired_unix={}\n",
                     std::process::id(),
                     unix_secs()
                 );
+                let _ = file.write_all(meta.as_bytes());
                 let _ = file.sync_data();
                 return Ok(CellLock {
                     path: path.to_path_buf(),
@@ -210,6 +215,21 @@ mod tests {
         drop(guard);
         assert!(!path.exists(), "drop releases the lock");
         let _again = acquire(&path, &fast_opts()).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_acquired_lock_names_this_process() {
+        let dir = temp_dir("pid-line");
+        let path = dir.join("cell.lock");
+        let guard = acquire(&path, &fast_opts()).unwrap();
+        let content = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            holder_pid(&content),
+            Some(std::process::id()),
+            "{content:?}"
+        );
+        drop(guard);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -3,8 +3,8 @@
 //! With `check_invariants` off, the scheduler keeps its ready and PRIO
 //! vectors live through wakeup lists and the cycle loop fast-forwards over
 //! idle cycles. With it on, the engine steps every cycle and asserts each
-//! cycle that the live vectors equal a full `slot_ready` rescan of the
-//! reservation station. Both runs must produce the same `SimResult` word
+//! cycle that the live vectors equal a full `operands_ready` rescan of the
+//! ROB's unissued entries. Both runs must produce the same `SimResult` word
 //! for word: cycle counts, per-PC maps, the per-cycle UPC timeline, the
 //! stall table, the flight recorder (which holds every pipeline event of
 //! a case) and the telemetry log.
@@ -19,6 +19,11 @@
 //! `BLESSED_WORKLOADS` pins every registered workload, one digest over its
 //! six cases, to the engine that still emulated the age matrix: both paths
 //! share one select, so only a pin can see a change to it.
+//! `BLESSED_WINDOWS` pins the tier-1 subset at Figure 9's smallest and
+//! largest windows, whose ROB capacities wrap the ring at other points than
+//! the default's; Figure 9's tables round what they print, so only a pin
+//! sees a change there. They were blessed on the engine that sorted the
+//! ready slots by (not PRIO, sequence number).
 
 use crisp_core::{build, Input};
 use crisp_emu::Emulator;
@@ -31,6 +36,12 @@ const INSTRS: u64 = 4_000;
 
 /// Cancellation poll intervals: the default and a short one.
 const POLLS: [u64; 2] = [8192, 128];
+
+/// The default `(rs, rob)` window, Table 1's.
+const DEFAULT_WINDOW: (usize, usize) = (96, 224);
+
+/// Figure 9's smallest and largest `(rs, rob)` windows.
+const WINDOWS: [(usize, usize); 2] = [(64, 180), (192, 448)];
 
 const SCHEDULERS: [SchedulerKind; 3] = [
     SchedulerKind::OldestReadyFirst,
@@ -58,6 +69,29 @@ const BLESSED: &[(&str, &str, u64, u64)] = &[
     ("gcc", "crisp", 128, 0x0fc8130067005319),
     ("gcc", "random", 8192, 0xbeae2b793a1b8e2a),
     ("gcc", "random", 128, 0x9b45d000fe39caa0),
+];
+
+/// `(workload, scheduler, rs, rob, FNV-1a of the result words)` at the
+/// default poll interval.
+const BLESSED_WINDOWS: &[(&str, &str, usize, usize, u64)] = &[
+    ("pointer_chase", "oldest", 64, 180, 0xec9ae35c87cec473),
+    ("pointer_chase", "crisp", 64, 180, 0xabd836281fafce8d),
+    ("pointer_chase", "random", 64, 180, 0xea771647b7483784),
+    ("pointer_chase", "oldest", 192, 448, 0x50ddc7a931b75c56),
+    ("pointer_chase", "crisp", 192, 448, 0xf826c41ac370c272),
+    ("pointer_chase", "random", 192, 448, 0xced604528abf6301),
+    ("mcf", "oldest", 64, 180, 0xf43aa1fd31f07b04),
+    ("mcf", "crisp", 64, 180, 0xfbbc7912765c9902),
+    ("mcf", "random", 64, 180, 0x635a27c19024a106),
+    ("mcf", "oldest", 192, 448, 0x3ed39cba1ad4b3dc),
+    ("mcf", "crisp", 192, 448, 0xcd1d2b074cd67b26),
+    ("mcf", "random", 192, 448, 0x52b62c7e5fd31584),
+    ("gcc", "oldest", 64, 180, 0x48f6220afb7f92b4),
+    ("gcc", "crisp", 64, 180, 0x4d3429441764a4f8),
+    ("gcc", "random", 64, 180, 0x9a7e530998ae210b),
+    ("gcc", "oldest", 192, 448, 0xca642041091e570c),
+    ("gcc", "crisp", 192, 448, 0x905990d2d9bc92a8),
+    ("gcc", "random", 192, 448, 0x20db1e39d88ab800),
 ];
 
 /// `(workload, FNV-1a of its six case digests in run order)`, for every
@@ -112,8 +146,8 @@ fn workload(name: &str) -> (Program, Trace) {
 }
 
 /// Every recorder on, so the result words witness every cycle.
-fn config(scheduler: SchedulerKind, poll: u64, check: bool) -> SimConfig {
-    let mut cfg = SimConfig::skylake().with_scheduler(scheduler);
+fn config(window: (usize, usize), scheduler: SchedulerKind, poll: u64, check: bool) -> SimConfig {
+    let mut cfg = SimConfig::with_window(window.0, window.1).with_scheduler(scheduler);
     cfg.cancel_check_interval = poll;
     cfg.check_invariants = check;
     cfg.stall_attribution = true;
@@ -125,14 +159,21 @@ fn config(scheduler: SchedulerKind, poll: u64, check: bool) -> SimConfig {
 
 /// Runs one case with the reference path and the fast path, requires
 /// identical result words, and returns their digest.
-fn run_case(name: &str, program: &Program, trace: &Trace, s: SchedulerKind, poll: u64) -> u64 {
+fn run_case(
+    name: &str,
+    program: &Program,
+    trace: &Trace,
+    window: (usize, usize),
+    s: SchedulerKind,
+    poll: u64,
+) -> u64 {
     // CRISP tags every load, so the PRIO vector is busy all run long.
     let map: Vec<bool> = (0..program.len())
         .map(|pc| program.inst(pc as u32).is_load())
         .collect();
     let map = (s == SchedulerKind::Crisp).then_some(map.as_slice());
     let run = |check: bool| {
-        Simulator::new(config(s, poll, check))
+        Simulator::new(config(window, s, poll, check))
             .try_run(program, trace, map)
             .unwrap_or_else(|e| panic!("{name}/{}/{poll}: {e}", scheduler_name(s)))
     };
@@ -165,7 +206,7 @@ fn fast_path_matches_reference_and_pinned_digests() {
         let (program, trace) = workload(name);
         for s in SCHEDULERS {
             for poll in POLLS {
-                let d = run_case(name, &program, &trace, s, poll);
+                let d = run_case(name, &program, &trace, DEFAULT_WINDOW, s, poll);
                 actual.push((name, scheduler_name(s), poll, d));
             }
         }
@@ -181,6 +222,28 @@ fn fast_path_matches_reference_and_pinned_digests() {
 }
 
 #[test]
+fn fast_path_matches_reference_and_pinned_digests_at_other_windows() {
+    let mut actual = Vec::new();
+    for name in TIER1 {
+        let (program, trace) = workload(name);
+        for (rs, rob) in WINDOWS {
+            for s in SCHEDULERS {
+                let d = run_case(name, &program, &trace, (rs, rob), s, POLLS[0]);
+                actual.push((name, scheduler_name(s), rs, rob, d));
+            }
+        }
+    }
+    let table: String = actual
+        .iter()
+        .map(|(w, s, rs, rob, d)| format!("    (\"{w}\", \"{s}\", {rs}, {rob}, {d:#018x}),\n"))
+        .collect();
+    assert_eq!(
+        BLESSED_WINDOWS, actual,
+        "window digests moved; the engine no longer reproduces the pinned results:\n{table}"
+    );
+}
+
+#[test]
 #[ignore = "every workload; CI runs it with --ignored in release"]
 fn fast_path_matches_reference_on_every_workload() {
     let mut actual = Vec::new();
@@ -188,7 +251,9 @@ fn fast_path_matches_reference_on_every_workload() {
         let (program, trace) = workload(name);
         let cases: Vec<u64> = SCHEDULERS
             .iter()
-            .flat_map(|&s| POLLS.map(|poll| run_case(name, &program, &trace, s, poll)))
+            .flat_map(|&s| {
+                POLLS.map(|poll| run_case(name, &program, &trace, DEFAULT_WINDOW, s, poll))
+            })
             .collect();
         actual.push((name, digest(&cases)));
     }
