@@ -26,6 +26,10 @@
 //!   set), so duplicate submissions — including a client retrying an
 //!   acknowledged submit after a crash — coalesce instead of running
 //!   twice;
+//! - admission is one critical section (coalesce check, depth check,
+//!   sequence number, persist, enqueue), so concurrent identical
+//!   submissions coalesce onto one job and concurrent distinct ones
+//!   never pass the bound or share a sequence number;
 //! - each job's sweep journals to its own `run.jsonl` and publishes
 //!   cells to the shared store, so after SIGKILL the resumed sweep
 //!   recomputes only what was in flight and re-serves the rest from
@@ -180,6 +184,11 @@ pub fn job_id(spec: &str, cells: &[u128]) -> u128 {
 /// Shared mutable daemon state.
 struct State {
     registry: Registry,
+    /// Admission's one critical section: the coalesce check, the depth
+    /// check, the sequence number, the persist and the enqueue of a
+    /// submission all run under this lock, which holds the next admission
+    /// sequence number (seeded from the registry at start).
+    admission: Mutex<u64>,
     queue: Mutex<VecDeque<u128>>,
     running: Mutex<Option<u128>>,
     admitted_total: AtomicUsize,
@@ -386,6 +395,7 @@ pub fn run_daemon(
     );
 
     let state = State {
+        admission: Mutex::new(registry.next_seq()),
         registry,
         queue: Mutex::new(queue),
         running: Mutex::new(None),
@@ -442,7 +452,16 @@ pub fn run_daemon(
 /// the only parallelism knob and makes per-job manifests race-free.
 fn worker_loop(state: &State, exec: &ExecFn<'_>, shutdown: &CancelToken) {
     loop {
-        let next = state.queue.lock().expect("queue lock").pop_front();
+        // Mark the job running under the queue lock, so the admission
+        // depth (queued + running) never misses it between the two.
+        let next = {
+            let mut queue = state.queue.lock().expect("queue lock");
+            let next = queue.pop_front();
+            if next.is_some() {
+                *state.running.lock().expect("running lock") = next;
+            }
+            next
+        };
         let Some(id) = next else {
             if shutdown.is_cancelled() {
                 state.worker_parked.store(true, Ordering::SeqCst);
@@ -453,9 +472,9 @@ fn worker_loop(state: &State, exec: &ExecFn<'_>, shutdown: &CancelToken) {
         };
         let Some(record) = state.registry.load(id) else {
             eprintln!("[crisp-serve] job {} vanished from registry", key_hex(id));
+            *state.running.lock().expect("running lock") = None;
             continue;
         };
-        *state.running.lock().expect("running lock") = Some(id);
         let manifest = state.registry.manifest_path(id);
         // Span bookkeeping: the root `job` span covers submit→result,
         // `queue` covers submit→dequeue, `execute` covers this run of
@@ -876,7 +895,10 @@ fn stats_doc(cfg: &DaemonConfig, state: &State, draining: bool) -> Value {
     Value::Obj(pairs)
 }
 
-/// `POST /jobs`: validate → coalesce → admit (bounded) → 202.
+/// `POST /jobs`: validate → coalesce → admit (bounded) → 202. Coalesce
+/// and admit run as one critical section under `State::admission`, so
+/// concurrent submissions see each other: identical ones coalesce onto
+/// one job, and distinct ones never push the queue past its cap.
 fn submit(
     req: &Request,
     cfg: &DaemonConfig,
@@ -911,9 +933,11 @@ fn submit(
     }
     let id = job_id(&planned.spec, &planned.cells);
 
+    let mut next_seq = state.admission.lock().expect("admission lock");
     // Idempotent coalescing: an already-known id maps onto the existing
     // job in whatever state it is, with no second execution.
     if let Some(existing) = state.job_state(id) {
+        drop(next_seq);
         let status = match existing {
             JobState::Done | JobState::Failed => 200,
             _ => 202,
@@ -926,25 +950,21 @@ fn submit(
     }
 
     // Admission control: bounded queue, refuse before any disk write.
-    {
-        let queue = state.queue.lock().expect("queue lock");
-        let depth =
-            queue.len() + usize::from(state.running.lock().expect("running lock").is_some());
-        if depth >= cfg.queue_cap {
-            state.rejected_busy.fetch_add(1, Ordering::SeqCst);
-            return (
-                429,
-                vec![retry_after_header(cfg)],
-                error_body(
-                    "queue full",
-                    &format!("{depth} jobs pending (cap {}); retry later", cfg.queue_cap),
-                ),
-            );
-        }
+    let depth = state.queue_depth();
+    if depth >= cfg.queue_cap {
+        state.rejected_busy.fetch_add(1, Ordering::SeqCst);
+        return (
+            429,
+            vec![retry_after_header(cfg)],
+            error_body(
+                "queue full",
+                &format!("{depth} jobs pending (cap {}); retry later", cfg.queue_cap),
+            ),
+        );
     }
     let record = JobRecord {
         id,
-        seq: state.registry.next_seq(),
+        seq: *next_seq,
         request: planned.request.clone(),
         spec: planned.spec.clone(),
         cells: planned.cells.clone(),
@@ -953,6 +973,7 @@ fn submit(
     if let Err(e) = state.registry.persist(&record) {
         return (500, vec![], error_body("admission failed", &e));
     }
+    *next_seq += 1;
     state
         .submitted_ns
         .lock()
@@ -960,6 +981,7 @@ fn submit(
         .insert(id, spanlog::unix_ns());
     state.queue.lock().expect("queue lock").push_back(id);
     state.admitted_total.fetch_add(1, Ordering::SeqCst);
+    drop(next_seq);
     (
         202,
         vec![],
@@ -1309,6 +1331,109 @@ mod tests {
         let (_, stats) = d.get("/stats");
         assert!(stats.contains("\"admitted_total\":1"), "{stats}");
         d.drain();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// POSTs every body at once: each client connects, then all send
+    /// together. Returns `(status, body)` in submission order.
+    fn post_concurrently(d: &Daemon, bodies: &[String]) -> Vec<(u16, String)> {
+        let barrier = std::sync::Barrier::new(bodies.len());
+        std::thread::scope(|scope| {
+            let clients: Vec<_> = bodies
+                .iter()
+                .map(|body| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        let mut stream = TcpStream::connect(&d.addr).expect("connect");
+                        barrier.wait();
+                        write!(
+                            stream,
+                            "POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                            body.len()
+                        )
+                        .unwrap();
+                        let mut raw = Vec::new();
+                        stream.read_to_end(&mut raw).unwrap();
+                        let (status, _, resp) = crate::http::read_response(&mut &raw[..]).unwrap();
+                        (status, String::from_utf8_lossy(&resp).into_owned())
+                    })
+                })
+                .collect();
+            clients.into_iter().map(|c| c.join().unwrap()).collect()
+        })
+    }
+
+    #[test]
+    fn concurrent_distinct_submissions_admit_exactly_the_cap_in_sequence() {
+        let dir = temp_dir("admission-distinct");
+        // The first job runs for the whole burst, so nothing frees a slot.
+        let d = Daemon::spawn(&dir, 2, Duration::from_secs(30));
+        let bodies: Vec<String> = (0..8)
+            .map(|i| format!("{{\"targets\":[\"t{i}\"],\"scale\":\"tiny\"}}"))
+            .collect();
+        let responses = post_concurrently(&d, &bodies);
+        let admitted: Vec<&String> = responses
+            .iter()
+            .filter(|(status, _)| *status == 202)
+            .map(|(_, body)| body)
+            .collect();
+        let refused = responses
+            .iter()
+            .filter(|(status, _)| *status == 429)
+            .count();
+        assert_eq!((admitted.len(), refused), (2, 6), "{responses:?}");
+        let registry = Registry::open(&dir).unwrap();
+        let mut seqs: Vec<u64> = admitted
+            .iter()
+            .map(|body| {
+                let id = u128::from_str_radix(&extract_id(body), 16).unwrap();
+                registry.load(id).expect("admitted job persisted").seq
+            })
+            .collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, [0, 1], "admission sequence numbers");
+        let (_, stats) = d.get("/stats");
+        assert!(stats.contains("\"rejected_busy\":6"), "{stats}");
+        d.drain();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_identical_submissions_coalesce_onto_one_execution() {
+        let dir = temp_dir("admission-identical");
+        let d = Daemon::spawn_custom(&dir, 2, |record: &JobRecord, ctx: &ExecCtx| {
+            std::thread::sleep(Duration::from_millis(100));
+            Ok(ExecResult {
+                rendered: format!("table for {}", ctx.trace),
+                completed: record.cells.len(),
+                ..ExecResult::default()
+            })
+        });
+        let body = "{\"targets\":[\"fig1\"],\"scale\":\"tiny\"}".to_string();
+        let responses = post_concurrently(&d, &vec![body; 8]);
+        for (status, body) in &responses {
+            assert!(*status == 200 || *status == 202, "{responses:?}");
+            assert_eq!(extract_id(body), extract_id(&responses[0].1));
+        }
+        let fresh = responses
+            .iter()
+            .filter(|(_, body)| body.contains("\"coalesced\":false"))
+            .count();
+        assert_eq!(fresh, 1, "one admission, the rest coalesced: {responses:?}");
+        let id = extract_id(&responses[0].1);
+        wait_for_state(&d, &id, "done");
+        let (_, stats) = d.get("/stats");
+        assert!(stats.contains("\"admitted_total\":1"), "{stats}");
+        d.drain();
+        let registry = Registry::open(&dir).unwrap();
+        let text =
+            std::fs::read_to_string(registry.spans_path(u128::from_str_radix(&id, 16).unwrap()))
+                .expect("spans.jsonl written");
+        let executions = crisp_harness::load_spans(&text)
+            .iter()
+            .filter(|s| s.name == "execute")
+            .count();
+        assert_eq!(executions, 1, "{text}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,3 +1,15 @@
+//! Critical-path filtering of a slice (paper Section 3.5).
+//!
+//! The relaxation indexes its state by position in the slice's sorted
+//! node list. Each `(consumer, producer)` edge is mapped once to a pair of
+//! node indices; an edge with an endpoint outside the slice contributes
+//! nothing and is dropped. `lat`, `up` and `down` are plain `f64` vectors,
+//! relaxed in sorted edge order, so every addition and comparison happens
+//! in the same sequence as in the `HashMap`-keyed relaxation this
+//! replaced. That version lives on in this module's tests as the oracle:
+//! a proptest requires equal kept sets on random cyclic slices, and
+//! `tests/slicer_oracle.rs` pins the kept sets of every workload's slices.
+
 use crate::Slice;
 use crisp_isa::{Pc, Program};
 use std::collections::{HashMap, HashSet};
@@ -50,6 +62,10 @@ impl LatencyModel {
 /// path and merely saturates on cycles.
 ///
 /// The root is always retained. `keep_fraction` is clamped to `[0, 1]`.
+///
+/// # Panics
+///
+/// Panics if the slice is non-empty and does not contain its root.
 pub fn critical_path_filter(
     program: &Program,
     slice: &Slice,
@@ -67,48 +83,46 @@ pub fn critical_path_filter(
         v.sort_unstable();
         v
     };
-    let lat: HashMap<Pc, f64> = nodes
-        .iter()
-        .map(|&pc| (pc, model.latency(program, pc)))
-        .collect();
+    let node = |pc: Pc| nodes.binary_search(&pc).ok();
+    let lat: Vec<f64> = nodes.iter().map(|&pc| model.latency(program, pc)).collect();
     // Relaxation is bounded, so on cyclic (loop-carried) edge sets the
     // saturated values depend on edge visit order. Sort so the result is a
-    // pure function of the slice, not of `HashSet` iteration order.
-    let edges: Vec<(Pc, Pc)> = {
+    // pure function of the slice, not of `HashSet` iteration order; the
+    // index map is monotone, so the pairs keep that order.
+    let edges: Vec<(usize, usize)> = {
         let mut v: Vec<(Pc, Pc)> = slice.edges.iter().copied().collect();
         v.sort_unstable();
-        v
+        v.into_iter()
+            .filter_map(|(consumer, producer)| Some((node(consumer)?, node(producer)?)))
+            .collect()
     };
 
     // `up[n]`: longest path latency from n (inclusive) up to the root,
     // following producer→consumer direction. `down[n]`: longest chain
     // strictly below n towards the leaves.
-    let mut up: HashMap<Pc, f64> = nodes.iter().map(|&n| (n, f64::NEG_INFINITY)).collect();
-    up.insert(slice.root, lat[&slice.root]);
-    let mut down: HashMap<Pc, f64> = nodes.iter().map(|&n| (n, 0.0)).collect();
+    let root = node(slice.root).expect("the root is a slice node");
+    let mut up = vec![f64::NEG_INFINITY; nodes.len()];
+    up[root] = lat[root];
+    let mut down = vec![0.0; nodes.len()];
 
     // Bounded relaxation (handles loop-carried cycles gracefully).
     let rounds = nodes.len().min(64) + 1;
     for _ in 0..rounds {
         let mut changed = false;
         for &(consumer, producer) in &edges {
-            let (Some(&upc), Some(&lp)) = (up.get(&consumer), lat.get(&producer)) else {
-                continue;
-            };
-            if upc == f64::NEG_INFINITY {
+            if up[consumer] == f64::NEG_INFINITY {
                 continue;
             }
-            let candidate = upc + lp;
-            let entry = up.get_mut(&producer).expect("node present");
-            if candidate > *entry + 1e-9 {
-                *entry = candidate;
+            let lp = lat[producer];
+            let candidate = up[consumer] + lp;
+            if candidate > up[producer] + 1e-9 {
+                up[producer] = candidate;
                 changed = true;
             }
             // down: producer chains extend the consumer's downward reach.
-            let cand_down = down[&producer] + lp;
-            let entry = down.get_mut(&consumer).expect("node present");
-            if cand_down > *entry + 1e-9 {
-                *entry = cand_down;
+            let cand_down = down[producer] + lp;
+            if cand_down > down[consumer] + 1e-9 {
+                down[consumer] = cand_down;
                 changed = true;
             }
         }
@@ -117,20 +131,19 @@ pub fn critical_path_filter(
         }
     }
 
-    let best = nodes
-        .iter()
-        .filter(|&&n| up[&n] != f64::NEG_INFINITY)
-        .map(|&n| up[&n] + down[&n])
+    let best = (0..nodes.len())
+        .filter(|&n| up[n] != f64::NEG_INFINITY)
+        .map(|n| up[n] + down[n])
         .fold(0.0f64, f64::max);
     if best <= 0.0 {
         return kept;
     }
-    for &n in &nodes {
-        if up[&n] == f64::NEG_INFINITY {
+    for (n, &pc) in nodes.iter().enumerate() {
+        if up[n] == f64::NEG_INFINITY {
             continue; // disconnected from the root (stale edge)
         }
-        if up[&n] + down[&n] >= keep_fraction * best - 1e-9 {
-            kept.insert(n);
+        if up[n] + down[n] >= keep_fraction * best - 1e-9 {
+            kept.insert(pc);
         }
     }
     kept
@@ -140,9 +153,163 @@ pub fn critical_path_filter(
 mod tests {
     use super::*;
     use crisp_isa::{AluOp, ProgramBuilder, Reg};
+    use proptest::prelude::*;
 
     fn r(i: u8) -> Reg {
         Reg::new(i)
+    }
+
+    /// The `HashMap`-keyed relaxation the index vectors replaced, kept as
+    /// their oracle.
+    fn hashmap_filter(
+        program: &Program,
+        slice: &Slice,
+        model: &LatencyModel,
+        keep_fraction: f64,
+    ) -> HashSet<Pc> {
+        let keep_fraction = keep_fraction.clamp(0.0, 1.0);
+        let mut kept = HashSet::new();
+        if slice.pcs.is_empty() {
+            return kept;
+        }
+        kept.insert(slice.root);
+        let nodes: Vec<Pc> = {
+            let mut v: Vec<Pc> = slice.pcs.iter().copied().collect();
+            v.sort_unstable();
+            v
+        };
+        let lat: HashMap<Pc, f64> = nodes
+            .iter()
+            .map(|&pc| (pc, model.latency(program, pc)))
+            .collect();
+        let edges: Vec<(Pc, Pc)> = {
+            let mut v: Vec<(Pc, Pc)> = slice.edges.iter().copied().collect();
+            v.sort_unstable();
+            v
+        };
+        let mut up: HashMap<Pc, f64> = nodes.iter().map(|&n| (n, f64::NEG_INFINITY)).collect();
+        up.insert(slice.root, lat[&slice.root]);
+        let mut down: HashMap<Pc, f64> = nodes.iter().map(|&n| (n, 0.0)).collect();
+        let rounds = nodes.len().min(64) + 1;
+        for _ in 0..rounds {
+            let mut changed = false;
+            for &(consumer, producer) in &edges {
+                let (Some(&upc), Some(&lp)) = (up.get(&consumer), lat.get(&producer)) else {
+                    continue;
+                };
+                if upc == f64::NEG_INFINITY {
+                    continue;
+                }
+                let candidate = upc + lp;
+                let entry = up.get_mut(&producer).expect("node present");
+                if candidate > *entry + 1e-9 {
+                    *entry = candidate;
+                    changed = true;
+                }
+                let cand_down = down[&producer] + lp;
+                let entry = down.get_mut(&consumer).expect("node present");
+                if cand_down > *entry + 1e-9 {
+                    *entry = cand_down;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        let best = nodes
+            .iter()
+            .filter(|&&n| up[&n] != f64::NEG_INFINITY)
+            .map(|&n| up[&n] + down[&n])
+            .fold(0.0f64, f64::max);
+        if best <= 0.0 {
+            return kept;
+        }
+        for &n in &nodes {
+            if up[&n] == f64::NEG_INFINITY {
+                continue;
+            }
+            if up[&n] + down[&n] >= keep_fraction * best - 1e-9 {
+                kept.insert(n);
+            }
+        }
+        kept
+    }
+
+    /// Instructions in [`mixed_program`].
+    const PROGRAM_LEN: u32 = 48;
+
+    /// Load AMATs, with ties against each other and the ALU latencies.
+    const AMATS: [f64; 5] = [0.5, 1.0, 3.0, 4.0, 200.0];
+
+    /// A load at every third PC, then an add (latency 1) and a multiply
+    /// (latency 3).
+    fn mixed_program() -> Program {
+        let mut b = ProgramBuilder::new();
+        for pc in 0..PROGRAM_LEN {
+            match pc % 3 {
+                0 => b.load(r(1), r(2), 0, 8),
+                1 => b.alu_ri(AluOp::Add, r(1), r(1), 1),
+                _ => b.mul(r(1), r(1), r(2)),
+            };
+        }
+        b.halt();
+        b.build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On random slices of up to 40 nodes, the index vectors keep
+        /// exactly the oracle's set at keep fractions 0, 0.5, 0.9, 1 and
+        /// a random one. Edge ends index the node list modulo its length
+        /// plus three, and the three indices past its end name PCs outside
+        /// the slice; random edges among the nodes close cycles and
+        /// self-loops, and `dag` keeps only edges to a lower PC. Loads draw
+        /// their AMAT from a small set with ties, or stay unmeasured.
+        #[test]
+        fn index_vectors_match_the_hashmap_relaxation(
+            nodes in proptest::collection::vec(0u32..PROGRAM_LEN, 1..41),
+            ends in proptest::collection::vec((0usize..1024, 0usize..1024), 0..120),
+            amat in proptest::collection::vec(
+                0usize..AMATS.len() + 1,
+                PROGRAM_LEN as usize..PROGRAM_LEN as usize + 1,
+            ),
+            default_amat in 0usize..AMATS.len(),
+            dag in any::<bool>(),
+            random_keep in 0u32..1001,
+        ) {
+            let program = mixed_program();
+            let end = |i: usize| {
+                let i = i % (nodes.len() + 3);
+                nodes.get(i).copied().unwrap_or(PROGRAM_LEN + i as u32)
+            };
+            let slice = Slice {
+                root: nodes[0],
+                pcs: nodes.iter().copied().collect(),
+                instances: 1,
+                mean_dynamic_len: 0.0,
+                edges: ends
+                    .iter()
+                    .map(|&(c, p)| (end(c), end(p)))
+                    .filter(|&(c, p)| !dag || p < c)
+                    .collect(),
+            };
+            let model = LatencyModel::new(
+                (0..PROGRAM_LEN)
+                    .filter(|&pc| pc % 3 == 0 && amat[pc as usize] < AMATS.len())
+                    .map(|pc| (pc, AMATS[amat[pc as usize]]))
+                    .collect(),
+                AMATS[default_amat],
+            );
+            for keep in [0.0, 0.5, 0.9, 1.0, f64::from(random_keep) / 1000.0] {
+                prop_assert_eq!(
+                    critical_path_filter(&program, &slice, &model, keep),
+                    hashmap_filter(&program, &slice, &model, keep),
+                    "keep {}", keep
+                );
+            }
+        }
     }
 
     /// Diamond: two address paths into one load; the slow path contains a

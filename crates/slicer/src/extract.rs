@@ -1,6 +1,44 @@
+//! Backward slice extraction (paper Section 3.3).
+//!
+//! The walk keys its working state by integers: the trace positions it
+//! has visited, the static PCs of the instance it is walking, how many
+//! instances each PC appeared in, and the `(consumer, producer)` edges.
+//! These sets hash through `IntHasher`, one multiply per word, instead
+//! of SipHash, and the visited set and frontier are reused across a
+//! root's instances. The result converts to the public [`Slice`] field
+//! types once per root. `tests/slicer_oracle.rs` pins the slices of every
+//! workload, blessed on the SipHash-keyed walk this replaced.
+
 use crate::DepGraph;
 use crisp_isa::{ConfigError, Pc, Program, Trace};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes the walk's integer keys (trace positions, PCs and PC pairs)
+/// with one multiply-and-rotate per word, as rustc's Fx hash does. The
+/// keys are dense integers from the trace, not attacker input, so the
+/// flood resistance SipHash buys is not needed.
+#[derive(Clone, Copy, Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(n)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IntSet<T> = HashSet<T, BuildHasherDefault<IntHasher>>;
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 /// Configuration of the slice extractor.
 #[derive(Clone, Copy, Debug)]
@@ -172,23 +210,23 @@ pub fn extract_slice(
     root: Pc,
     config: &SliceConfig,
 ) -> Slice {
-    let mut appearances: HashMap<Pc, usize> = HashMap::new();
-    let mut edges: HashSet<(Pc, Pc)> = HashSet::new();
+    let mut appearances: IntMap<Pc, usize> = IntMap::default();
+    let mut edges: IntSet<(Pc, Pc)> = IntSet::default();
+    let mut walk = Walk::default();
     let seqs = index.instances(root);
     let take = seqs.len().min(config.instances_per_root);
     let sampled = &seqs[seqs.len() - take..];
     let mut total_len = 0usize;
     for &start in sampled {
-        let mut pcs = HashSet::new();
-        total_len += slice_instance(trace, graph, start, config, &mut pcs, &mut edges);
-        for pc in pcs {
+        total_len += walk.slice_instance(trace, graph, start, config, &mut edges);
+        for &pc in &walk.pcs {
             *appearances.entry(pc).or_insert(0) += 1;
         }
     }
     // Section 4.1: drop uncommon code paths — instructions seen in only a
     // small fraction of the sampled instances.
     let min_count = ((config.min_instance_fraction * take as f64).ceil() as usize).max(1);
-    let mut pcs: HashSet<Pc> = appearances
+    let mut pcs: IntSet<Pc> = appearances
         .into_iter()
         .filter(|&(_, n)| n >= min_count)
         .map(|(pc, _)| pc)
@@ -196,7 +234,10 @@ pub fn extract_slice(
     if !seqs.is_empty() {
         pcs.insert(root);
     }
-    edges.retain(|(c, p)| pcs.contains(c) && pcs.contains(p));
+    let edges: HashSet<(Pc, Pc)> = edges
+        .into_iter()
+        .filter(|(c, p)| pcs.contains(c) && pcs.contains(p))
+        .collect();
     Slice {
         root,
         instances: take,
@@ -205,57 +246,72 @@ pub fn extract_slice(
         } else {
             total_len as f64 / take as f64
         },
-        pcs,
+        pcs: pcs.into_iter().collect(),
         edges,
     }
 }
 
-/// Walks one dynamic instance backwards; returns the dynamic slice length.
-fn slice_instance(
-    trace: &Trace,
-    graph: &DepGraph,
-    start: u32,
-    config: &SliceConfig,
-    pcs: &mut HashSet<Pc>,
-    edges: &mut HashSet<(Pc, Pc)>,
-) -> usize {
-    // Frontier of unexplored dynamic instances (Section 3.3).
-    let mut frontier: VecDeque<u32> = VecDeque::new();
-    let mut visited: HashSet<u32> = HashSet::new();
-    frontier.push_back(start);
-    visited.insert(start);
-    let mut count = 0usize;
+/// One dynamic instance's walk state, cleared and reused across a
+/// root's instances so each walk starts from warm allocations.
+#[derive(Default)]
+struct Walk {
+    /// Frontier of unexplored dynamic instances (Section 3.3).
+    frontier: VecDeque<u32>,
+    visited: IntSet<u32>,
+    /// Static PCs of the instance's dynamic slice.
+    pcs: IntSet<Pc>,
+}
 
-    while let Some(seq) = frontier.pop_front() {
-        count += 1;
-        if count > config.max_nodes_per_instance {
-            break;
-        }
-        let consumer_pc = trace.record(u64::from(seq)).pc;
-        pcs.insert(consumer_pc);
-        let mem_prod = if config.follow_memory_deps {
-            graph.mem_producer(u64::from(seq))
-        } else {
-            None
-        };
-        for prod in graph
-            .reg_producers(u64::from(seq))
-            .iter()
-            .flatten()
-            .copied()
-            .chain(mem_prod)
-        {
-            let prod_pc = trace.record(u64::from(prod)).pc;
-            edges.insert((consumer_pc, prod_pc));
-            // Termination rule: ancestor already explored (covers the
-            // recursive loop-carried case of Figure 3). Constants and the
-            // trace start terminate naturally (no producer link).
-            if visited.insert(prod) {
-                frontier.push_back(prod);
+impl Walk {
+    /// Walks the instance at `start` backwards, leaving its static PCs in
+    /// `self.pcs` and adding its edges to `edges`; returns the dynamic
+    /// slice length.
+    fn slice_instance(
+        &mut self,
+        trace: &Trace,
+        graph: &DepGraph,
+        start: u32,
+        config: &SliceConfig,
+        edges: &mut IntSet<(Pc, Pc)>,
+    ) -> usize {
+        self.frontier.clear();
+        self.visited.clear();
+        self.pcs.clear();
+        self.frontier.push_back(start);
+        self.visited.insert(start);
+        let mut count = 0usize;
+
+        while let Some(seq) = self.frontier.pop_front() {
+            count += 1;
+            if count > config.max_nodes_per_instance {
+                break;
+            }
+            let consumer_pc = trace.record(u64::from(seq)).pc;
+            self.pcs.insert(consumer_pc);
+            let mem_prod = if config.follow_memory_deps {
+                graph.mem_producer(u64::from(seq))
+            } else {
+                None
+            };
+            for prod in graph
+                .reg_producers(u64::from(seq))
+                .iter()
+                .flatten()
+                .copied()
+                .chain(mem_prod)
+            {
+                let prod_pc = trace.record(u64::from(prod)).pc;
+                edges.insert((consumer_pc, prod_pc));
+                // Termination rule: ancestor already explored (covers the
+                // recursive loop-carried case of Figure 3). Constants and
+                // the trace start terminate naturally (no producer link).
+                if self.visited.insert(prod) {
+                    self.frontier.push_back(prod);
+                }
             }
         }
+        count
     }
-    count
 }
 
 #[cfg(test)]
