@@ -21,7 +21,7 @@
 //! A [`StageMemo`] holds the program-sized results a sweep shares: its
 //! cells each get a [`Stages`] handle, which adds the trace-sized
 //! results of that one cell. Sweep-scoped stages are single-flight (see
-//! [`crate::memo`]).
+//! `crate::memo`).
 
 use crate::error::CrispError;
 use crate::memo::{Served, Table};

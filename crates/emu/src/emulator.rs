@@ -133,12 +133,6 @@ impl<'p> Emulator<'p> {
         &self.mem
     }
 
-    /// Mutable access to the memory image (e.g. to patch inputs between
-    /// runs).
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
     /// Instructions retired so far.
     pub fn retired(&self) -> u64 {
         self.retired

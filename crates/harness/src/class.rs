@@ -3,9 +3,9 @@
 //! The split follows the PR's robustness contract: *transient* failures
 //! (wall-clock timeouts, watchdog deadlocks, panics — anything an injected
 //! fault or scheduling hiccup can cause) earn bounded retries with
-//! backoff; *deterministic* failures (rejected configs, unknown workloads,
-//! cycle-budget overruns) would fail identically every time, so the
-//! supervisor fails them fast and salvages the rest of the sweep.
+//! backoff; *deterministic* failures (rejected configs, unknown workloads)
+//! would fail identically every time, so the supervisor fails them fast
+//! and salvages the rest of the sweep.
 
 use crisp_core::CrispError;
 use crisp_sim::SimError;
@@ -24,9 +24,6 @@ pub enum FailureClass {
     Deadlock,
     /// The job was cancelled from outside (sweep shutdown, not a fault).
     Cancelled,
-    /// The deterministic cycle budget ran out
-    /// ([`SimError::CycleBudgetExhausted`]).
-    CycleBudget,
     /// A configuration was rejected by validation.
     Config,
     /// The workload name is not registered.
@@ -53,7 +50,6 @@ impl FailureClass {
             FailureClass::Timeout => "timeout",
             FailureClass::Deadlock => "deadlock",
             FailureClass::Cancelled => "cancelled",
-            FailureClass::CycleBudget => "cycle-budget",
             FailureClass::Config => "config",
             FailureClass::UnknownWorkload => "unknown-workload",
             FailureClass::Runtime => "runtime",
@@ -67,7 +63,6 @@ impl FailureClass {
             "timeout" => FailureClass::Timeout,
             "deadlock" => FailureClass::Deadlock,
             "cancelled" => FailureClass::Cancelled,
-            "cycle-budget" => FailureClass::CycleBudget,
             "config" => FailureClass::Config,
             "unknown-workload" => FailureClass::UnknownWorkload,
             "runtime" => FailureClass::Runtime,
@@ -84,7 +79,6 @@ impl FailureClass {
                 SimError::Deadlock(_) => FailureClass::Deadlock,
                 SimError::DeadlineExceeded { .. } => FailureClass::Timeout,
                 SimError::Cancelled { .. } => FailureClass::Cancelled,
-                SimError::CycleBudgetExhausted { .. } => FailureClass::CycleBudget,
                 SimError::Config(_) => FailureClass::Config,
                 _ => FailureClass::Runtime,
             },
@@ -113,7 +107,6 @@ mod tests {
         ];
         let fatal = [
             FailureClass::Cancelled,
-            FailureClass::CycleBudget,
             FailureClass::Config,
             FailureClass::UnknownWorkload,
             FailureClass::Runtime,
@@ -133,7 +126,6 @@ mod tests {
             FailureClass::Timeout,
             FailureClass::Deadlock,
             FailureClass::Cancelled,
-            FailureClass::CycleBudget,
             FailureClass::Config,
             FailureClass::UnknownWorkload,
             FailureClass::Runtime,
@@ -160,14 +152,6 @@ mod tests {
                 total: 10
             })),
             FailureClass::Timeout
-        );
-        assert_eq!(
-            FailureClass::classify(&CrispError::Simulation(SimError::CycleBudgetExhausted {
-                budget: 5,
-                retired: 0,
-                total: 10
-            })),
-            FailureClass::CycleBudget
         );
         assert_eq!(
             FailureClass::classify(&CrispError::Annotation("empty map".into())),

@@ -353,19 +353,6 @@ impl ProgramBuilder {
         })
     }
 
-    /// Emits `mem[base + index + off] = data`.
-    pub fn store_idx(&mut self, base: Reg, index: Reg, off: i64, data: Reg, width_bytes: u8) -> Pc {
-        self.push(StaticInst {
-            op: Opcode::Store,
-            dst: None,
-            srcs: [Some(base), Some(index), Some(data)],
-            imm: off,
-            target: None,
-            width: width_from_bytes(width_bytes),
-            size: default_size(Opcode::Store),
-        })
-    }
-
     /// Emits a conditional branch to `label` taken when `cond(a, b)` holds.
     pub fn branch(&mut self, cond: Cond, a: Reg, b: Reg, label: Label) -> Pc {
         self.push_ctrl(Opcode::Branch(cond), [Some(a), Some(b), None], label)

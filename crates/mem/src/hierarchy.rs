@@ -529,16 +529,6 @@ impl MemoryHierarchy {
         self.inflight.len()
     }
 
-    /// Number of tracked fills whose data was already ready at `now` —
-    /// stale entries awaiting lazy cleanup. Anything beyond the lazy-sweep
-    /// bound indicates a leak.
-    pub fn stale_inflight_fills(&self, now: u64) -> usize {
-        self.inflight
-            .values()
-            .filter(|&&(ready, _, _)| ready <= now)
-            .count()
-    }
-
     /// A snapshot of all counters.
     pub fn stats(&self) -> MemStats {
         MemStats {

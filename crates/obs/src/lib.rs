@@ -16,8 +16,9 @@
 //! reads JSON, it also holds the workspace's one JSON codec, [`json`].
 //!
 //! The recorded values (`Tracer`, `StallTable`, `TelemetryLog`) implement
-//! the workspace-wide `crisp_words::Snapshot` trait, so a `SimResult`'s
-//! words, which digests and the engine oracle compare, cover them too.
+//! the workspace-wide, encode-only `crisp_words::Snapshot` trait, so a
+//! `SimResult`'s words, which digests and the engine oracle compare,
+//! cover them too.
 //!
 //! ## Example
 //!

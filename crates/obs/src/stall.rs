@@ -180,7 +180,6 @@ impl StallTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crisp_words::Snapshot;
 
     #[test]
     fn charges_sum_and_rank() {
@@ -206,29 +205,6 @@ mod tests {
             report.contains("frontend (ROB-empty) cycles: 1"),
             "{report}"
         );
-    }
-
-    #[test]
-    fn snapshot_round_trips_and_rejects_garbage() {
-        let mut t = StallTable::default();
-        t.charge(0x10, StallClass::LoadLlc);
-        t.charge(0x20, StallClass::BranchMispredict);
-        t.charge(0x20, StallClass::BranchMispredict);
-        let w = t.snapshot_words();
-        let mut fresh = StallTable::default();
-        fresh.restore_words(&w).unwrap();
-        assert_eq!(fresh, t);
-        assert!(fresh.restore_words(&w[..w.len() - 1]).is_err());
-        let mut trailing = w.clone();
-        trailing.push(0);
-        assert!(fresh.restore_words(&trailing).is_err());
-        // Duplicate PCs are rejected.
-        let mut dup = vec![2u64];
-        dup.push(7);
-        dup.extend_from_slice(&[1, 0, 0, 0, 0, 0, 0]);
-        dup.push(7);
-        dup.extend_from_slice(&[0, 1, 0, 0, 0, 0, 0]);
-        assert!(fresh.restore_words(&dup).unwrap_err().contains("duplicate"));
     }
 
     #[test]

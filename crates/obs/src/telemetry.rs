@@ -3,7 +3,7 @@
 //! path); the log differences consecutive samples into per-interval
 //! deltas.
 
-use crisp_words::{fields, Reader, Snapshot};
+use crisp_words::{fields, Snapshot};
 
 /// The number of numeric fields in a [`TelemetrySample`].
 pub const SAMPLE_FIELDS: usize = 22;
@@ -239,13 +239,6 @@ impl Snapshot for TelemetrySample {
     fn put(&self, out: &mut Vec<u64>) {
         self.values().put(out);
     }
-
-    fn take(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
-        let mut v = [0; SAMPLE_FIELDS];
-        v.take(r)?;
-        *self = TelemetrySample::from_values(v);
-        Ok(())
-    }
 }
 
 impl TelemetryLog {
@@ -357,26 +350,5 @@ mod tests {
         let s = TelemetrySample::from_values(v);
         assert_eq!(s.values(), v);
         assert_eq!(FIELD_NAMES.len(), SAMPLE_FIELDS);
-    }
-
-    #[test]
-    fn snapshot_round_trips() {
-        let mut log = TelemetryLog::default();
-        for i in 1..4u64 {
-            log.record(TelemetryInputs {
-                cycle: i * 100,
-                retired: i * 80,
-                mshr: i,
-                ..TelemetryInputs::default()
-            });
-        }
-        let w = log.snapshot_words();
-        let mut fresh = TelemetryLog::default();
-        fresh.restore_words(&w).unwrap();
-        assert_eq!(fresh, log);
-        assert!(fresh.restore_words(&w[..w.len() - 1]).is_err());
-        let mut trailing = w.clone();
-        trailing.push(1);
-        assert!(fresh.restore_words(&trailing).is_err());
     }
 }

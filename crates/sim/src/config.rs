@@ -96,12 +96,6 @@ pub struct SimConfig {
     /// overhead unmeasurable while bounding cancellation latency to a few
     /// microseconds of simulated work. Must be nonzero.
     pub cancel_check_interval: u64,
-    /// Hard cap on simulated cycles: the run aborts with
-    /// [`crate::SimError::CycleBudgetExhausted`] when `now` reaches the
-    /// budget. Unlike the no-progress watchdog this also bounds *slow but
-    /// live* runs. `None` (the default) is unlimited; `Some(0)` is
-    /// rejected by validation.
-    pub cycle_budget: Option<u64>,
     /// Flight-recorder capacity in pipeline events: when set, the engine
     /// records per-instruction lifecycle events into a ring buffer of this
     /// many entries (exported via `SimResult::tracer`). `None` (the
@@ -168,7 +162,6 @@ impl SimConfig {
             freeze_scheduler_after: None,
             cancel: None,
             cancel_check_interval: 8192,
-            cycle_budget: None,
             tracer_capacity: None,
             telemetry_interval: None,
             stall_attribution: false,
@@ -278,12 +271,6 @@ impl SimConfig {
                 "must be nonzero (got 0): the poll cadence divides the cycle count",
             ));
         }
-        if self.cycle_budget == Some(0) {
-            return Err(ConfigError::new(
-                "cycle_budget",
-                "must be nonzero when set: a zero budget aborts every run at cycle 0",
-            ));
-        }
         if self.tracer_capacity == Some(0) {
             return Err(ConfigError::new(
                 "tracer_capacity",
@@ -353,7 +340,7 @@ mod tests {
     #[test]
     fn degenerate_machines_name_the_offending_field() {
         type Mutate = fn(&mut SimConfig);
-        let cases: [(&str, Mutate); 14] = [
+        let cases: [(&str, Mutate); 13] = [
             ("fetch_width", |c| c.fetch_width = 0),
             ("issue_width", |c| c.issue_width = 0),
             ("rob_entries", |c| c.rob_entries = 0),
@@ -365,7 +352,6 @@ mod tests {
             ("store_buffer", |c| c.store_buffer = 0),
             ("watchdog_cycles", |c| c.watchdog_cycles = 0),
             ("cancel_check_interval", |c| c.cancel_check_interval = 0),
-            ("cycle_budget", |c| c.cycle_budget = Some(0)),
             ("tracer_capacity", |c| c.tracer_capacity = Some(0)),
             ("telemetry_interval", |c| c.telemetry_interval = Some(0)),
         ];
@@ -386,12 +372,10 @@ mod tests {
     }
 
     #[test]
-    fn nonzero_cycle_budget_and_cancel_token_are_valid() {
+    fn a_cancellable_machine_is_valid() {
         let mut c = SimConfig::skylake();
-        c.cycle_budget = Some(1_000_000);
         c.cancel = Some(CancelToken::new());
-        c.validate()
-            .expect("budgeted, cancellable machine is valid");
+        c.validate().expect("cancellable machine is valid");
     }
 
     #[test]

@@ -278,15 +278,6 @@ impl<'a> Engine<'a> {
         while self.res.retired < total {
             // Cooperative abort points, checked before the cycle's work so
             // a cancelled run stops without touching machine state again.
-            if let Some(budget) = self.cfg.cycle_budget {
-                if self.now >= budget {
-                    return Err(SimError::CycleBudgetExhausted {
-                        budget,
-                        retired: self.res.retired,
-                        total,
-                    });
-                }
-            }
             if self.now.is_multiple_of(self.cfg.cancel_check_interval) {
                 if let Some(reason) = self.cfg.cancel.as_ref().and_then(|t| t.should_abort()) {
                     return Err(match reason {
@@ -412,9 +403,9 @@ impl<'a> Engine<'a> {
     /// stall bookkeeping this cycle bumped (`counters` read before it,
     /// `charged` its stall-table charge). Those cycles are replayed in
     /// bulk. The skip stops at the next cancellation poll, so polls and
-    /// telemetry samples keep their cycles, and at the cycle budget and
-    /// the watchdog horizon (`stalled_since` plus `watchdog_cycles`), so
-    /// both fire exactly where stepping would.
+    /// telemetry samples keep their cycles, and at the watchdog horizon
+    /// (`stalled_since` plus `watchdog_cycles`), so it fires exactly
+    /// where stepping would.
     fn advance_clock(
         &mut self,
         counters: [u64; 3],
@@ -428,7 +419,6 @@ impl<'a> Engine<'a> {
         let target = self
             .next_event
             .min(poll.unwrap_or(u64::MAX))
-            .min(self.cfg.cycle_budget.unwrap_or(u64::MAX))
             .min(stalled_since.saturating_add(self.cfg.watchdog_cycles));
         if target <= self.now {
             return;
@@ -2083,41 +2073,6 @@ mod tests {
         let dump = report.to_string();
         assert!(dump.contains("ROB head"), "dump: {dump}");
         assert!(dump.contains("oldest unissued"), "dump: {dump}");
-    }
-
-    #[test]
-    fn cycle_budget_aborts_deterministically_with_progress_report() {
-        let (p, t) = alu_loop();
-        let mut cfg = SimConfig::skylake();
-        cfg.cycle_budget = Some(50);
-        let err = Simulator::new(cfg.clone())
-            .try_run(&p, &t, None)
-            .unwrap_err();
-        let SimError::CycleBudgetExhausted {
-            budget,
-            retired,
-            total,
-        } = err
-        else {
-            panic!("expected budget exhaustion, got {err}");
-        };
-        assert_eq!(budget, 50);
-        assert!(retired < total);
-        // Deterministic: the same budget aborts at the same point.
-        let err2 = Simulator::new(cfg).try_run(&p, &t, None).unwrap_err();
-        assert_eq!(
-            err2,
-            SimError::CycleBudgetExhausted {
-                budget,
-                retired,
-                total
-            }
-        );
-        // A budget generous enough for the whole trace never fires.
-        let mut roomy = SimConfig::skylake();
-        roomy.cycle_budget = Some(u64::MAX);
-        let res = Simulator::new(roomy).try_run(&p, &t, None).expect("fits");
-        assert_eq!(res.retired, t.len() as u64);
     }
 
     #[test]

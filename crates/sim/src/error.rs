@@ -149,16 +149,6 @@ pub enum SimError {
         /// Total instructions in the trace.
         total: u64,
     },
-    /// The run hit [`crate::SimConfig::cycle_budget`] before retiring the
-    /// whole trace — a deterministic overrun, unlike a wall-clock timeout.
-    CycleBudgetExhausted {
-        /// The configured budget.
-        budget: u64,
-        /// Instructions retired within the budget.
-        retired: u64,
-        /// Total instructions in the trace.
-        total: u64,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -188,14 +178,6 @@ impl fmt::Display for SimError {
             } => write!(
                 f,
                 "wall-clock deadline exceeded at cycle {cycle} (retired {retired}/{total})"
-            ),
-            SimError::CycleBudgetExhausted {
-                budget,
-                retired,
-                total,
-            } => write!(
-                f,
-                "cycle budget of {budget} exhausted (retired {retired}/{total})"
             ),
         }
     }
@@ -258,12 +240,6 @@ mod tests {
             total: 9,
         };
         assert!(d.to_string().contains("deadline exceeded"));
-        let b = SimError::CycleBudgetExhausted {
-            budget: 1000,
-            retired: 5,
-            total: 9,
-        };
-        assert!(b.to_string().contains("budget of 1000"));
     }
 
     #[test]

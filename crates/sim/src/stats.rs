@@ -278,7 +278,6 @@ impl SimResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crisp_words::Snapshot;
 
     #[test]
     fn load_pc_stats_ratios() {
@@ -344,96 +343,44 @@ mod tests {
     }
 
     #[test]
-    fn sim_result_snapshot_round_trips_every_field() {
-        let mut r = SimResult {
-            cycles: 1000,
-            retired: 2000,
-            rob_head_stall_cycles: 5,
-            fetch_stall_mispredict_cycles: 6,
-            fetch_stall_icache_cycles: 7,
-            cond_branches: 8,
-            cond_mispredicts: 9,
-            indirect_mispredicts: 10,
-            ..SimResult::default()
-        };
-        r.mem.loads = 11;
-        r.mem.l1d.accesses = 12;
-        r.mem.dram.row_hits = 13;
-        r.load_pc_stats.insert(
-            42,
-            LoadPcStats {
-                execs: 3,
-                llc_misses: 1,
-                ..LoadPcStats::default()
+    fn sim_result_words_cover_every_field_but_hostprof() {
+        type Mutate = fn(&mut SimResult);
+        let cases: [Mutate; 17] = [
+            |r| r.cycles = 1,
+            |r| r.retired = 1,
+            |r| r.rob_head_stall_cycles = 1,
+            |r| r.fetch_stall_mispredict_cycles = 1,
+            |r| r.fetch_stall_icache_cycles = 1,
+            |r| r.cond_branches = 1,
+            |r| r.cond_mispredicts = 1,
+            |r| r.indirect_mispredicts = 1,
+            |r| r.mem.dram.row_hits = 1,
+            |r| {
+                r.load_pc_stats.insert(7, LoadPcStats::default());
             },
-        );
-        r.load_pc_stats.insert(7, LoadPcStats::default());
-        r.branch_pc_stats.insert(
-            9,
-            BranchPcStats {
-                execs: 4,
-                mispredicts: 2,
+            |r| {
+                r.branch_pc_stats.insert(9, BranchPcStats::default());
             },
-        );
-        r.upc.push(6);
-        r.upc.push(0);
-        r.issued_critical = 14;
-        r.issued_noncritical = 15;
-        r.stall_table.charge(42, crisp_obs::StallClass::LoadDram);
-        r.stall_table.charge(9, crisp_obs::StallClass::Fu);
-        r.telemetry.record(crisp_obs::TelemetryInputs {
-            cycle: 100,
-            retired: 80,
-            mshr: 3,
-            ..crisp_obs::TelemetryInputs::default()
-        });
-        let words = r.snapshot_words();
-        let mut s = SimResult::default();
-        s.restore_words(&words).unwrap();
-        assert_eq!(s.snapshot_words(), words);
-        assert_eq!(s.retired, 2000);
-        assert_eq!(s.mem.dram.row_hits, 13);
-        assert_eq!(s.load_pc_stats, r.load_pc_stats);
-        assert_eq!(s.branch_pc_stats, r.branch_pc_stats);
-        assert_eq!(s.upc, r.upc);
-        assert_eq!(s.issued_critical, 14);
-        assert_eq!(s.issued_noncritical, 15);
-        assert_eq!(s.stall_table, r.stall_table);
-        assert_eq!(s.telemetry, r.telemetry);
-        // Truncated and trailing inputs are rejected.
-        assert!(SimResult::default()
-            .restore_words(&words[..words.len() - 1])
-            .is_err());
-        let mut trailing = words.clone();
-        trailing.push(0);
-        assert!(SimResult::default().restore_words(&trailing).is_err());
-    }
-
-    #[test]
-    fn sim_result_snapshot_round_trips_a_live_tracer() {
-        let mut r = SimResult {
-            tracer: crisp_obs::Tracer::ring(8),
-            ..SimResult::default()
-        };
-        r.tracer
-            .record(5, 0, 0x40, crisp_obs::EventKind::Fetch, None);
-        r.tracer.record(
-            9,
-            0,
-            0x40,
-            crisp_obs::EventKind::Complete,
-            Some(crisp_obs::FillLevel::Llc),
-        );
-        let words = r.snapshot_words();
-        let mut s = SimResult {
-            tracer: crisp_obs::Tracer::ring(8),
-            ..SimResult::default()
-        };
-        s.restore_words(&words).unwrap();
-        assert_eq!(s.tracer, r.tracer);
-        // Restoring a traced snapshot into an untraced result is rejected:
-        // the configurations disagree.
-        let err = SimResult::default().restore_words(&words).unwrap_err();
-        assert!(err.contains("enabled"), "{err}");
+            |r| r.upc.push(0),
+            |r| r.issued_critical = 1,
+            |r| r.issued_noncritical = 1,
+            |r| r.tracer = crisp_obs::Tracer::ring(8),
+            |r| r.stall_table.charge(42, crisp_obs::StallClass::Fu),
+            |r| r.telemetry.record(crisp_obs::TelemetryInputs::default()),
+        ];
+        let base = SimResult::default().snapshot_words();
+        for (i, mutate) in cases.iter().enumerate() {
+            let mut r = SimResult::default();
+            mutate(&mut r);
+            assert_ne!(
+                r.snapshot_words(),
+                base,
+                "case {i} left the words unchanged"
+            );
+        }
+        let mut r = SimResult::default();
+        r.hostprof.enabled = true;
+        r.hostprof.phase_ns[0] = 5;
+        assert_eq!(r.snapshot_words(), base);
     }
 }

@@ -262,10 +262,8 @@ mod tests {
         write_entry(&path, &entry).unwrap();
         assert_eq!(read_entry(&path, Some(entry.key)).unwrap(), entry);
         assert_eq!(read_entry(&path, None).unwrap(), entry);
-        assert!(
-            !crate::tmp_path(&path).exists(),
-            "tmp file must be renamed away on success"
-        );
+        let debris = crate::tests::tmp_debris(&dir);
+        assert!(debris.is_empty(), "left behind: {debris:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -43,18 +43,20 @@ pub use lock::{acquire, CellLock, LockOptions};
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, SystemTime};
 
 /// Writes `bytes` to `path` atomically — the one crash-safe write the
 /// workspace's on-disk formats share (store entries and the daemon's job
-/// records). The bytes are assembled under a process-unique
-/// `.tmp` name, `sync_data`'d, renamed over `path`, and the parent
+/// records). The bytes are assembled under a `.tmp` name unique to the
+/// call, `sync_data`'d, renamed over `path`, and the parent
 /// directory is `sync_all`'d so the rename itself is durable. A SIGKILL
 /// at any point leaves either the previous file or an orphaned `.tmp` —
-/// never a torn file under the real name. Two processes writing the same
-/// path never clobber each other's half-written bytes; the loser's
-/// rename just republishes its own complete content.
+/// never a torn file under the real name. Two writers of the same path,
+/// in two processes or two threads of one, never clobber each other's
+/// half-written bytes; the loser's rename just republishes its own
+/// complete content.
 ///
 /// # Errors
 ///
@@ -77,10 +79,13 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// The process-unique temp name [`write_atomic`] assembles under.
+/// The temp name [`write_atomic`] assembles under: `<name>.tmp.<pid>.<n>`,
+/// where `n` counts this process's calls.
 fn tmp_path(path: &Path) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(format!(".tmp.{}", std::process::id()));
+    name.push(format!(".tmp.{}.{seq}", std::process::id()));
     path.with_file_name(name)
 }
 
@@ -643,10 +648,43 @@ mod tests {
         (dir, store)
     }
 
+    /// The names of [`write_atomic`] temp files left in `dir`.
+    pub(crate) fn tmp_debris(dir: &Path) -> Vec<std::ffi::OsString> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n.to_string_lossy().contains(".tmp."))
+            .collect()
+    }
+
     #[test]
     fn crc32_matches_the_reference_vector() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_path_never_share_a_temp_file() {
+        let dir = std::env::temp_dir().join("crisp-store-lib-concurrent-writes");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("record.json");
+        let payload = |t: usize, i: usize| format!("writer {t} call {i}").into_bytes();
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let (path, payload) = (&path, &payload);
+                s.spawn(move || {
+                    for i in 0..25 {
+                        write_atomic(path, &payload(t, i)).unwrap();
+                    }
+                });
+            }
+        });
+        let last = std::fs::read(&path).unwrap();
+        assert!((0..8).any(|t| (0..25).any(|i| payload(t, i) == last)));
+        let debris = tmp_debris(&dir);
+        assert!(debris.is_empty(), "temp files left behind: {debris:?}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -157,14 +157,13 @@ fn deadline_overrun_classifies_as_timeout() {
 }
 
 fn class_strategy() -> impl Strategy<Value = FailureClass> {
-    (0u8..8).prop_map(|i| match i {
+    (0u8..7).prop_map(|i| match i {
         0 => FailureClass::Panic,
         1 => FailureClass::Timeout,
         2 => FailureClass::Deadlock,
         3 => FailureClass::Cancelled,
-        4 => FailureClass::CycleBudget,
-        5 => FailureClass::Config,
-        6 => FailureClass::UnknownWorkload,
+        4 => FailureClass::Config,
+        5 => FailureClass::UnknownWorkload,
         _ => FailureClass::Runtime,
     })
 }
