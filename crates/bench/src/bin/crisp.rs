@@ -38,7 +38,7 @@
 use crisp_bench::ExperimentScale;
 use crisp_core::{
     build, run_crisp_pipeline, ClassifierConfig, CrispError, Input, PipelineConfig, SchedulerKind,
-    SimConfig, SimError, SliceMode, Table,
+    SimConfig, SimError, SliceMode, Table, Traced, Workload,
 };
 use crisp_emu::Emulator;
 use crisp_obs::{parse_jsonl, render_kanata, summarize, TraceFilter};
@@ -322,8 +322,14 @@ fn workload_arg(args: &Args, cmd: &str) -> Result<String, Failure> {
     }
 }
 
-fn build_workload(name: &str, input: Input) -> Result<crisp_core::Workload, Failure> {
-    build(name, input).map_err(|e| Failure::from(CrispError::from(e)))
+/// `name` built for `input` and emulated for `n` instructions. The
+/// memory image moves into the emulator and is freed with it.
+fn trace_workload(name: &str, input: Input, n: u64) -> Result<Traced, Failure> {
+    let Workload {
+        program, memory, ..
+    } = build(name, input).map_err(|e| Failure::from(CrispError::from(e)))?;
+    let trace = Emulator::new(&program, memory).run(n);
+    Ok(Traced { program, trace })
 }
 
 fn base_sim_config(args: &Args) -> Result<SimConfig, Failure> {
@@ -347,9 +353,8 @@ fn run(cmd: &str, args: &Args) -> Result<(), Failure> {
         "trace" => {
             args.allow_flags(cmd, &["--ref"])?;
             let name = workload_arg(args, cmd)?;
-            let w = build_workload(&name, input_of(args))?;
-            let trace = Emulator::new(&w.program, w.memory.clone()).run(args.n);
-            let stats = trace.stats(&w.program);
+            let Traced { program, trace } = trace_workload(&name, input_of(args), args.n)?;
+            let stats = trace.stats(&program);
             println!("{name}: {stats}");
             if let Some(path) = &args.out {
                 trace.save(path).map_err(|e| Failure {
@@ -363,11 +368,10 @@ fn run(cmd: &str, args: &Args) -> Result<(), Failure> {
         "profile" => {
             args.allow_flags(cmd, &["--check"])?;
             let name = workload_arg(args, cmd)?;
-            let w = build_workload(&name, Input::Train)?;
-            let trace = Emulator::new(&w.program, w.memory.clone()).run(args.n);
+            let Traced { program, trace } = trace_workload(&name, Input::Train, args.n)?;
             let mut cfg = base_sim_config(args)?;
             cfg.collect_pc_stats = true;
-            let res = Simulator::try_new(cfg)?.try_run(&w.program, &trace, None)?;
+            let res = Simulator::try_new(cfg)?.try_run(&program, &trace, None)?;
             let summary = ProfileSummary::from_result(&res);
             println!(
                 "{name}: IPC {:.3}, load fraction {:.2}, LLC load MPKI {:.2}, branch MPKI {:.2}",
@@ -410,8 +414,7 @@ fn run(cmd: &str, args: &Args) -> Result<(), Failure> {
                 ));
             }
             let name = workload_arg(args, cmd)?;
-            let w = build_workload(&name, input_of(args))?;
-            let trace = Emulator::new(&w.program, w.memory.clone()).run(args.n);
+            let Traced { program, trace } = trace_workload(&name, input_of(args), args.n)?;
             let mut cfg = base_sim_config(args)?.with_scheduler(args.scheduler);
             if args.pipe_trace.is_some() {
                 // Enough ring for the tail of any CLI-scale run: the
@@ -421,9 +424,9 @@ fn run(cmd: &str, args: &Args) -> Result<(), Failure> {
             cfg.stall_attribution = args.stalls.is_some();
             // A bare scheduler swap without annotation: criticality comes
             // from the pipeline; here everything-critical approximates it.
-            let critical = vec![true; w.program.len()];
+            let critical = vec![true; program.len()];
             let map = (args.scheduler == SchedulerKind::Crisp).then_some(critical.as_slice());
-            let res = Simulator::try_new(cfg)?.try_run(&w.program, &trace, map)?;
+            let res = Simulator::try_new(cfg)?.try_run(&program, &trace, map)?;
             println!(
                 "{name} [{:?}]: IPC {:.3} over {} cycles; ROB-head stalls {:.1}%, \
                  branch MPKI {:.2}, LLC load MPKI {:.2}",
@@ -522,8 +525,7 @@ fn run(cmd: &str, args: &Args) -> Result<(), Failure> {
             let to = from.checked_add(len).ok_or_else(|| {
                 Failure::usage(format!("--from {from} plus --len {len} overflows"))
             })?;
-            let w = build_workload(&name, Input::Train)?;
-            let trace = Emulator::new(&w.program, w.memory.clone()).run(n);
+            let Traced { program, trace } = trace_workload(&name, Input::Train, n)?;
             let mut cfg = SimConfig::skylake();
             // Room for every event of the run: five stages per instruction
             // plus at most one redirect (and a nonzero ring when n is 0).
@@ -533,9 +535,9 @@ fn run(cmd: &str, args: &Args) -> Result<(), Failure> {
             if use_crisp {
                 cfg.scheduler = SchedulerKind::Crisp;
             }
-            let critical = vec![true; w.program.len()];
+            let critical = vec![true; program.len()];
             let map = use_crisp.then_some(critical.as_slice());
-            let res = Simulator::try_new(cfg)?.try_run(&w.program, &trace, map)?;
+            let res = Simulator::try_new(cfg)?.try_run(&program, &trace, map)?;
             println!(
                 "{name} [{}] seq {from}..{} (f=fetch d=dispatch-wait i=issue ==execute .=await-retire r=retire)\n",
                 if use_crisp { "CRISP" } else { "OOO" },

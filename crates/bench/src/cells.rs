@@ -313,7 +313,7 @@ fn cell_fig1(
 ) -> Result<Vec<f64>, CrispError> {
     let obs = opts.obs;
     let eval = st.trace(name, Input::Ref, cfg.eval_instructions / 2)?;
-    let (program, trace) = (&eval.workload.program, &eval.trace);
+    let (program, trace) = (&eval.program, &eval.trace);
 
     // Profile + annotate via the pipeline on the train input.
     let pres = st.pipeline(name, cfg)?;

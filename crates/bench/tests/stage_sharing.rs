@@ -5,6 +5,7 @@
 use crisp_bench::cells::{self, cell_spec_pf};
 use crisp_bench::sweep::{run_supervised_sweep, SweepConfig, SweepOutput};
 use crisp_bench::ExperimentScale;
+use crisp_core::StageKind;
 use crisp_harness::{JobOutcome, RunContext, SpanScope};
 use crisp_sim::{CancelToken, PrefetcherSpec, ProgressBeacon};
 
@@ -27,6 +28,10 @@ const MCF_PAYLOAD_DIGEST: u64 = 0xc62d_6aea_35d6_ff73;
 
 /// Simulations that sweep runs: 77 when every cell ran its own pipelines.
 const MCF_SIMULATIONS: u64 = 25;
+
+/// Windows that sweep builds and emulates: 11 when each cell built its
+/// own traces.
+const MCF_TRACES: u64 = 2;
 
 fn sweep(targets: &[&str], workers: usize) -> SweepConfig {
     SweepConfig {
@@ -91,6 +96,7 @@ fn shared_stages_keep_every_payload_bit_and_cut_simulations() {
         digest(&out)
     );
     assert_eq!(out.stages.simulations, MCF_SIMULATIONS);
+    assert_eq!(out.stages.computed[StageKind::Trace as usize], MCF_TRACES);
     assert!(out.stages.sweep_shared() > 0);
 }
 

@@ -28,9 +28,10 @@
 //! and `eval`. Every stage is keyed by the `Debug` rendering of exactly
 //! the inputs it reads, so a [`StageMemo`] computes each distinct stage
 //! once however many requests ask for it: a sweep gives its cells one
-//! memo, and each cell's [`Stages`] handle adds that cell's trace-sized
-//! results. [`run_crisp_pipeline`] and [`run_ibda_many`] run over a fresh
-//! memo. See the [`stages`] module for the keys and scopes.
+//! memo, which builds and emulates each window once, and each cell's
+//! [`Stages`] handle adds that cell's dependence graphs and indexes.
+//! [`run_crisp_pipeline`] and [`run_ibda_many`] run over a fresh memo.
+//! See the [`stages`] module for the keys and scopes.
 //!
 //! ## Example
 //!

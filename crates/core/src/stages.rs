@@ -7,7 +7,7 @@
 //!
 //! | stage     | key                                               | lives for |
 //! |-----------|---------------------------------------------------|-----------|
-//! | `trace`   | workload, input, instructions                     | one cell  |
+//! | `trace`   | workload, input, instructions                     | the sweep |
 //! | `graph`   | the train window                                  | one cell  |
 //! | `index`   | the train window (root-instance index)            | one cell  |
 //! | `profile` | train window, effective `SimConfig`               | the sweep |
@@ -18,10 +18,10 @@
 //! | `ibda`    | profile, eval window, IST geometry                | the sweep |
 //! | `eval`    | eval window, effective `SimConfig`, map bits      | the sweep |
 //!
-//! A [`StageMemo`] holds the program-sized results a sweep shares: its
-//! cells each get a [`Stages`] handle, which adds the trace-sized
-//! results of that one cell. Sweep-scoped stages are single-flight (see
-//! `crate::memo`).
+//! A [`StageMemo`] holds the results a sweep shares, its traces
+//! included: its cells each get a [`Stages`] handle, which adds the
+//! dependence graphs and root-instance indexes of that one cell.
+//! Sweep-scoped stages are single-flight (see `crate::memo`).
 
 use crate::error::CrispError;
 use crate::memo::{Served, Table};
@@ -104,10 +104,11 @@ impl StageKind {
         }
     }
 
-    /// Whether results live for the whole sweep (program-sized) rather
-    /// than for one cell (trace-sized).
+    /// Whether results live for the whole sweep rather than for one
+    /// cell. Only the graph and the index are per cell: a cell builds
+    /// them for the slices it computes and drops them when it ends.
     pub fn sweep_scoped(self) -> bool {
-        !matches!(self, StageKind::Trace | StageKind::Graph | StageKind::Index)
+        !matches!(self, StageKind::Graph | StageKind::Index)
     }
 }
 
@@ -162,11 +163,12 @@ pub struct StageEvent {
     pub end_ns: u64,
 }
 
-/// A workload built for one input, and its trace.
+/// A workload's program and its trace for one input. The initial
+/// memory image is moved into the emulator and freed with it.
 #[derive(Clone, Debug)]
 pub struct Traced {
-    /// The built workload.
-    pub workload: Workload,
+    /// The built workload's program.
+    pub program: Program,
     /// Its first instructions, emulated.
     pub trace: Trace,
 }
@@ -244,11 +246,12 @@ struct MapInputs<'a> {
     annotator: &'a Annotator,
 }
 
-/// The program-sized stage results one sweep shares between its cells,
-/// and the sweep's counts. Nothing outlives the memo: each sweep starts
-/// with an empty one.
+/// The stage results one sweep shares between its cells, traces
+/// included, and the sweep's counts. Nothing outlives the memo: each
+/// sweep starts with an empty one.
 #[derive(Default)]
 pub struct StageMemo {
+    traces: Table<Traced>,
     profile: Table<SimResult>,
     roots: Table<Roots>,
     slice: Table<Slice>,
@@ -274,7 +277,6 @@ impl StageMemo {
             memo: self,
             cancel,
             observer: None,
-            traces: Table::default(),
             graphs: Table::default(),
             indexes: Table::default(),
             seq: Cell::new(0),
@@ -297,12 +299,12 @@ impl StageMemo {
 type Observer<'m> = Box<dyn Fn(&StageEvent) + 'm>;
 
 /// One cell's view of the stages: the sweep's [`StageMemo`] plus the
-/// cell's own trace-sized results, which it drops when it ends.
+/// cell's own dependence graphs and root-instance indexes, which it
+/// drops when it ends.
 pub struct Stages<'m> {
     memo: &'m StageMemo,
     cancel: Option<CancelToken>,
     observer: Option<Observer<'m>>,
-    traces: Table<Traced>,
     graphs: Table<DepGraph>,
     indexes: Table<InstanceIndex>,
     seq: Cell<u32>,
@@ -449,30 +451,33 @@ impl<'m> Stages<'m> {
     }
 
     fn traced(&self, w: Window) -> Result<Arc<Traced>, CrispError> {
-        self.get(StageKind::Trace, &self.traces, format!("{w:?}"), || {
-            let workload = build(w.workload, w.input)?;
-            let trace =
-                Emulator::new(&workload.program, workload.memory.clone()).run(w.instructions);
-            Ok(Traced { workload, trace })
+        let key = format!("{w:?}");
+        self.get(StageKind::Trace, &self.memo.traces, key, || {
+            let Workload {
+                program, memory, ..
+            } = build(w.workload, w.input)?;
+            let trace = Emulator::new(&program, memory).run(w.instructions);
+            Ok(Traced { program, trace })
         })
     }
 
-    fn graph(&self, train: Window) -> Result<Arc<DepGraph>, CrispError> {
+    /// The `graph` stage over `t`, the trace of `train`. It takes the
+    /// trace from its caller, so every trace request comes from a
+    /// sweep-scoped computation and the counts do not depend on which
+    /// cell builds a graph.
+    fn graph(&self, train: Window, t: &Traced) -> Result<Arc<DepGraph>, CrispError> {
         self.get(StageKind::Graph, &self.graphs, format!("{train:?}"), || {
-            let t = self.traced(train)?;
-            Ok(DepGraph::build(&t.workload.program, &t.trace))
+            Ok(DepGraph::build(&t.program, &t.trace))
         })
     }
 
-    fn index(&self, train: Window) -> Result<Arc<InstanceIndex>, CrispError> {
+    /// The `index` stage over `t`, the trace of `train`.
+    fn index(&self, train: Window, t: &Traced) -> Result<Arc<InstanceIndex>, CrispError> {
         self.get(
             StageKind::Index,
             &self.indexes,
             format!("{train:?}"),
-            || {
-                let t = self.traced(train)?;
-                Ok(InstanceIndex::build(&t.workload.program, &t.trace))
-            },
+            || Ok(InstanceIndex::build(&t.program, &t.trace)),
         )
     }
 
@@ -480,7 +485,7 @@ impl<'m> Stages<'m> {
         let key = format!("{train:?} {}", sim_key(sim));
         let result = self.get(StageKind::Profile, &self.memo.profile, key.clone(), || {
             let t = self.traced(train)?;
-            self.simulate(sim.clone(), &t.workload.program, &t.trace, None)
+            self.simulate(sim.clone(), &t.program, &t.trace, None)
         })?;
         Ok(Profiled {
             key,
@@ -513,8 +518,8 @@ impl<'m> Stages<'m> {
         let key = format!("{:?}", (train, config, root));
         self.get(StageKind::Slice, &self.memo.slice, key, || {
             let t = self.traced(train)?;
-            let graph = self.graph(train)?;
-            let index = self.index(train)?;
+            let graph = self.graph(train, &t)?;
+            let index = self.index(train, &t)?;
             Ok(extract_slice(&t.trace, &graph, &index, root, config))
         })
     }
@@ -532,7 +537,7 @@ impl<'m> Stages<'m> {
             let slice = self.slice(train, config, root)?;
             let t = self.traced(train)?;
             Ok(critical_path_filter(
-                &t.workload.program,
+                &t.program,
                 &slice,
                 profile.latency_model(),
                 keep,
@@ -544,7 +549,7 @@ impl<'m> Stages<'m> {
         let key = format!("{inputs:?}");
         self.get(StageKind::Map, &self.memo.map, key, || {
             let t = self.traced(inputs.train)?;
-            let program = &t.workload.program;
+            let program = &t.program;
             let filtered = |root: Pc| -> Result<HashSet<Pc>, CrispError> {
                 let f = self.filtered(
                     inputs.train,
@@ -596,8 +601,8 @@ impl<'m> Stages<'m> {
                 .collect();
             let t = self.traced(train)?;
             let mut ibda = Ibda::new(config, &missing);
-            ibda.train(&t.workload.program, &t.trace);
-            Ok(ibda.criticality_map(self.traced(eval)?.workload.program.len()))
+            ibda.train(&t.program, &t.trace);
+            Ok(ibda.criticality_map(self.traced(eval)?.program.len()))
         })
     }
 
@@ -633,7 +638,7 @@ impl<'m> Stages<'m> {
         let key = format!("{eval:?} {} {}", sim_key(sim), bits_key(map));
         self.get(StageKind::Eval, &self.memo.eval, key, || {
             let t = self.traced(eval)?;
-            let program = &t.workload.program;
+            let program = &t.program;
             // The annotation was built for this very binary, so a length
             // mismatch is a pipeline bug worth surfacing.
             if let Some(map) = map.filter(|m| m.len() != program.len()) {
@@ -792,6 +797,19 @@ mod tests {
             counts.computed[StageKind::Trace as usize],
             after_first.computed[StageKind::Trace as usize]
         );
+    }
+
+    #[test]
+    fn cells_of_one_memo_build_each_window_once() {
+        let memo = StageMemo::new();
+        memo.cell(None).pipeline("mcf", &tiny()).expect("runs");
+        memo.cell(None)
+            .ibda("mcf", &[IbdaConfig::ist_1k()], &tiny())
+            .expect("runs");
+        let counts = memo.counts();
+        // The train and ref windows, built by the first cell alone.
+        assert_eq!(counts.computed[StageKind::Trace as usize], 2);
+        assert!(counts.shared[StageKind::Trace as usize] > 0);
     }
 
     #[test]

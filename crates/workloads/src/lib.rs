@@ -20,11 +20,12 @@
 //! ## Example
 //!
 //! ```
-//! use crisp_workloads::{build, Input};
+//! use crisp_workloads::{build, Input, Workload};
 //! use crisp_emu::Emulator;
 //!
-//! let w = build("pointer_chase", Input::Train).expect("known workload");
-//! let mut emu = Emulator::new(&w.program, w.memory.clone());
+//! let Workload { program, memory, .. } =
+//!     build("pointer_chase", Input::Train).expect("known workload");
+//! let mut emu = Emulator::new(&program, memory);
 //! let trace = emu.run(50_000);
 //! assert_eq!(trace.len(), 50_000); // long-running loop
 //! ```
