@@ -818,7 +818,7 @@ fn run_serve(cmd: &str, args: &Args) -> Result<(), Failure> {
             // refused, drain) reconnect with jittered backoff and resume
             // from the last seen state. Only a long unbroken run of
             // failures — or a hard 4xx — exits nonzero.
-            let backoff = crisp_harness::RetryPolicy {
+            let backoff = crisp_serve::RetryPolicy {
                 max_retries: 30,
                 base: std::time::Duration::from_millis(200),
                 cap: std::time::Duration::from_secs(5),

@@ -1,5 +1,5 @@
 //! The supervised experiment runner: `crisp bench` with crash isolation,
-//! deadlines, retries and resumable manifests.
+//! deadlines and resumable manifests.
 //!
 //! ```text
 //! Usage: crisp-bench [OPTIONS] [TARGETS...]
@@ -15,11 +15,13 @@
 //!                        `spp:depth=4+stream` or `none` (default:
 //!                        bop+stream, the Table 1 baseline)
 //!   --jobs N             Worker threads (default 1)
-//!   --deadline SECS      Per-attempt wall-clock deadline (fractional ok)
-//!   --max-retries K      Retries per job for transient failures (default 3)
-//!   --manifest PATH      Journal every attempt to a JSONL run manifest
-//!   --resume PATH        Resume an interrupted sweep from its manifest
-//!                        (implies --manifest PATH; flags must match)
+//!   --deadline SECS      Per-cell wall-clock deadline (fractional ok)
+//!   --manifest PATH      Journal every cell's outcome to a JSONL run
+//!                        manifest
+//!   --resume PATH        Resume a sweep from its manifest: re-run the
+//!                        cells that failed or never finished (implies
+//!                        --manifest PATH; flags must match, --deadline
+//!                        may differ)
 //!   --workloads A,B,C    Only run these workloads
 //!   --telemetry DIR      Write one interval-telemetry JSONL stream (plus a
 //!                        top-K stall-attribution table) per simulated
@@ -34,8 +36,8 @@
 //!                        simulation on later sweeps (corrupt entries are
 //!                        quarantined and re-simulated; concurrent sweeps
 //!                        coordinate via per-cell locks)
-//!   --inject-panic SUB   Chaos: panic on attempt 1 of jobs whose id
-//!                        contains SUB (repeatable)
+//!   --inject-panic SUB   Chaos: panic in jobs whose id contains SUB
+//!                        (repeatable)
 //!   --inject-stall SUB   Chaos: freeze the scheduler in jobs whose id
 //!                        contains SUB so the watchdog fires (repeatable)
 //!   --cell-delay-ms MS   Test hook: idle this long (cancellably) at the
@@ -50,15 +52,18 @@
 //! recomputes every unrecorded cell from its start and completes the
 //! sweep with byte-identical reports.
 //!
+//! A cell runs once per sweep: a failure of any class is final for that
+//! run, and `--resume` re-runs the failed cells.
+//!
 //! Exit codes: 0 = every cell completed; 2 = usage error; 5 = supervisor
 //! failure (bad manifest, injected crash fired); 6 = completed **degraded**
-//! (some cells failed permanently; reports carry `[DEGRADED]` annotations
-//! and a failure taxonomy — partial results were salvaged) or
-//! **interrupted** by SIGTERM/SIGINT (resume with `--resume`).
+//! (some cells failed; reports carry `[DEGRADED]` annotations and a
+//! failure taxonomy — partial results were salvaged — and `--resume`
+//! re-runs the failed cells) or **interrupted** by SIGTERM/SIGINT (resume
+//! with `--resume`).
 
 use crisp_bench::sweep::{build_jobs, run_supervised_sweep, sweep_spec, SweepConfig};
 use crisp_bench::{all_targets, ExperimentScale};
-use crisp_harness::RetryPolicy;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -84,7 +89,7 @@ const KNOWN_TARGETS: [&str; 12] = [
 
 fn usage() {
     eprintln!(
-        "usage: crisp-bench [--fast|--tiny] [--jobs N] [--deadline SECS] [--max-retries K]\n\
+        "usage: crisp-bench [--fast|--tiny] [--jobs N] [--deadline SECS]\n\
          \x20                  [--manifest PATH] [--resume PATH] [--workloads A,B,C]\n\
          \x20                  [--prefetcher SPEC]\n\
          \x20                  [--telemetry DIR] [--pipe-trace DIR] [--heartbeat MS]\n\
@@ -135,15 +140,6 @@ fn parse_args(args: &[String]) -> Result<SweepConfig, UsageError> {
                     })?;
                 cfg.deadline = Some(deadline);
             }
-            "--max-retries" => {
-                let v = value(&mut it, "--max-retries")?;
-                cfg.retry = RetryPolicy {
-                    max_retries: v.parse::<u32>().map_err(|_| {
-                        UsageError(format!("--max-retries expects an integer, got `{v}`"))
-                    })?,
-                    ..RetryPolicy::default()
-                };
-            }
             "--manifest" => cfg.manifest = Some(PathBuf::from(value(&mut it, "--manifest")?)),
             "--resume" => {
                 cfg.manifest = Some(PathBuf::from(value(&mut it, "--resume")?));
@@ -183,7 +179,7 @@ fn parse_args(args: &[String]) -> Result<SweepConfig, UsageError> {
                 cfg.heartbeat = Some(Duration::from_millis(ms));
             }
             "--store" => cfg.store = Some(PathBuf::from(value(&mut it, "--store")?)),
-            "--inject-panic" => cfg.chaos.panic_once.push(value(&mut it, "--inject-panic")?),
+            "--inject-panic" => cfg.chaos.panic.push(value(&mut it, "--inject-panic")?),
             "--inject-stall" => cfg.chaos.stall.push(value(&mut it, "--inject-stall")?),
             "--cell-delay-ms" => {
                 let v = value(&mut it, "--cell-delay-ms")?;
@@ -291,7 +287,7 @@ fn main() -> ExitCode {
     }
     if out.degraded() {
         eprintln!(
-            "[crisp-bench] DEGRADED: {} job(s) failed permanently:",
+            "[crisp-bench] DEGRADED: {} job(s) failed (--resume re-runs them):",
             report.failed()
         );
         for (class, ids) in report.taxonomy() {

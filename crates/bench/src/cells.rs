@@ -115,7 +115,7 @@ pub fn split_id(id: &str) -> Option<(&str, &str)> {
     id.split_once('/')
 }
 
-/// Threads the attempt's cancellation token and progress beacon (and,
+/// Threads the cell's cancellation token and progress beacon (and,
 /// under chaos injection, a scheduler freeze that forces a watchdog
 /// deadlock) into a simulator config. Every `SimConfig` a cell builds must
 /// pass through here, or the deadline and the supervisor's heartbeat
@@ -562,7 +562,6 @@ mod tests {
 
     fn test_ctx() -> RunContext {
         RunContext {
-            attempt: 1,
             cancel: CancelToken::new(),
             progress: ProgressBeacon::new(),
         }

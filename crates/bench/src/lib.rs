@@ -7,11 +7,9 @@
 //! `crisp_core::StageMemo`. The `crisp-bench` binary is
 //! the one way to regenerate them: it runs the sweep ([`sweep`]) under
 //! the `crisp-harness` supervisor — worker threads, panic isolation,
-//! per-job deadlines, retries with backoff, and a resumable JSONL run
-//! manifest — salvaging partial results into `DEGRADED` reports when
-//! cells fail permanently. The same sweep backs the `crisp-serve`
-//! daemon. Criterion benchmarks (in `benches/`) cover component and
-//! end-to-end throughput; the end-to-end performance benchmark is
+//! per-job deadlines, and a resumable JSONL run manifest — salvaging
+//! partial results into `DEGRADED` reports when cells fail. The same
+//! sweep backs the `crisp-serve` daemon. The performance benchmark is
 //! `perfbench/` at the repository root.
 //!
 //! Absolute numbers differ from the paper (this substrate is a from-

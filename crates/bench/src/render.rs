@@ -19,7 +19,7 @@ struct CellView<'a> {
     workload: &'a str,
     /// `Some` iff the cell completed.
     payload: Option<&'a [f64]>,
-    /// `(class, attempts, error)` for permanent failures; also synthesized
+    /// `(class, attempts, error)` for failed cells; also synthesized
     /// for cells with no outcome at all (sweep crashed before they ran).
     failure: Option<(String, u32, String)>,
     /// Structured failure record (deadlock report, panic payload, last

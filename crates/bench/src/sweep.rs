@@ -6,8 +6,7 @@ use crate::experiments::{table1, ExperimentScale};
 use crate::render::render_figure;
 use crisp_core::{CrispError, StageCounts, StageMemo};
 use crisp_harness::{
-    run_sweep, EventSink, HarnessError, JobSpec, RetryPolicy, RunContext, SupervisorOptions,
-    SweepReport,
+    run_sweep, EventSink, HarnessError, JobSpec, RunContext, SupervisorOptions, SweepReport,
 };
 use crisp_sim::{CancelToken, PrefetcherSpec};
 use std::path::PathBuf;
@@ -16,20 +15,13 @@ use std::time::{Duration, Instant};
 /// Fault injection applied by the sweep runner (CI smoke + tests).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Chaos {
-    /// Job-id substrings whose first attempt panics (`--inject-panic`);
-    /// retries succeed, exercising the backoff path.
-    pub panic_once: Vec<String>,
-    /// Job-id substrings whose every attempt freezes the scheduler so the
-    /// watchdog fires (`--inject-stall`); retries keep failing, exercising
-    /// retry exhaustion and degraded salvage.
+    /// Job-id substrings whose cells panic (`--inject-panic`), exercising
+    /// panic isolation and degraded salvage.
+    pub panic: Vec<String>,
+    /// Job-id substrings whose cells freeze the scheduler so the watchdog
+    /// fires (`--inject-stall`), exercising deadlock reports and degraded
+    /// salvage.
     pub stall: Vec<String>,
-}
-
-impl Chaos {
-    /// Whether any injection is configured.
-    pub fn is_active(&self) -> bool {
-        !self.panic_once.is_empty() || !self.stall.is_empty()
-    }
 }
 
 /// Everything one `crisp-bench` invocation needs.
@@ -48,10 +40,9 @@ pub struct SweepConfig {
     pub prefetcher: Option<PrefetcherSpec>,
     /// Worker threads.
     pub workers: usize,
-    /// Per-attempt wall-clock deadline.
+    /// Per-cell wall-clock deadline. Not part of the sweep spec, so a
+    /// sweep whose cells timed out can be resumed under a longer one.
     pub deadline: Option<Duration>,
-    /// Retry schedule.
-    pub retry: RetryPolicy,
     /// JSONL manifest path.
     pub manifest: Option<PathBuf>,
     /// Resume from the manifest instead of starting fresh.
@@ -84,10 +75,10 @@ pub struct SweepConfig {
     /// window that chaos tests (SIGKILL, drain) need to hit reliably.
     pub cell_delay: Option<Duration>,
     /// Live event sink threaded into the supervisor (cell started /
-    /// heartbeat / retry / degraded / done), feeding `GET /jobs/ID/events`.
+    /// heartbeat / degraded / done), feeding `GET /jobs/ID/events`.
     pub events: Option<EventSink>,
     /// Span scope threaded into the supervisor (one `cell` span per
-    /// attempt) and the stage memo (one span per stage request under
+    /// cell) and the stage memo (one span per stage request under
     /// it), feeding `crisp obs spans`.
     pub spans: Option<crisp_harness::SpanScope>,
 }
@@ -101,7 +92,6 @@ impl Default for SweepConfig {
             prefetcher: None,
             workers: 1,
             deadline: None,
-            retry: RetryPolicy::default(),
             manifest: None,
             resume: false,
             chaos: Chaos::default(),
@@ -191,7 +181,6 @@ pub fn run_supervised_sweep(cfg: &SweepConfig) -> Result<SweepOutput, HarnessErr
     let opts = SupervisorOptions {
         workers: cfg.workers,
         deadline: cfg.deadline,
-        retry: cfg.retry,
         manifest: cfg.manifest.clone(),
         resume: cfg.resume,
         sweep_spec: sweep_spec(cfg),
@@ -233,23 +222,20 @@ pub fn run_supervised_sweep(cfg: &SweepConfig) -> Result<SweepOutput, HarnessErr
                 std::thread::sleep(Duration::from_millis(2));
             }
         }
-        if ctx.attempt == 1
-            && cfg
-                .chaos
-                .panic_once
-                .iter()
-                .any(|s| job.id.contains(s.as_str()))
-        {
+        if cfg.chaos.panic.iter().any(|s| job.id.contains(s.as_str())) {
             panic!("injected fault: chaos panic for {}", job.id);
         }
-        // Stage spans hang under the supervisor's span for this attempt.
+        // Stage spans hang under the supervisor's span for this cell.
         let scope = cfg.spans.as_ref().map(|s| crisp_harness::SpanScope {
-            parent: crisp_harness::span_id(&s.trace, &format!("cell {}#{}", job.id, ctx.attempt)),
+            parent: crisp_harness::span_id(
+                &s.trace,
+                &format!("cell {}", crisp_harness::cell_tag(&job.id)),
+            ),
             ..s.clone()
         });
         let stages = memo.cell(Some(ctx.cancel.clone()));
         let stages = match &scope {
-            Some(scope) => stages.observed(scope.stage_observer(&job.id, ctx.attempt)),
+            Some(scope) => stages.observed(scope.stage_observer(&job.id)),
             None => stages,
         };
         cells::run_cell_in(&stages, job, ctx, stall, &cell_opts)
@@ -341,16 +327,10 @@ mod tests {
         cfg.targets = vec!["fig4".to_string(), "fig11".to_string()];
         cfg.workers = 1;
         cfg.chaos.stall = vec!["fig11/lbm".to_string()];
-        cfg.retry = RetryPolicy {
-            max_retries: 1,
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(2),
-        };
         let out = run_supervised_sweep(&cfg).expect("no supervisor error");
         assert!(out.degraded());
         assert_eq!(out.report.completed(), 3, "fig4 on both, fig11 on mcf");
         let ctx = RunContext {
-            attempt: 1,
             cancel: CancelToken::new(),
             progress: crisp_sim::ProgressBeacon::new(),
         };

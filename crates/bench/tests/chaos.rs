@@ -166,9 +166,9 @@ fn sigkill_mid_cell_recomputes_the_cell_on_resume() {
 
 /// Flag validation: a flag a binary cannot honour is a usage error (exit
 /// 2, the reason on stderr), never a silent no-op, a panic or a
-/// wrapped-around number. The rows: the removed mid-run checkpoint flags
-/// and the removed worker-pool flag, so an old script fails loudly instead
-/// of running without what it asked for; deadlines and ages beyond
+/// wrapped-around number. The rows: the removed mid-run checkpoint flags,
+/// the removed in-run retry flag and the removed worker-pool flag, so an
+/// old script fails loudly instead of running without what it asked for; deadlines and ages beyond
 /// `Duration`'s range; and a pipeview window whose end overflows `u64`.
 #[test]
 fn flags_a_binary_cannot_honour_are_usage_errors() {
@@ -177,13 +177,18 @@ fn flags_a_binary_cannot_honour_are_usage_errors() {
     let dir = temp_dir("usage");
     let (data, store) = (dir.join("data"), dir.join("store"));
     let (data, store) = (data.to_str().unwrap(), store.to_str().unwrap());
-    let rows: [(&str, &[&str], &str); 8] = [
+    let rows: [(&str, &[&str], &str); 9] = [
         (
             BIN,
             &["--tiny", "--checkpoint-interval", "2000", "fig1"],
             "unknown flag",
         ),
         (BIN, &["--tiny", "--audit-restore"], "unknown flag"),
+        (
+            BIN,
+            &["--tiny", "--max-retries", "2", "fig11"],
+            "unknown flag",
+        ),
         (
             SERVE_BIN,
             &["--data", data, "--checkpoint-interval", "2000"],

@@ -20,9 +20,8 @@
 //!   to their end, and the result exists once the stream ends.
 
 use crisp_harness::journal::{AttemptOutcome, AttemptRecord};
-use crisp_harness::RetryPolicy;
 use crisp_obs::json::Value;
-use crisp_serve::{Client, ClientConfig, SubmitRequest};
+use crisp_serve::{Client, ClientConfig, RetryPolicy, SubmitRequest};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};

@@ -79,7 +79,6 @@ fn digest(out: &SweepOutput) -> u64 {
 
 fn ctx() -> RunContext {
     RunContext {
-        attempt: 1,
         cancel: CancelToken::new(),
         progress: ProgressBeacon::new(),
     }

@@ -1,7 +1,7 @@
 use std::fmt;
 
 /// How much of a sweep's cells actually completed — the salvage annotation
-/// every figure carries when some workloads failed permanently. Renders as
+/// every figure carries when some workloads failed. Renders as
 /// an empty string when coverage is full, so complete reports stay
 /// byte-identical to the pre-supervisor output.
 ///

@@ -1,17 +1,17 @@
-//! Failure taxonomy: which job failures are worth retrying.
+//! Failure taxonomy: what kind of failure ended a job.
 //!
-//! The split follows the PR's robustness contract: *transient* failures
-//! (wall-clock timeouts, watchdog deadlocks, panics — anything an injected
-//! fault or scheduling hiccup can cause) earn bounded retries with
-//! backoff; *deterministic* failures (rejected configs, unknown workloads)
-//! would fail identically every time, so the supervisor fails them fast
-//! and salvages the rest of the sweep.
+//! The class is journaled with the failure and groups the DEGRADED
+//! table's taxonomy footer. Every class is final for the sweep it
+//! happened in: the simulation is deterministic, so a panic, a deadlock or
+//! a rejected config would recur on a second run, and `--resume` is the
+//! one path that re-runs a failed job (with a longer `--deadline` for a
+//! timeout, or after the fault is fixed).
 
 use crisp_core::CrispError;
 use crisp_sim::SimError;
 use std::fmt;
 
-/// The class of a failed job attempt.
+/// The class of a failed job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FailureClass {
     /// The job's runner panicked (caught by the supervisor's isolation).
@@ -34,15 +34,6 @@ pub enum FailureClass {
 }
 
 impl FailureClass {
-    /// Whether the supervisor should retry this class (with backoff)
-    /// rather than fail the job permanently.
-    pub fn retryable(&self) -> bool {
-        matches!(
-            self,
-            FailureClass::Panic | FailureClass::Timeout | FailureClass::Deadlock
-        )
-    }
-
     /// Stable journal identifier.
     pub fn name(&self) -> &'static str {
         match self {
@@ -97,27 +88,6 @@ impl fmt::Display for FailureClass {
 mod tests {
     use super::*;
     use crisp_core::ConfigError;
-
-    #[test]
-    fn retryability_follows_the_contract() {
-        let retryable = [
-            FailureClass::Panic,
-            FailureClass::Timeout,
-            FailureClass::Deadlock,
-        ];
-        let fatal = [
-            FailureClass::Cancelled,
-            FailureClass::Config,
-            FailureClass::UnknownWorkload,
-            FailureClass::Runtime,
-        ];
-        for c in retryable {
-            assert!(c.retryable(), "{c}");
-        }
-        for c in fatal {
-            assert!(!c.retryable(), "{c}");
-        }
-    }
 
     #[test]
     fn names_round_trip() {

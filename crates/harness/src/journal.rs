@@ -25,8 +25,8 @@ use std::path::{Path, PathBuf};
 /// Lines of any other version are skipped by the tolerant loader.
 pub const JOURNAL_VERSION: u64 = 2;
 
-/// FNV-1a 64-bit hash — seeds the retry-backoff jitter, span ids and
-/// the `crisp` CLI's randomised inputs.
+/// FNV-1a 64-bit hash — seeds span ids and the `crisp watch` reconnect
+/// jitter.
 pub fn fnv1a64(data: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in data.as_bytes() {
@@ -59,7 +59,7 @@ pub enum AttemptOutcome {
     },
     /// The attempt failed.
     Fail {
-        /// Failure classification (drives retry-vs-fatal).
+        /// Failure classification (groups the taxonomy footer).
         class: FailureClass,
         /// The error message, single line.
         error: String,
@@ -464,7 +464,7 @@ pub struct ManifestSummary {
     /// Completed jobs are final — resume never re-runs them.
     pub completed: BTreeMap<String, (u128, Vec<f64>, u32)>,
     /// Highest failed attempt seen per job id (jobs with a later `Ok` are
-    /// removed). Failed jobs get a *fresh* retry budget on resume.
+    /// removed). Resume re-runs failed jobs.
     pub failed_attempts: BTreeMap<String, u32>,
     /// Last heartbeat per job id — how far each cell had gotten when the
     /// manifest stopped growing. Advisory; never drives resume decisions.
@@ -754,8 +754,8 @@ mod tests {
             instrs: 1,
             wall_ms: 1,
         };
-        // Heartbeats before, between and after: none of them consume the
-        // attempt budget; the second *attempt* is the one that tears.
+        // Heartbeats before, between and after: none of them count toward
+        // the crash point; the second *attempt* record is the one that tears.
         assert_eq!(j.append_progress(&beat).unwrap(), AppendStatus::Written);
         assert_eq!(
             j.append(&ok_rec("a", 1, vec![1.0])).unwrap(),

@@ -1,21 +1,21 @@
 //! # crisp-harness
 //!
 //! The supervised experiment harness behind `crisp-bench`: every
-//! (workload, config) cell of a sweep becomes a *job* run on worker
-//! threads with panic isolation, a per-job wall-clock deadline (enforced
-//! cooperatively inside the simulator via [`crisp_sim::CancelToken`]),
-//! and bounded retries with exponential backoff for transient failures.
-//! Progress is journaled to an append-only JSONL run manifest — one
-//! fsync'd record per attempt — so a sweep killed mid-flight resumes
-//! with `--resume <manifest>`, re-executing only incomplete jobs and
-//! reproducing byte-identical tables.
+//! (workload, config) cell of a sweep becomes a *job* run once on worker
+//! threads with panic isolation and a per-job wall-clock deadline
+//! (enforced cooperatively inside the simulator via
+//! [`crisp_sim::CancelToken`]). Outcomes are journaled to an append-only
+//! JSONL run manifest — one fsync'd record per job — so a sweep killed
+//! mid-flight resumes with `--resume <manifest>`, re-executing only the
+//! jobs that failed or never finished and reproducing byte-identical
+//! tables. A failed job is not retried within its sweep: the simulation
+//! is deterministic, so it would fail the same way again.
 //!
 //! Module map:
 //!
-//! - [`supervisor`] — job specs, the worker threads, retry/resume logic;
+//! - [`supervisor`] — job specs, the worker threads, resume logic;
 //! - [`journal`] — the JSONL manifest format and tolerant loader;
-//! - [`retry`] — the backoff schedule;
-//! - [`class`] — the failure taxonomy (retryable vs fatal);
+//! - [`class`] — the failure taxonomy;
 //! - [`spanlog`] — the span log (`spans.jsonl`) every layer of a job
 //!   appends to, rendered by `crisp obs spans`;
 //! - [`store`] — the content-addressed result store surface: keying
@@ -41,7 +41,6 @@
 
 pub mod class;
 pub mod journal;
-pub mod retry;
 pub mod spanlog;
 pub mod store;
 pub mod supervisor;
@@ -54,8 +53,7 @@ pub use journal::{
     fnv1a64, load_manifest, AttemptOutcome, AttemptRecord, JournalError, ManifestSummary,
     ProgressRecord, SweepHeader,
 };
-pub use retry::RetryPolicy;
-pub use spanlog::{append_span, load_spans, span_id, unix_ns, SpanScope};
+pub use spanlog::{append_span, cell_tag, load_spans, span_id, unix_ns, SpanScope};
 pub use store::{cell_key, cell_key_material, ResultStoreConfig, RESULT_SCHEMA};
 pub use supervisor::{
     run_sweep, EventSink, HarnessError, JobOutcome, JobRunner, JobSpec, RunContext,

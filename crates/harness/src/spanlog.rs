@@ -44,6 +44,14 @@ pub fn span_id(trace: &str, name: &str) -> u64 {
     }
 }
 
+/// The tag that names cell `job`'s spans: `<job>#1`, as in `cell
+/// <job>#1`, `store-publish <job>#1` and `<stage> <job>#1.<request>`.
+/// A cell runs once per sweep; the `#1` is the attempt suffix that span
+/// names have always carried.
+pub fn cell_tag(job: &str) -> String {
+    format!("{job}#1")
+}
+
 /// Appends one span record to `path` (O_APPEND, single write).
 pub fn append_span(path: &Path, trace: &str, rec: &SpanRec) -> io::Result<()> {
     let line = Value::Obj(vec![
@@ -93,18 +101,13 @@ impl SpanScope {
         span
     }
 
-    /// A stage observer ([`crisp_core::Stages::observed`]) for attempt
-    /// `attempt` of cell `job`: one span per stage request, named
-    /// `<stage> <job>#<attempt>.<request>` so ids stay unique within the
-    /// trace, under this scope's parent or under the computing request
+    /// A stage observer ([`crisp_core::Stages::observed`]) for cell
+    /// `job`: one span per stage request, named `<stage> <job>#1.<request>`
+    /// (see [`cell_tag`]) so ids stay unique within the trace, under this scope's parent or under the computing request
     /// that made it. Requests served another request's result end in
     /// ` (shared)`; their time is any single-flight wait.
-    pub fn stage_observer<'a>(
-        &'a self,
-        job: &str,
-        attempt: u32,
-    ) -> impl Fn(&crisp_core::StageEvent) + 'a {
-        let cell = format!("{job}#{attempt}");
+    pub fn stage_observer<'a>(&'a self, job: &str) -> impl Fn(&crisp_core::StageEvent) + 'a {
+        let cell = cell_tag(job);
         move |e| {
             let name =
                 |kind: crisp_core::StageKind, seq: u32| format!("{} {cell}.{seq}", kind.name());

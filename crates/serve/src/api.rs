@@ -119,7 +119,7 @@ pub enum JobState {
     Running,
     /// Finished with every cell completed.
     Done,
-    /// Finished with at least one permanently failed cell.
+    /// Finished with at least one failed cell.
     Failed,
 }
 

@@ -1,7 +1,7 @@
 //! Blocking job-API client with bounded, jittered retries.
 //!
-//! The client reuses the harness's [`RetryPolicy`] (deterministic
-//! SplitMix64 jitter) for its backoff schedule. Transient failures —
+//! The client's backoff schedule is a [`RetryPolicy`] (deterministic
+//! SplitMix64 jitter). Transient failures —
 //! connect errors, I/O errors, 429 (queue full) and 503 (draining or
 //! over the connection cap) — are retried up to the policy's budget; a
 //! server-advertised `Retry-After` overrides the nominal delay (capped
@@ -10,7 +10,7 @@
 
 use crate::api::SubmitRequest;
 use crate::http::{read_response, HttpError};
-use crisp_harness::RetryPolicy;
+use crate::retry::RetryPolicy;
 use crisp_obs::json::{parse, Value};
 use crisp_store::fnv1a128;
 use std::io::Write;

@@ -101,7 +101,7 @@ pub struct ExecResult {
     pub rendered: String,
     /// Cells that completed.
     pub completed: usize,
-    /// Cells that failed permanently.
+    /// Cells that failed.
     pub failed: usize,
     /// The sweep was drained before finishing — the job must stay
     /// incomplete and be re-queued on the next start.

@@ -24,6 +24,7 @@
 //! Module map: [`http`] (wire format), [`api`] (request/response
 //! bodies), [`registry`] (on-disk job records), [`daemon`] (accept
 //! loop, queue, executor), [`client`] (retrying HTTP client),
+//! [`retry`] (the backoff schedule of the client and `crisp watch`),
 //! [`signal`] (SIGTERM/SIGINT latch).
 //!
 //! The daemon is generic over *planning* (turning a submission into a
@@ -41,6 +42,7 @@ pub mod daemon;
 pub mod http;
 pub mod metrics;
 pub mod registry;
+pub mod retry;
 pub mod signal;
 
 pub use api::{JobState, SubmitRequest};
@@ -55,3 +57,4 @@ pub use http::{
 };
 pub use metrics::{check_exposition_line, Counter, Histogram, LabeledCounter, Metrics, Scalar};
 pub use registry::{JobRecord, Registry};
+pub use retry::RetryPolicy;

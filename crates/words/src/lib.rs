@@ -40,29 +40,11 @@ macro_rules! unsigned {
         }
     )*};
 }
-unsigned!(u8, u16, u32, usize);
-
-/// Signed integers are stored sign-extended to 64 bits.
-macro_rules! signed {
-    ($($t:ty),*) => {$(
-        impl Snapshot for $t {
-            fn put(&self, out: &mut Vec<u64>) {
-                out.push(i64::from(*self) as u64);
-            }
-        }
-    )*};
-}
-signed!(i16, i64);
+unsigned!(u8, u32, usize);
 
 impl Snapshot for u64 {
     fn put(&self, out: &mut Vec<u64>) {
         out.push(*self);
-    }
-}
-
-impl Snapshot for bool {
-    fn put(&self, out: &mut Vec<u64>) {
-        out.push(u64::from(*self));
     }
 }
 
@@ -78,18 +60,6 @@ impl<T: Snapshot + Default> Snapshot for Option<T> {
     }
 }
 
-macro_rules! tuple {
-    ($($n:tt $t:ident),*) => {
-        impl<$($t: Snapshot),*> Snapshot for ($($t,)*) {
-            fn put(&self, out: &mut Vec<u64>) {
-                $(self.$n.put(out);)*
-            }
-        }
-    };
-}
-tuple!(0 A, 1 B);
-tuple!(0 A, 1 B, 2 C);
-
 /// Elements in order; no length word.
 impl<T: Snapshot> Snapshot for [T] {
     fn put(&self, out: &mut Vec<u64>) {
@@ -99,15 +69,6 @@ impl<T: Snapshot> Snapshot for [T] {
 
 impl<T: Snapshot, const N: usize> Snapshot for [T; N] {
     fn put(&self, out: &mut Vec<u64>) {
-        self.as_slice().put(out);
-    }
-}
-
-/// A fixed-size table: its length, then every element. Variable-length
-/// sequences use [`list`] instead.
-impl<T: Snapshot> Snapshot for Vec<T> {
-    fn put(&self, out: &mut Vec<u64>) {
-        out.push(self.len() as u64);
         self.as_slice().put(out);
     }
 }
@@ -246,31 +207,15 @@ mod tests {
     use std::collections::{BTreeMap, HashMap, VecDeque};
 
     #[test]
-    fn integers_are_sign_extended() {
-        assert_eq!((-3i64).snapshot_words(), [(-3i64) as u64]);
-        assert_eq!((-2i16).snapshot_words(), [u64::MAX - 1]);
-        assert_eq!(7u32.snapshot_words(), [7]);
-    }
-
-    #[test]
-    fn flags_must_be_zero_or_one() {
-        assert_eq!((true, false).snapshot_words(), [1, 0]);
-    }
-
-    #[test]
     fn absent_options_still_write_their_payload() {
         assert_eq!(Some(9u64).snapshot_words(), [1, 9]);
-        assert_eq!(None::<(u64, usize)>.snapshot_words(), [0, 0, 0]);
+        assert_eq!(None::<u32>.snapshot_words(), [0, 0]);
     }
 
     #[test]
-    fn tuples_and_arrays_have_no_length_word() {
-        assert_eq!((true, 5u8, [1u32, 2]).snapshot_words(), [1, 5, 1, 2]);
-    }
-
-    #[test]
-    fn fixed_tables_echo_their_length() {
-        assert_eq!(vec![4u64, 5].snapshot_words(), [2, 4, 5]);
+    fn arrays_and_slices_have_no_length_word() {
+        assert_eq!([1u32, 2].snapshot_words(), [1, 2]);
+        assert_eq!([5u8, 6][..].snapshot_words(), [5, 6]);
     }
 
     #[test]
@@ -295,13 +240,13 @@ mod tests {
     #[test]
     fn sections_bound_their_contents() {
         let mut w = vec![1];
-        section::put(&vec![7u64], &mut w);
-        assert_eq!(w, [1, 2, 1, 7]);
+        section::put(&[7u64, 8], &mut w);
+        assert_eq!(w, [1, 2, 7, 8]);
     }
 
     #[test]
     fn the_trait_is_object_safe() {
-        let v: &dyn Snapshot = &vec![1u64, 2];
-        assert_eq!(v.snapshot_words(), [2, 1, 2]);
+        let v: &dyn Snapshot = &[1u64, 2];
+        assert_eq!(v.snapshot_words(), [1, 2]);
     }
 }

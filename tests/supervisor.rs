@@ -1,9 +1,9 @@
 //! Integration tests for the supervised experiment harness: crash/resume
-//! convergence, fault isolation, salvage, and journal/backoff properties.
+//! convergence, fault isolation, salvage, and journal properties.
 
 use crisp_bench::sweep::{run_supervised_sweep, SweepConfig};
 use crisp_bench::ExperimentScale;
-use crisp_harness::{AttemptOutcome, AttemptRecord, FailureClass, JobOutcome, RetryPolicy};
+use crisp_harness::{AttemptOutcome, AttemptRecord, FailureClass, JobOutcome};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -20,11 +20,6 @@ fn tiny_sweep(workloads: &[&str]) -> SweepConfig {
         targets: vec!["fig11".to_string()],
         workloads: Some(workloads.iter().map(|s| s.to_string()).collect()),
         workers: 2,
-        retry: RetryPolicy {
-            max_retries: 2,
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(4),
-        },
         ..SweepConfig::default()
     }
 }
@@ -76,42 +71,62 @@ fn crash_then_resume_reproduces_byte_identical_tables() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// An injected first-attempt panic is isolated, retried with backoff, and
-/// the sweep completes clean — same final tables as a healthy run.
+/// An injected panic is isolated to its cell, which runs once and fails;
+/// `--resume` without the injection re-runs just that cell and renders
+/// the same tables as a healthy run.
 #[test]
-fn injected_panic_is_retried_to_success() {
-    let golden = run_supervised_sweep(&tiny_sweep(&["mcf"])).expect("golden sweep");
+fn injected_panic_fails_only_its_cell_and_resume_heals_it() {
+    let dir = scratch_dir("panic-resume");
+    let manifest = dir.join("sweep.jsonl");
+    let workloads = ["mcf", "lbm"];
+    let golden = run_supervised_sweep(&tiny_sweep(&workloads)).expect("golden sweep");
 
-    let mut cfg = tiny_sweep(&["mcf"]);
-    cfg.chaos.panic_once = vec!["fig11/mcf".to_string()];
+    let mut cfg = tiny_sweep(&workloads);
+    cfg.manifest = Some(manifest.clone());
+    cfg.chaos.panic = vec!["fig11/mcf".to_string()];
     let out = run_supervised_sweep(&cfg).expect("chaos sweep");
-    assert!(!out.degraded());
+    assert!(out.degraded());
+    assert_eq!(
+        out.report.payload("fig11/lbm"),
+        golden.report.payload("fig11/lbm")
+    );
     match out.report.outcomes.get("fig11/mcf") {
-        Some(JobOutcome::Completed {
-            attempts, resumed, ..
-        }) => {
-            assert_eq!(*attempts, 2, "one panic, one clean retry");
-            assert!(!resumed);
-        }
+        Some(JobOutcome::Failed {
+            class: FailureClass::Panic,
+            attempts: 1,
+            ..
+        }) => {}
         other => panic!("unexpected outcome: {other:?}"),
     }
-    assert_eq!(out.rendered, golden.rendered);
+    assert_eq!(
+        out.report.taxonomy(),
+        vec![(FailureClass::Panic, vec!["fig11/mcf"])]
+    );
+
+    let mut resume = tiny_sweep(&workloads);
+    resume.manifest = Some(manifest);
+    resume.resume = true;
+    let resumed = run_supervised_sweep(&resume).expect("resume run");
+    assert!(!resumed.degraded());
+    assert_eq!(resumed.report.resumed, 1, "the healthy cell is restored");
+    assert_eq!(resumed.rendered, golden.rendered);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A persistent fault exhausts its retries but the sweep still completes,
-/// salvaging the healthy cells into a DEGRADED report with a taxonomy.
+/// A persistent fault fails its cell on its one run but the sweep still
+/// completes, salvaging the healthy cells into a DEGRADED report with a
+/// taxonomy.
 #[test]
 fn exhausted_retries_salvage_partial_results() {
     let mut cfg = tiny_sweep(&["mcf", "lbm"]);
     cfg.chaos.stall = vec!["fig11/lbm".to_string()];
-    cfg.retry.max_retries = 1;
     let out = run_supervised_sweep(&cfg).expect("sweep survives the fault");
     assert!(out.degraded());
     assert_eq!(out.report.completed(), 1);
     match out.report.outcomes.get("fig11/lbm") {
         Some(JobOutcome::Failed {
             class: FailureClass::Deadlock,
-            attempts: 2,
+            attempts: 1,
             ..
         }) => {}
         other => panic!("unexpected outcome: {other:?}"),
@@ -128,7 +143,7 @@ fn exhausted_retries_salvage_partial_results() {
         out.rendered
     );
     assert!(
-        out.rendered.contains("lbm: deadlock after 2 attempt(s)"),
+        out.rendered.contains("lbm: deadlock after 1 attempt(s)"),
         "{}",
         out.rendered
     );
@@ -137,12 +152,11 @@ fn exhausted_retries_salvage_partial_results() {
 }
 
 /// The per-job wall-clock deadline aborts through the engine's
-/// cooperative poll and classifies as a (retryable) timeout.
+/// cooperative poll and classifies as a timeout.
 #[test]
 fn deadline_overrun_classifies_as_timeout() {
     let mut cfg = tiny_sweep(&["mcf"]);
     cfg.deadline = Some(Duration::from_millis(1));
-    cfg.retry.max_retries = 0;
     let out = run_supervised_sweep(&cfg).expect("sweep survives the timeout");
     assert!(out.degraded());
     match out.report.outcomes.get("fig11/mcf") {
@@ -193,32 +207,6 @@ fn f64_strategy() -> impl Strategy<Value = f64> {
 }
 
 proptest! {
-    /// The backoff schedule is bounded by the cap and the nominal delay is
-    /// monotone non-decreasing; the jittered delay stays in
-    /// [nominal/2, nominal] and replays deterministically.
-    #[test]
-    fn backoff_schedule_is_bounded_and_monotone(
-        base_ms in 1u64..500,
-        cap_ms in 1u64..10_000,
-        seed in any::<u64>(),
-    ) {
-        let policy = RetryPolicy {
-            max_retries: 16,
-            base: Duration::from_millis(base_ms),
-            cap: Duration::from_millis(base_ms.max(cap_ms)),
-        };
-        let mut prev = Duration::ZERO;
-        for attempt in 1..=16u32 {
-            let nominal = policy.nominal_delay(attempt);
-            prop_assert!(nominal <= policy.cap);
-            prop_assert!(nominal >= prev, "nominal schedule must not shrink");
-            prev = nominal;
-            let jittered = policy.delay(attempt, seed);
-            prop_assert!(jittered >= nominal / 2 && jittered <= nominal);
-            prop_assert_eq!(jittered, policy.delay(attempt, seed));
-        }
-    }
-
     /// Journal records of any shape survive a round-trip through the
     /// JSONL serializer bit-exactly (including awkward floats and strings).
     #[test]
