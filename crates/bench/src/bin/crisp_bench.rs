@@ -150,12 +150,6 @@ fn parse_args(args: &[String]) -> Result<SweepConfig, UsageError> {
                 let spec = v
                     .parse::<crisp_sim::PrefetcherSpec>()
                     .map_err(|e| UsageError(format!("--prefetcher: {e}")))?;
-                // Resolve against the built-in registry now, so unknown
-                // units or bad options fail as usage errors instead of
-                // failing every cell mid-sweep.
-                crisp_sim::PrefetcherRegistry::builtin()
-                    .build(&spec)
-                    .map_err(|e| UsageError(format!("--prefetcher: {e}")))?;
                 cfg.prefetcher = Some(spec);
             }
             "--workloads" => {

@@ -36,6 +36,7 @@
 //! Exit codes: `0` clean drain after SIGTERM/SIGINT, `2` usage error,
 //! `5` startup failure (bind, lock, registry).
 
+use crisp_bench::cells::ZooField;
 use crisp_bench::sweep::{build_jobs, run_supervised_sweep, sweep_spec, SweepConfig};
 use crisp_bench::{all_targets, ExperimentScale};
 use crisp_harness::{cell_key, EventSink};
@@ -184,17 +185,13 @@ fn sweep_config(request: &SubmitRequest) -> Result<SweepConfig, String> {
         w.dedup();
         w
     });
-    // Validate the optional prefetcher override up front (against the
-    // builtin registry), so a bad spec is a 400 — not a failed sweep.
+    // Parsing checks the optional prefetcher override in full, so a bad
+    // spec is a 400 — not a failed sweep.
     let prefetcher = match &request.prefetcher {
-        Some(spec) => {
-            let parsed: crisp_sim::PrefetcherSpec =
-                spec.parse().map_err(|e| format!("bad `prefetcher`: {e}"))?;
-            crisp_sim::PrefetcherRegistry::builtin()
-                .build(&parsed)
-                .map_err(|e| format!("bad `prefetcher`: {e}"))?;
-            Some(parsed)
-        }
+        Some(spec) => Some(
+            spec.parse::<crisp_sim::PrefetcherSpec>()
+                .map_err(|e| format!("bad `prefetcher`: {e}"))?,
+        ),
         None => None,
     };
     Ok(SweepConfig {
@@ -214,8 +211,8 @@ fn plan(request: &SubmitRequest) -> Result<JobPlan, String> {
             targets: cfg.targets.clone(),
             workloads: cfg.workloads.clone(),
             scale: request.scale.clone(),
-            // Canonical spec string, so spelling variants of the same
-            // zoo coalesce onto the same job id.
+            // The spec text as given: `stride` and `stride:degree=2`
+            // build the same unit but are distinct jobs.
             prefetcher: cfg.prefetcher.map(|p| p.to_string()),
         },
         spec: sweep_spec(&cfg),
@@ -295,16 +292,14 @@ fn prefetch_totals(report: &crisp_harness::SweepReport) -> Vec<PrefetchTotals> {
         let Some(payload) = report.payload(id) else {
             continue;
         };
-        // Eight fields per mechanism block; issued/useful/late sit at
-        // offsets 5..=7 (see `cells::cell_prefzoo`).
-        if payload.len() != mechs.len() * 8 {
+        if payload.len() != mechs.len() * ZooField::ALL.len() {
             continue;
         }
         seen = true;
         for (i, t) in totals.iter_mut().enumerate() {
-            t.issued += payload[i * 8 + 5] as u64;
-            t.useful += payload[i * 8 + 6] as u64;
-            t.late += payload[i * 8 + 7] as u64;
+            t.issued += ZooField::Issued.of(payload, i) as u64;
+            t.useful += ZooField::Useful.of(payload, i) as u64;
+            t.late += ZooField::Late.of(payload, i) as u64;
         }
     }
     if !seen {

@@ -41,12 +41,69 @@ pub const FIGURES: [&str; 10] = [
 
 /// Mechanism columns of the `prefzoo` matrix, in payload (and render)
 /// order: a no-prefetch control, the Table 1 hardware baseline, the
-/// registry competitors, then the two software/criticality mechanisms.
+/// hardware competitors, then the two software/criticality mechanisms.
 pub const ZOO_MECHS: [&str; 8] = [
     "nopf", "base", "stride", "ghbw", "sisb", "spp", "ibda", "crisp",
 ];
 
-/// Registry specs behind the pure-hardware `prefzoo` rows.
+/// The values of one mechanism's block in a `prefzoo` payload, in
+/// payload order; the blocks follow [`ZOO_MECHS`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ZooField {
+    /// IPC.
+    Ipc,
+    /// Speedup % over the Table 1 `bop+stream` OOO baseline.
+    Speedup,
+    /// Useful / issued prefetches.
+    Accuracy,
+    /// Fraction of the `nopf` run's demand-load LLC misses removed.
+    Coverage,
+    /// Fully-hidden fraction of the useful prefetches.
+    Timeliness,
+    /// Prefetches issued.
+    Issued,
+    /// Issued prefetches a demand access used.
+    Useful,
+    /// Useful prefetches whose demand came before the fill.
+    Late,
+}
+
+impl ZooField {
+    /// Every field, in payload order.
+    pub const ALL: [ZooField; 8] = [
+        ZooField::Ipc,
+        ZooField::Speedup,
+        ZooField::Accuracy,
+        ZooField::Coverage,
+        ZooField::Timeliness,
+        ZooField::Issued,
+        ZooField::Useful,
+        ZooField::Late,
+    ];
+
+    /// This field of mechanism `mech` (a [`ZOO_MECHS`] index) in a
+    /// `prefzoo` payload.
+    pub fn of(self, payload: &[f64], mech: usize) -> f64 {
+        payload[mech * ZooField::ALL.len() + self as usize]
+    }
+
+    /// This field of the run `res`, against the speedup baseline `base`
+    /// and the no-prefetch run `nopf`.
+    fn measure(self, res: &SimResult, base: &SimResult, nopf: &SimResult) -> f64 {
+        match self {
+            ZooField::Ipc => res.ipc(),
+            ZooField::Speedup => res.speedup_over(base),
+            ZooField::Accuracy => res.prefetch_accuracy(),
+            ZooField::Coverage => res.prefetch_coverage_vs(nopf),
+            ZooField::Timeliness => res.prefetch_timeliness(),
+            ZooField::Issued => res.mem.prefetch_totals().issued as f64,
+            ZooField::Useful => res.mem.prefetch_totals().useful as f64,
+            ZooField::Late => res.mem.prefetch_totals().late as f64,
+        }
+    }
+}
+
+/// Specs behind the pure-hardware `prefzoo` rows.
 const ZOO_SPECS: [(&str, &str); 6] = [
     ("nopf", "none"),
     ("base", "bop+stream"),
@@ -497,9 +554,8 @@ fn cell_ablations(
     ])
 }
 
-/// Prefetcher-zoo payload: [`ZOO_MECHS`]`.len()` blocks of
-/// `[ipc, speedup_pct, accuracy, coverage, timeliness, issued, useful,
-/// late]`, one per mechanism in [`ZOO_MECHS`] order (64 values).
+/// Prefetcher-zoo payload: one block of [`ZooField`]s per mechanism, in
+/// [`ZOO_MECHS`] order (64 values).
 ///
 /// Speedup is IPC over the Table 1 `bop+stream` OOO baseline; coverage is
 /// the fraction of the `nopf` run's demand-load LLC misses the mechanism
@@ -538,19 +594,9 @@ fn cell_prefzoo(st: &Stages<'_>, name: &str, cfg: &PipelineConfig) -> Result<Vec
     let nopf = &hw[0];
     let base = &r.baseline;
     let rows: Vec<&SimResult> = hw.iter().map(|h| &**h).chain([&ibda, &r.crisp]).collect();
-    let mut payload = Vec::with_capacity(rows.len() * 8);
+    let mut payload = Vec::with_capacity(rows.len() * ZooField::ALL.len());
     for res in rows {
-        let t = res.mem.prefetch_totals();
-        payload.extend_from_slice(&[
-            res.ipc(),
-            res.speedup_over(base),
-            res.prefetch_accuracy(),
-            res.prefetch_coverage_vs(nopf),
-            res.prefetch_timeliness(),
-            t.issued as f64,
-            t.useful as f64,
-            t.late as f64,
-        ]);
+        payload.extend(ZooField::ALL.map(|f| f.measure(res, base, nopf)));
     }
     Ok(payload)
 }

@@ -427,15 +427,8 @@ fn render_ablations(vs: &[CellView<'_>], cov: Coverage, fb: &str) -> String {
 /// mechanism per column, then the CRISP-vs-SPP headline on the
 /// irregular/pointer-chasing workloads — the gap the paper targets.
 fn render_prefzoo(vs: &[CellView<'_>], cov: Coverage, fb: &str) -> String {
-    use crate::cells::ZOO_MECHS;
-    const STRIDE: usize = 8;
-    // Per-mechanism offsets inside one block.
-    const SPEEDUP: usize = 1;
-    const ACCURACY: usize = 2;
-    const COVERAGE: usize = 3;
-    const TIMELINESS: usize = 4;
+    use crate::cells::{ZooField, ZOO_MECHS};
 
-    let cell = |p: &[f64], mech: usize, field: usize| p[mech * STRIDE + field];
     let mut out = format!(
         "Prefetcher zoo: cross-mechanism matrix{cov}\n\
          (speedup % vs the bop+stream OOO baseline; accuracy/coverage/\n\
@@ -443,16 +436,16 @@ fn render_prefzoo(vs: &[CellView<'_>], cov: Coverage, fb: &str) -> String {
     );
 
     for (title, field, fmt) in [
-        ("speedup % over base", SPEEDUP, 1usize),
-        ("accuracy (useful / issued)", ACCURACY, 2),
+        ("speedup % over base", ZooField::Speedup, 1usize),
+        ("accuracy (useful / issued)", ZooField::Accuracy, 2),
         (
             "coverage (nopf demand-load LLC misses removed)",
-            COVERAGE,
+            ZooField::Coverage,
             2,
         ),
         (
             "timeliness (fully-hidden fraction of useful)",
-            TIMELINESS,
+            ZooField::Timeliness,
             2,
         ),
     ] {
@@ -465,9 +458,9 @@ fn render_prefzoo(vs: &[CellView<'_>], cov: Coverage, fb: &str) -> String {
                 Some(p) => {
                     let mut row = vec![v.workload.to_string()];
                     for (m, col) in per_mech.iter_mut().enumerate() {
-                        let x = cell(p, m, field);
+                        let x = field.of(p, m);
                         col.push(x);
-                        row.push(if field == SPEEDUP {
+                        row.push(if field == ZooField::Speedup {
                             format!("{x:+.1}")
                         } else {
                             format!("{x:.fmt$}")
@@ -482,7 +475,7 @@ fn render_prefzoo(vs: &[CellView<'_>], cov: Coverage, fb: &str) -> String {
         for col in &per_mech {
             summary.push(if col.is_empty() {
                 "-".to_string()
-            } else if field == SPEEDUP {
+            } else if field == ZooField::Speedup {
                 format!("{:+.1}", geomean_speedup(col))
             } else {
                 let mean = col.iter().sum::<f64>() / col.len() as f64;
@@ -503,8 +496,8 @@ fn render_prefzoo(vs: &[CellView<'_>], cov: Coverage, fb: &str) -> String {
     for v in vs.iter().filter(|v| irregular.contains(&v.workload)) {
         match v.payload {
             Some(p) => {
-                let s = cell(p, spp_col, SPEEDUP);
-                let c = cell(p, crisp_col, SPEEDUP);
+                let s = ZooField::Speedup.of(p, spp_col);
+                let c = ZooField::Speedup.of(p, crisp_col);
                 spp_all.push(s);
                 crisp_all.push(c);
                 t.row(vec![

@@ -187,10 +187,7 @@ pub fn run_supervised_sweep(cfg: &SweepConfig) -> Result<SweepOutput, HarnessErr
         crash_after_records: cfg.crash_after_records,
         progress: cfg.progress,
         heartbeat: cfg.heartbeat,
-        store: cfg
-            .store
-            .as_ref()
-            .map(crisp_harness::ResultStoreConfig::new),
+        store: cfg.store.clone(),
         stop: cfg.stop.clone(),
         fail_journal_appends: 0,
         events: cfg.events.clone(),
@@ -292,6 +289,27 @@ mod tests {
         let mut full = tiny_cfg();
         full.scale = ExperimentScale::Fast;
         assert_ne!(a, sweep_spec(&full));
+    }
+
+    #[test]
+    fn prefetcher_override_keys_keep_the_spec_text() {
+        let pf: PrefetcherSpec = "spp:depth=4+stride".parse().expect("valid spec");
+        let cell = cells::cell_spec_pf("fig7", "mcf", ExperimentScale::Tiny, Some(&pf));
+        assert_eq!(
+            cell.spec,
+            "fig7/mcf scale=Tiny pf=spp:depth=4+stride cells-v2"
+        );
+        let cfg = SweepConfig {
+            targets: vec!["fig7".to_string()],
+            workloads: Some(vec!["mcf".to_string()]),
+            prefetcher: Some(pf),
+            ..tiny_cfg()
+        };
+        assert_eq!(
+            sweep_spec(&cfg),
+            "crisp-bench scale=Tiny targets=[fig7] workloads=[mcf] \
+             prefetcher=spp:depth=4+stride cells-v2"
+        );
     }
 
     #[test]

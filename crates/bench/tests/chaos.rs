@@ -177,7 +177,7 @@ fn flags_a_binary_cannot_honour_are_usage_errors() {
     let dir = temp_dir("usage");
     let (data, store) = (dir.join("data"), dir.join("store"));
     let (data, store) = (data.to_str().unwrap(), store.to_str().unwrap());
-    let rows: [(&str, &[&str], &str); 9] = [
+    let rows: [(&str, &[&str], &str); 11] = [
         (
             BIN,
             &["--tiny", "--checkpoint-interval", "2000", "fig1"],
@@ -203,6 +203,21 @@ fn flags_a_binary_cannot_honour_are_usage_errors() {
             BIN,
             &["--tiny", "--deadline", "1e300", "table1"],
             "--deadline expects positive seconds",
+        ),
+        (
+            BIN,
+            &[
+                "--tiny",
+                "--prefetcher",
+                "stream:streams=4611686018427387904",
+                "fig11",
+            ],
+            "option `streams` (4611686018427387904) must be at most 64",
+        ),
+        (
+            BIN,
+            &["--tiny", "--prefetcher", "warpdrive", "fig11"],
+            "unknown prefetcher `warpdrive`",
         ),
         (
             SERVE_BIN,

@@ -391,6 +391,23 @@ fn sigterm_drains_exit_zero_and_restart_completes_the_job() {
     let id = id_of(&ack);
     d.wait_state(&id, "running");
 
+    // An oversized prefetcher option is refused at admission, and the
+    // daemon keeps serving.
+    let oversized = d.client.submit(&SubmitRequest {
+        targets: vec!["fig11".to_string()],
+        workloads: Some(vec!["mcf".to_string()]),
+        scale: "tiny".to_string(),
+        prefetcher: Some("stream:streams=4611686018427387904".to_string()),
+    });
+    assert!(
+        matches!(
+            &oversized,
+            Err(crisp_serve::ClientError::Rejected { status: 400, message })
+                if message.contains("prefetcher")
+        ),
+        "{oversized:?}"
+    );
+
     // SIGTERM mid-cell: the daemon must drain and exit 0, leaving the
     // job admitted but unfinished.
     d.sigterm();

@@ -5,7 +5,7 @@
 //! cannot either verify or quarantine; and two concurrent sweeps sharing
 //! one store must simulate each unique cell exactly once between them.
 
-use crisp_harness::store::{Lookup, Store};
+use crisp_store::{Lookup, Store};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -256,7 +256,7 @@ fn concurrent_sweeps_simulate_each_cell_exactly_once() {
     assert!(scrub.quarantined.is_empty(), "{:?}", scrub.quarantined);
     for path in cell_files(&store) {
         let name = path.file_stem().unwrap().to_string_lossy().into_owned();
-        let key = crisp_harness::store::parse_key(&name).expect("entry name is a key");
+        let key = crisp_store::parse_key(&name).expect("entry name is a key");
         assert!(
             matches!(st.lookup(key), Ok(Lookup::Hit(_))),
             "{} must read back as a hit",

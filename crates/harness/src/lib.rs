@@ -18,9 +18,9 @@
 //! - [`class`] — the failure taxonomy;
 //! - [`spanlog`] — the span log (`spans.jsonl`) every layer of a job
 //!   appends to, rendered by `crisp obs spans`;
-//! - [`store`] — the content-addressed result store surface: keying
-//!   policy plus re-exports of the `crisp-store` crate (verified cache
-//!   hits skip simulation; corrupt entries quarantine and re-simulate).
+//! - [`store`] — the keying policy of the content-addressed result store
+//!   (the `crisp-store` crate: verified cache hits skip simulation;
+//!   corrupt entries quarantine and re-simulate).
 //!
 //! ## Example
 //!
@@ -54,7 +54,7 @@ pub use journal::{
     ProgressRecord, SweepHeader,
 };
 pub use spanlog::{append_span, cell_tag, load_spans, span_id, unix_ns, SpanScope};
-pub use store::{cell_key, cell_key_material, ResultStoreConfig, RESULT_SCHEMA};
+pub use store::{cell_key, cell_key_material, RESULT_SCHEMA};
 pub use supervisor::{
     run_sweep, EventSink, HarnessError, JobOutcome, JobRunner, JobSpec, RunContext,
     SupervisorOptions, SweepReport,

@@ -1,9 +1,9 @@
-//! Supervisor-facing surface of the content-addressed result store.
+//! The keying policy of the content-addressed result store: what a
+//! cell's identity is made of.
 //!
 //! The store itself ([`crisp_store`]) is a dependency-free crate shared
-//! with the `crisp` CLI; this module owns the *keying policy* — what a
-//! cell's identity is made of — and the configuration type that threads
-//! the store through [`crate::SupervisorOptions`].
+//! with the `crisp` CLI; the supervisor opens it at
+//! [`crate::SupervisorOptions::store`].
 //!
 //! A cell's key hashes four ingredients, any of which invalidates cached
 //! results when it changes:
@@ -19,13 +19,7 @@
 //! human-readable `spec`, so `crisp cache verify` and post-mortems can
 //! name what a 32-hex-digit key stands for.
 
-pub use crisp_store::{
-    acquire, crc32, decode_entry, encode_entry, fnv1a128, key_hex, parse_key, read_entry,
-    write_entry, CellEntry, CellLock, GcPolicy, GcReport, LockOptions, Lookup, ScrubReport, Store,
-    StoreError, StoreStats, STORE_VERSION,
-};
-
-use std::path::PathBuf;
+use crisp_store::fnv1a128;
 
 /// Version of the cell result-vector layout. Bump when a figure's payload
 /// changes meaning, order or length — stale store entries (and manifest
@@ -44,25 +38,6 @@ pub fn cell_key_material(job_id: &str, spec: &str) -> String {
 /// The 128-bit content-address key for one sweep cell.
 pub fn cell_key(job_id: &str, spec: &str) -> u128 {
     fnv1a128(cell_key_material(job_id, spec).as_bytes())
-}
-
-/// Store configuration carried by [`crate::SupervisorOptions`].
-#[derive(Clone, Debug)]
-pub struct ResultStoreConfig {
-    /// Store root directory (created on first use).
-    pub dir: PathBuf,
-    /// Advisory-lock behaviour for cross-process cell coordination.
-    pub lock_options: LockOptions,
-}
-
-impl ResultStoreConfig {
-    /// Store at `dir` with default lock behaviour.
-    pub fn new(dir: impl Into<PathBuf>) -> ResultStoreConfig {
-        ResultStoreConfig {
-            dir: dir.into(),
-            lock_options: LockOptions::default(),
-        }
-    }
 }
 
 #[cfg(test)]

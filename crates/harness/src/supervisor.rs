@@ -21,7 +21,7 @@ use crate::journal::{
     load_manifest, AppendStatus, AttemptOutcome, AttemptRecord, Journal, JournalError,
     ProgressRecord, SweepHeader,
 };
-use crate::store::{cell_key, cell_key_material, ResultStoreConfig};
+use crate::store::{cell_key, cell_key_material};
 use crisp_core::CrispError;
 use crisp_obs::json::Value;
 use crisp_sim::{CancelToken, ProgressBeacon};
@@ -148,11 +148,12 @@ pub struct SupervisorOptions {
     /// the manifest (and, with `progress`, a stderr line). `None` disables
     /// the monitor.
     pub heartbeat: Option<Duration>,
-    /// Content-addressed result store: completed cells are published to it
-    /// and verified hits skip simulation entirely (`None` = no store).
-    /// Store and lock failures never fail a sweep — they degrade to
-    /// stderr warnings and uncached computation.
-    pub store: Option<ResultStoreConfig>,
+    /// Root directory of the content-addressed result store (created on
+    /// first use): completed cells are published to it and verified hits
+    /// skip simulation entirely (`None` = no store). Store and lock
+    /// failures never fail a sweep — they degrade to stderr warnings and
+    /// uncached computation.
+    pub store: Option<PathBuf>,
     /// Sweep-wide stop token for graceful drain (SIGTERM/SIGINT): when
     /// cancelled, workers stop taking jobs, every in-flight job's
     /// cancel token trips (they share this token's flag via
@@ -734,13 +735,11 @@ fn worker_loop(
 ) {
     // A store that cannot be opened disables caching for this worker but
     // never fails the sweep.
-    let store: Option<Store> = opts.store.as_ref().and_then(|cfg| {
-        match Store::open_with(&cfg.dir, cfg.lock_options.clone()) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!("[supervisor] result store disabled: {e}");
-                None
-            }
+    let store: Option<Store> = opts.store.as_ref().and_then(|dir| match Store::open(dir) {
+        Ok(s) => Some(s),
+        Err(e) => {
+            eprintln!("[supervisor] result store disabled: {e}");
+            None
         }
     });
     loop {
@@ -1448,7 +1447,7 @@ mod tests {
             Ok(vec![job.id.len() as f64, 0.5])
         };
         let mk_opts = |manifest: &str| SupervisorOptions {
-            store: Some(crate::store::ResultStoreConfig::new(&store_dir)),
+            store: Some(store_dir.clone()),
             manifest: Some(dir.join(manifest)),
             sweep_spec: "store-sweep".into(),
             ..SupervisorOptions::default()
@@ -1486,7 +1485,7 @@ mod tests {
         let store_dir = dir.join("store");
         let js = jobs(&["cell"]);
         let opts = SupervisorOptions {
-            store: Some(crate::store::ResultStoreConfig::new(&store_dir)),
+            store: Some(store_dir.clone()),
             ..SupervisorOptions::default()
         };
         let runner = |_job: &JobSpec, _ctx: &RunContext| Ok(vec![2.5, -0.75, 1.0 / 3.0]);

@@ -113,8 +113,8 @@ impl CacheStats {
     }
 }
 
-/// Prefetch-source tag for a fill that was not triggered by a registry
-/// prefetcher (FDIP instruction prefetch, injected data prefetch).
+/// Prefetch-source tag for a fill that was not triggered by a spec
+/// prefetcher: an FDIP instruction prefetch.
 pub const PF_OTHER: u8 = u8::MAX;
 
 /// The outcome of a tagged demand lookup ([`Cache::access_pf`]).
@@ -123,7 +123,7 @@ pub struct AccessOutcome {
     /// Whether the line was present.
     pub hit: bool,
     /// If the hit consumed a prefetched line: the fill's source tag
-    /// (`1..` = registry prefetcher index + 1, [`PF_OTHER`] = untracked).
+    /// (`1..` = spec unit index + 1, [`PF_OTHER`] = untracked).
     pub prefetch_src: Option<u8>,
 }
 

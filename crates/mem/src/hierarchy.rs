@@ -1,8 +1,8 @@
 use crate::cache::FillOutcome;
-use crate::registry::MAX_PREFETCHERS;
+use crate::prefetch::Prefetcher;
 use crate::{
-    line_of, Cache, CacheConfig, CacheStats, Dram, DramConfig, DramStats, Prefetcher,
-    PrefetcherRegistry, PrefetcherSpec, LINE_BYTES, PF_OTHER,
+    line_of, Cache, CacheConfig, CacheStats, Dram, DramConfig, DramStats, PrefetcherSpec,
+    LINE_BYTES, MAX_PREFETCHERS, PF_OTHER,
 };
 use std::collections::HashMap;
 
@@ -52,8 +52,8 @@ pub struct HierarchyConfig {
     pub llc_latency: u64,
     /// DRAM model parameters.
     pub dram: DramConfig,
-    /// Data-prefetcher selection spec (resolved through the
-    /// [`PrefetcherRegistry`]); Table 1 uses `bop+stream`.
+    /// Data-prefetcher selection spec (checked when parsed); Table 1
+    /// uses `bop+stream`.
     pub prefetcher: PrefetcherSpec,
     /// Maximum prefetches issued per demand access.
     pub max_prefetches_per_access: usize,
@@ -78,12 +78,12 @@ impl HierarchyConfig {
         }
     }
 
-    /// Validates every cache geometry, the latency ordering and the
-    /// prefetcher spec (against the built-in registry).
+    /// Validates every cache geometry and the latency ordering (the
+    /// prefetcher spec was checked when it was parsed).
     ///
     /// # Errors
     ///
-    /// Returns a message naming the offending level, latency or spec.
+    /// Returns a message naming the offending level or latency.
     pub fn validate(&self) -> Result<(), String> {
         self.l1i.validate().map_err(|e| format!("l1i: {e}"))?;
         self.l1d.validate().map_err(|e| format!("l1d: {e}"))?;
@@ -100,9 +100,6 @@ impl HierarchyConfig {
                 self.llc_latency, self.l1i_latency, self.l1d_latency
             ));
         }
-        PrefetcherRegistry::builtin()
-            .build(&self.prefetcher)
-            .map_err(|e| format!("prefetcher: {e}"))?;
         Ok(())
     }
 }
@@ -194,9 +191,8 @@ type InflightFill = (u64, HitLevel, u8);
 /// See the crate-level example. All `now` arguments are core-cycle times;
 /// the hierarchy is a passive timing oracle — it never advances time
 /// itself, so it composes with any core model. Data prefetchers are
-/// resolved from [`HierarchyConfig::prefetcher`] through a
-/// [`PrefetcherRegistry`] and drive per-unit issued/useful/late/polluting
-/// counters exposed via [`MemStats::prefetch`].
+/// built from [`HierarchyConfig::prefetcher`] and drive per-unit
+/// issued/useful/late/polluting counters exposed via [`MemStats::prefetch`].
 pub struct MemoryHierarchy {
     config: HierarchyConfig,
     l1i: Cache,
@@ -221,35 +217,14 @@ pub struct MemoryHierarchy {
 }
 
 impl MemoryHierarchy {
-    /// Builds the hierarchy from a configuration, resolving the
-    /// prefetcher spec against the built-in registry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec does not resolve; validate the configuration
-    /// first (or use [`MemoryHierarchy::try_new`]).
+    /// Builds the hierarchy from a configuration.
     pub fn new(config: HierarchyConfig) -> MemoryHierarchy {
-        MemoryHierarchy::try_new(config, &PrefetcherRegistry::builtin())
-            .unwrap_or_else(|e| panic!("invalid hierarchy config: {e}"))
-    }
-
-    /// Builds the hierarchy, resolving the prefetcher spec against a
-    /// caller-supplied registry (which may carry plugin mechanisms).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the spec does not resolve in `registry`.
-    pub fn try_new(
-        config: HierarchyConfig,
-        registry: &PrefetcherRegistry,
-    ) -> Result<MemoryHierarchy, String> {
-        let prefetchers = registry.build(&config.prefetcher)?;
-        Ok(MemoryHierarchy {
+        MemoryHierarchy {
             l1i: Cache::new(config.l1i),
             l1d: Cache::new(config.l1d),
             llc: Cache::new(config.llc),
             dram: Dram::new(config.dram),
-            prefetchers,
+            prefetchers: config.prefetcher.build(),
             effects: [PrefetchEffect::default(); MAX_PREFETCHERS],
             inflight: HashMap::new(),
             scratch: Vec::new(),
@@ -261,7 +236,7 @@ impl MemoryHierarchy {
             load_merges: 0,
             prefetches_issued: 0,
             config,
-        })
+        }
     }
 
     /// The hierarchy's configuration.
@@ -276,7 +251,7 @@ impl MemoryHierarchy {
     }
 
     /// The counter slot of a way/fill source tag, if it belongs to a
-    /// registry unit (FDIP and injected prefetches carry [`PF_OTHER`]).
+    /// spec unit (FDIP prefetches carry [`PF_OTHER`]).
     fn effect_slot(pf: u8) -> Option<usize> {
         (pf >= 1 && usize::from(pf) <= MAX_PREFETCHERS).then(|| usize::from(pf) - 1)
     }
@@ -407,20 +382,6 @@ impl MemoryHierarchy {
         let fill = self.llc.fill_pf(line, PF_OTHER);
         self.note_fill(fill);
         let fill = self.l1i.fill_pf(line, PF_OTHER);
-        self.note_fill(fill);
-        self.inflight.insert(line, (done, HitLevel::Dram, PF_OTHER));
-        self.prefetches_issued += 1;
-    }
-
-    /// Prefetches the data line containing `addr` into the LLC (software
-    /// or experiment-driven prefetch injection).
-    pub fn prefetch_data(&mut self, addr: u64, now: u64) {
-        let line = line_of(addr);
-        if self.llc.probe(line) || self.inflight.contains_key(&line) {
-            return;
-        }
-        let done = self.dram.request(addr, now + self.config.llc_latency);
-        let fill = self.llc.fill_pf(line, PF_OTHER);
         self.note_fill(fill);
         self.inflight.insert(line, (done, HitLevel::Dram, PF_OTHER));
         self.prefetches_issued += 1;
@@ -645,9 +606,16 @@ mod tests {
     fn inst_prefetch_hides_fetch_latency() {
         let mut m = no_prefetch();
         m.prefetch_inst(0x2000, 0);
+        m.prefetch_inst(0x4000, 0);
         // After the prefetch completes, the demand fetch is an L1 hit.
         let r = m.fetch(0x2000, 1000);
         assert_eq!(r.level, HitLevel::L1);
+        // A demand fetch while the fill is in flight merges into it.
+        let r = m.fetch(0x4000, 10);
+        assert_eq!(r.level, HitLevel::Dram);
+        assert_eq!(m.stats().prefetches_issued, 2);
+        // FDIP fills (`PF_OTHER`) are not attributed to any spec unit.
+        assert_eq!(m.stats().prefetch_totals(), PrefetchEffect::default());
     }
 
     #[test]
@@ -660,17 +628,6 @@ mod tests {
         assert_eq!(s.llc.misses, 0);
         assert_eq!(s.llc.prefetch_probes, 2);
         assert_eq!(s.llc.prefetch_misses, 2);
-    }
-
-    #[test]
-    fn data_prefetch_turns_miss_into_llc_hit() {
-        let mut m = no_prefetch();
-        m.prefetch_data(0x700000, 0);
-        let r = m.load(0x700000, 4, 1000);
-        assert_eq!(r.level, HitLevel::Llc);
-        assert_eq!(m.stats().prefetches_issued, 1);
-        // Injected prefetches are not attributed to any registry unit.
-        assert_eq!(m.stats().prefetch_totals(), PrefetchEffect::default());
     }
 
     #[test]
@@ -792,16 +749,6 @@ mod tests {
         assert_eq!(s.l1d.accesses, 2);
         assert_eq!(s.l1i.accesses, 1);
         assert!(s.dram.requests >= 3);
-    }
-
-    #[test]
-    fn invalid_spec_is_rejected_by_validate_and_try_new() {
-        let cfg = HierarchyConfig {
-            prefetcher: PrefetcherSpec::new("warpdrive").unwrap(),
-            ..HierarchyConfig::skylake_like()
-        };
-        assert!(cfg.validate().unwrap_err().contains("warpdrive"));
-        assert!(MemoryHierarchy::try_new(cfg, &PrefetcherRegistry::builtin()).is_err());
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //!
 //! Memory-hierarchy substrate for the CRISP reproduction: set-associative
 //! [`Cache`]s with MSHR-style miss tracking, a banked DDR4 [`Dram`] model
-//! (the role Ramulator plays in the paper), and a zoo of hardware
-//! prefetchers behind a pluggable [`PrefetcherRegistry`] — the Table 1
-//! baseline ([`Bop`] + [`StreamPrefetcher`]), a per-PC
-//! [`StridePrefetcher`], global history buffers ([`Ghb`], [`GhbWidth`]),
-//! temporal streaming ([`Sisb`]) and signature-path prefetching ([`Spp`]).
-//! Mechanisms are selected by a [`PrefetcherSpec`] string such as
-//! `"spp:depth=4+stream"`, and plugins can be registered at runtime.
+//! (the role Ramulator plays in the paper), and the hardware data
+//! prefetchers CRISP is measured against. These are a closed set chosen
+//! by [`PrefetcherSpec`] text such as `"spp:depth=4+stream"`: the Table 1
+//! baseline (`bop` + `stream`), a per-PC `stride` table, global history
+//! buffers (`ghb`, `ghbw`), temporal streaming (`sisb`) and
+//! signature-path prefetching (`spp`). A spec is checked when it is
+//! parsed, so every spec builds.
 //!
 //! The top-level [`MemoryHierarchy`] wires L1I/L1D/LLC/DRAM together and is
 //! the only interface the core simulator talks to: `load`, `store`, and
@@ -43,11 +43,7 @@ pub use dram::{Dram, DramConfig, DramStats};
 pub use hierarchy::{
     AccessResult, HierarchyConfig, HitLevel, MemStats, MemoryHierarchy, PrefetchEffect,
 };
-pub use prefetch::{Bop, Ghb, Prefetcher, StreamPrefetcher, StridePrefetcher};
-pub use registry::{
-    PrefetcherFactory, PrefetcherRegistry, PrefetcherSpec, MAX_PREFETCHERS, SPEC_CAP,
-};
-pub use zoo::{GhbWidth, Sisb, Spp};
+pub use registry::{PrefetcherSpec, MAX_PREFETCHERS, SPEC_CAP};
 
 /// Cache-line size in bytes (64 B everywhere, per Table 1's Skylake-like
 /// uncore).

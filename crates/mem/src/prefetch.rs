@@ -3,7 +3,7 @@
 /// Implementations append candidate *line* addresses to `out`; the
 /// hierarchy issues them as prefetch fills into the LLC (and optionally
 /// L1).
-pub trait Prefetcher {
+pub(crate) trait Prefetcher {
     /// Observes a demand access to `line` (a line address) by the load or
     /// store at `pc`. `l1_hit` tells whether L1 already had the line
     /// (prefetchers typically train on the miss stream only).
@@ -23,7 +23,7 @@ pub trait Prefetcher {
 /// ahead of a stream head advances the stream and prefetches `degree`
 /// lines ahead. New miss addresses allocate streams (LRU replacement).
 #[derive(Clone, Debug)]
-pub struct StreamPrefetcher {
+pub(crate) struct StreamPrefetcher {
     streams: Vec<StreamEntry>,
     max_streams: usize,
     window: u64,
@@ -107,7 +107,7 @@ impl Prefetcher for StreamPrefetcher {
 
 /// A per-PC stride prefetcher (reference predictor table).
 #[derive(Clone, Debug)]
-pub struct StridePrefetcher {
+pub(crate) struct StridePrefetcher {
     table: Vec<StrideEntry>,
     mask: u64,
     degree: u64,
@@ -178,7 +178,7 @@ impl Prefetcher for StridePrefetcher {
 /// weak best score turns prefetching off (the original's "BAD_SCORE"
 /// throttle).
 #[derive(Clone, Debug)]
-pub struct Bop {
+pub(crate) struct Bop {
     offsets: Vec<i64>,
     scores: Vec<u32>,
     test_idx: usize,
@@ -248,12 +248,14 @@ impl Bop {
     }
 
     /// The currently selected prefetch offset (lines).
+    #[cfg(test)]
     pub fn best_offset(&self) -> i64 {
         self.best_offset
     }
 
     /// Whether prefetching is currently enabled (best score was above the
     /// bad-score threshold in the last learning phase).
+    #[cfg(test)]
     pub fn is_active(&self) -> bool {
         self.active
     }
@@ -283,12 +285,6 @@ impl Bop {
         self.scores.iter_mut().for_each(|s| *s = 0);
         self.round = 0;
         self.test_idx = 0;
-    }
-}
-
-impl Default for Bop {
-    fn default() -> Bop {
-        Bop::new()
     }
 }
 
@@ -481,7 +477,7 @@ mod tests {
 /// load PC) through linked pointers; on each miss the last two deltas are
 /// matched against history and the following deltas are prefetched.
 #[derive(Clone, Debug)]
-pub struct Ghb {
+pub(crate) struct Ghb {
     /// Circular global history of (line, previous-entry-with-same-index).
     buffer: Vec<(u64, Option<usize>)>,
     head: usize,

@@ -23,7 +23,7 @@ fn delta_key(delta: i64) -> u64 {
 /// has no history yet, a stride fallback prefetches `degree` lines ahead
 /// at the observed delta.
 #[derive(Clone, Debug)]
-pub struct GhbWidth {
+pub(crate) struct GhbWidth {
     /// Ring of recent miss lines; `prev` links the previous occurrence of
     /// the same delta.
     buffer: Vec<GhbwEntry>,
@@ -189,7 +189,7 @@ impl Prefetcher for GhbWidth {
 /// current line, replaying arbitrary (pointer-chasing) temporal streams
 /// that stride/delta prefetchers cannot express.
 #[derive(Clone, Debug)]
-pub struct Sisb {
+pub(crate) struct Sisb {
     /// Training unit: pc -> last miss line (direct-mapped, tag = pc).
     tu: Vec<Option<(u64, u64)>>,
     tu_mask: u64,
@@ -279,7 +279,7 @@ fn sig_advance(sig: u16, delta: i16) -> u16 {
 /// issued-vs-useful accuracy register) and stops when the path confidence
 /// drops below the throttle threshold or the page boundary is crossed.
 #[derive(Clone, Debug)]
-pub struct Spp {
+pub(crate) struct Spp {
     /// Signature table: page -> (signature, last offset).
     st: Vec<Option<StEntry>>,
     st_mask: u64,

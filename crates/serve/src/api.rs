@@ -20,8 +20,8 @@ pub struct SubmitRequest {
     /// Simulation scale name (`tiny`, `fast`, `full`).
     pub scale: String,
     /// Optional hardware-prefetcher override (`NAME[:k=v,…][+NAME…]`,
-    /// e.g. `spp:depth=4+stride`). Validated and canonicalized by the
-    /// planner; `None` keeps the Skylake default zoo.
+    /// e.g. `spp:depth=4+stride`). Checked by the planner, which keeps
+    /// the text as given; `None` keeps the Skylake default zoo.
     pub prefetcher: Option<String>,
 }
 

@@ -49,7 +49,8 @@ pub enum ClientError {
     Rejected {
         /// HTTP status code.
         status: u16,
-        /// The structured error body's `error` field (or raw body).
+        /// The structured error body's `error` and `detail` fields (or
+        /// the raw body).
         message: String,
     },
     /// The retry budget ran out on transient failures.
@@ -383,14 +384,13 @@ fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
 }
 
 fn rejected(status: u16, body: &Value) -> ClientError {
-    ClientError::Rejected {
-        status,
-        message: body
-            .get("error")
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .unwrap_or_else(|| body.encode()),
-    }
+    let field = |key| body.get(key).and_then(Value::as_str);
+    let message = match (field("error"), field("detail")) {
+        (Some(error), Some(detail)) => format!("{error}: {detail}"),
+        (Some(error), None) => error.to_string(),
+        _ => body.encode(),
+    };
+    ClientError::Rejected { status, message }
 }
 
 fn error_line(raw: &[u8]) -> String {

@@ -83,9 +83,7 @@ pub use error::{ConfigError, DeadlockReport, HeadState, SimError};
 pub use stats::{BranchPcStats, LoadPcStats, SimResult, UpcTimeline};
 
 // Re-exported for convenience: the memory config lives in crisp-mem.
-pub use crisp_mem::{
-    HierarchyConfig, PrefetchEffect, PrefetcherRegistry, PrefetcherSpec, MAX_PREFETCHERS,
-};
+pub use crisp_mem::{HierarchyConfig, PrefetchEffect, PrefetcherSpec, MAX_PREFETCHERS};
 
 // Re-exported for convenience: the observability types carried by
 // [`SimResult`] (flight recorder, stall attribution, interval telemetry,

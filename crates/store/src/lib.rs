@@ -304,7 +304,6 @@ pub struct GcReport {
 #[derive(Debug)]
 pub struct Store {
     root: PathBuf,
-    lock_opts: LockOptions,
 }
 
 fn unix_secs() -> u64 {
@@ -321,22 +320,12 @@ impl Store {
     ///
     /// [`StoreError::Io`] if the store directories cannot be created.
     pub fn open(root: &Path) -> Result<Store, StoreError> {
-        Store::open_with(root, LockOptions::default())
-    }
-
-    /// Opens the store with explicit lock behaviour (tests and tools).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] if the store directories cannot be created.
-    pub fn open_with(root: &Path, lock_opts: LockOptions) -> Result<Store, StoreError> {
         for sub in ["objects", "quarantine", "locks"] {
             let dir = root.join(sub);
             std::fs::create_dir_all(&dir).map_err(|e| StoreError::io(&dir, "create", &e))?;
         }
         Ok(Store {
             root: root.to_path_buf(),
-            lock_opts,
         })
     }
 
@@ -384,7 +373,7 @@ impl Store {
     ///
     /// [`StoreError::LockTimeout`] or [`StoreError::Io`] (see [`acquire`]).
     pub fn lock(&self, key: u128) -> Result<CellLock, StoreError> {
-        acquire(&self.lock_path(key), &self.lock_opts)
+        acquire(&self.lock_path(key), &LockOptions::default())
     }
 
     /// Probes the store for `key`, verifying any entry found and

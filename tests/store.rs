@@ -6,8 +6,8 @@
 
 use crisp_bench::sweep::{run_supervised_sweep, SweepConfig};
 use crisp_bench::ExperimentScale;
-use crisp_harness::store::{decode_entry, encode_entry, CellEntry};
-use crisp_harness::{cell_key, JobOutcome, ResultStoreConfig};
+use crisp_harness::{cell_key, JobOutcome};
+use crisp_store::{decode_entry, encode_entry, CellEntry};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -166,8 +166,6 @@ fn warm_journaled_sweep_is_fully_cached_and_identical() {
         "cache hits must carry provenance in the journal:\n{manifest}"
     );
 
-    // Keying sanity: the config the sweep used points at the same store.
-    let _ = ResultStoreConfig::new(&store);
     std::fs::remove_dir_all(&dir).ok();
 }
 
