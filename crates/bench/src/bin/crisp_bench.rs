@@ -24,10 +24,11 @@
 //!                        may differ)
 //!   --workloads A,B,C    Only run these workloads
 //!   --telemetry DIR      Write one interval-telemetry JSONL stream (plus a
-//!                        top-K stall-attribution table) per simulated
-//!                        sub-run into DIR (cells that drive sims directly)
-//!   --pipe-trace DIR     Write one Kanata/Konata pipeline trace per
-//!                        simulated sub-run into DIR
+//!                        top-K stall-attribution table) per fig1 sub-run
+//!                        (`ooo`, `crisp`) into DIR; no other figure
+//!                        writes telemetry
+//!   --pipe-trace DIR     Write one Kanata/Konata pipeline trace per fig1
+//!                        sub-run into DIR
 //!   --heartbeat MS       Journal each running cell's progress (cycles,
 //!                        instructions, wall-clock) every MS milliseconds;
 //!                        failures cite the last heartbeat
@@ -35,7 +36,7 @@
 //!                        are published to DIR and verified entries skip
 //!                        simulation on later sweeps (corrupt entries are
 //!                        quarantined and re-simulated; concurrent sweeps
-//!                        coordinate via per-cell locks)
+//!                        coordinate via per-cell kernel file locks)
 //!   --inject-panic SUB   Chaos: panic in jobs whose id contains SUB
 //!                        (repeatable)
 //!   --inject-stall SUB   Chaos: freeze the scheduler in jobs whose id

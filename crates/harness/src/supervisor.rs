@@ -603,23 +603,36 @@ struct StoreCounters {
     quarantined: AtomicUsize,
 }
 
+/// How often a worker retries a cell lock that another process holds.
+const LOCK_POLL: Duration = Duration::from_millis(20);
+
 /// What the store fast path decided for one cell.
 enum StoreProbe {
     /// A verified entry exists; serve its payload.
     Hit(Vec<f64>),
     /// No usable entry. If a lock is carried, this worker holds the
-    /// cell's lease and must publish (then release) after computing; a
-    /// `None` lock means lock acquisition failed and the cell computes
+    /// cell's lock and must publish (then release) after computing; a
+    /// `None` lock means locking failed and the cell computes
     /// uncoordinated — safe, at worst duplicating identical work.
     Compute(Option<CellLock>),
+    /// The sweep's stop token tripped while another process held the
+    /// cell's lock: the cell stays unrecorded, like any drained cell.
+    Drained,
 }
 
 /// Probes the store for a cell, coordinating with concurrent sweeps: a
-/// miss acquires the cell's advisory lock and re-probes under it, so a
-/// cell being simulated by another process is awaited, then served from
-/// its published entry instead of duplicated. All store errors degrade to
-/// stderr warnings and uncached computation.
-fn probe_store(store: &Store, key: u128, job_id: &str, counters: &StoreCounters) -> StoreProbe {
+/// miss takes the cell's lock and re-probes under it, so a cell being
+/// simulated by another process is awaited, then served from its
+/// published entry instead of duplicated. The wait ends early when
+/// `stop` trips. All store errors degrade to stderr warnings and
+/// uncached computation.
+fn probe_store(
+    store: &Store,
+    key: u128,
+    job_id: &str,
+    counters: &StoreCounters,
+    stop: Option<&CancelToken>,
+) -> StoreProbe {
     let quarantined = |error: &crisp_store::StoreError| {
         counters.quarantined.fetch_add(1, Ordering::SeqCst);
         eprintln!(
@@ -635,11 +648,15 @@ fn probe_store(store: &Store, key: u128, job_id: &str, counters: &StoreCounters)
             return StoreProbe::Compute(None);
         }
     }
-    let lock = match store.lock(key) {
-        Ok(lock) => lock,
-        Err(e) => {
-            eprintln!("[supervisor] {job_id}: store lock failed ({e}), computing uncached");
-            return StoreProbe::Compute(None);
+    let lock = loop {
+        match store.try_lock(key) {
+            Ok(Some(lock)) => break lock,
+            Ok(None) if stop.is_some_and(CancelToken::is_cancelled) => return StoreProbe::Drained,
+            Ok(None) => std::thread::sleep(LOCK_POLL),
+            Err(e) => {
+                eprintln!("[supervisor] {job_id}: store lock failed ({e}), computing uncached");
+                return StoreProbe::Compute(None);
+            }
         }
     };
     // Re-probe under the lock: the previous holder may have published the
@@ -771,10 +788,11 @@ fn worker_loop(
         let key = cell_key(&job.id, &job.spec);
         let (result, cached, cell_lock) = match store
             .as_ref()
-            .map(|st| probe_store(st, key, &job.id, store_counters))
+            .map(|st| probe_store(st, key, &job.id, store_counters, opts.stop.as_ref()))
         {
             Some(StoreProbe::Hit(payload)) => (Ok(payload), true, None),
             Some(StoreProbe::Compute(lock)) => (run_job(job, opts, runner, registry), false, lock),
+            Some(StoreProbe::Drained) => return,
             None => (run_job(job, opts, runner, registry), false, None),
         };
 
@@ -817,7 +835,7 @@ fn worker_loop(
         let attempt = ("attempt".to_string(), Value::Num(f64::from(ATTEMPT)));
         let outcome = match result {
             Ok(payload) => {
-                // Publish while still holding the cell's lease, then
+                // Publish while still holding the cell's lock, then
                 // release it: waiting processes re-probe and hit.
                 let mut publish_window = None;
                 if let (Some(st), false) = (&store, cached) {
@@ -1576,6 +1594,44 @@ mod tests {
             "a drain leaves a clean manifest, unlike a crash"
         );
         assert_eq!(resumed.payload("slow"), Some(&[3.0][..]));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_sweep_waiting_on_a_held_cell_lock_drains_on_stop() {
+        let dir = std::env::temp_dir().join("crisp-harness-supervisor-lock-drain");
+        std::fs::remove_dir_all(&dir).ok();
+        let store = crisp_store::Store::open(&dir).unwrap();
+        let js = jobs(&["held"]);
+        // Stands in for another sweep process computing the same cell.
+        let _held = store
+            .try_lock(crate::store::cell_key(&js[0].id, &js[0].spec))
+            .unwrap()
+            .expect("the cell's lock is free");
+
+        let stop = CancelToken::new();
+        let opts = SupervisorOptions {
+            store: Some(dir.clone()),
+            stop: Some(stop.clone()),
+            ..SupervisorOptions::default()
+        };
+        // Not a scope: a sweep that never stops waiting must fail the
+        // test at the timeout below, not hang it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let sweep = std::thread::spawn(move || {
+            let _ = tx.send(run_sweep(&js, &opts, &|_job, _ctx| Ok(vec![1.0])));
+        });
+        // Far longer than the worker takes to reach its wait on `_held`.
+        std::thread::sleep(Duration::from_millis(100));
+        stop.cancel();
+        let report = rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("the waiting sweep drains once stop trips")
+            .unwrap();
+        sweep.join().expect("sweep thread");
+        assert!(report.interrupted);
+        assert!(!report.outcomes.contains_key("held"), "left unrecorded");
+        assert_eq!((report.store_hits, report.store_computed), (0, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -149,8 +149,9 @@ pub struct MemStats {
     pub fetches: u64,
     /// Demand loads that missed the LLC (went to DRAM).
     pub load_llc_misses: u64,
-    /// Demand loads that merged into an in-flight fill.
-    pub load_merges: u64,
+    /// Demand accesses that merged into an in-flight fill: loads, stores
+    /// and instruction fetches.
+    pub fill_merges: u64,
     /// Prefetch fills issued to DRAM.
     pub prefetches_issued: u64,
     /// Per-unit effectiveness counters, indexed by the prefetcher's
@@ -167,7 +168,7 @@ pub struct MemStats {
 }
 
 crisp_words::fields! { MemStats {
-    loads, stores, fetches, load_llc_misses, load_merges, prefetches_issued, l1i, l1d, llc,
+    loads, stores, fetches, load_llc_misses, fill_merges, prefetches_issued, l1i, l1d, llc,
     prefetch, dram
 } }
 
@@ -212,7 +213,7 @@ pub struct MemoryHierarchy {
     stores: u64,
     fetches: u64,
     load_llc_misses: u64,
-    load_merges: u64,
+    fill_merges: u64,
     prefetches_issued: u64,
 }
 
@@ -233,7 +234,7 @@ impl MemoryHierarchy {
             stores: 0,
             fetches: 0,
             load_llc_misses: 0,
-            load_merges: 0,
+            fill_merges: 0,
             prefetches_issued: 0,
             config,
         }
@@ -390,7 +391,7 @@ impl MemoryHierarchy {
     fn check_inflight(&mut self, line: u64, now: u64, l1_lat: u64) -> Option<AccessResult> {
         if let Some(&(ready, level, pf)) = self.inflight.get(&line) {
             if ready > now {
-                self.load_merges += 1;
+                self.fill_merges += 1;
                 if pf != 0 {
                     // A demand merged into an in-flight prefetch: the
                     // prefetch was useful but late (it hid only part of
@@ -497,7 +498,7 @@ impl MemoryHierarchy {
             stores: self.stores,
             fetches: self.fetches,
             load_llc_misses: self.load_llc_misses,
-            load_merges: self.load_merges,
+            fill_merges: self.fill_merges,
             prefetches_issued: self.prefetches_issued,
             prefetch: self.effects,
             l1i: self.l1i.stats(),
@@ -573,7 +574,7 @@ mod tests {
         let merge = m.load(0x200000 + 8, 3, 10);
         assert_eq!(merge.level, HitLevel::Dram);
         assert_eq!(merge.latency, r1.latency - 10);
-        assert_eq!(m.stats().load_merges, 1);
+        assert_eq!(m.stats().fill_merges, 1);
         assert_eq!(m.stats().load_llc_misses, 1);
         // After the fill lands, it is a plain L1 hit.
         let after = m.load(0x200000, 4, r1.ready_at(0));
@@ -680,7 +681,7 @@ mod tests {
             "zero-latency marching must produce late merges: {e:?}"
         );
         assert!(
-            m.stats().load_merges >= e.late,
+            m.stats().fill_merges >= e.late,
             "late prefetches are a subset of merges"
         );
     }

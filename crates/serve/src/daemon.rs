@@ -46,10 +46,11 @@ use crisp_harness::{load_manifest, spanlog};
 use crisp_obs::json::Value;
 use crisp_obs::SpanRec;
 use crisp_sim::CancelToken;
-use crisp_store::{fnv1a128, key_hex, LockOptions, Store};
+use crisp_store::{fnv1a128, key_hex, Store};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Seek, SeekFrom};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -346,17 +347,11 @@ pub fn run_daemon(
     std::fs::create_dir_all(&cfg.data_dir)
         .map_err(|e| format!("create {}: {e}", cfg.data_dir.display()))?;
     // One daemon per data directory: the registry and queue assume a
-    // single writer. Dead holders (SIGKILL) are stolen immediately.
-    let lock_path = cfg.data_dir.join("daemon.lock");
-    let _lock = crisp_store::acquire(
-        &lock_path,
-        &LockOptions {
-            stale_after: Duration::from_secs(600),
-            poll: Duration::from_millis(20),
-            wait_timeout: Some(Duration::from_secs(2)),
-        },
-    )
-    .map_err(|e| format!("another daemon owns {}: {e}", cfg.data_dir.display()))?;
+    // single writer. The kernel releases the lock when its holder's
+    // process ends, so a SIGKILLed daemon's lock is free at once.
+    let _lock = crisp_store::try_lock(&cfg.data_dir.join("daemon.lock"))
+        .map_err(|e| e.to_string())?
+        .ok_or_else(|| format!("another daemon owns {}", cfg.data_dir.display()))?;
 
     let registry = Registry::open(&cfg.data_dir)?;
     let store_dir = cfg
@@ -421,7 +416,7 @@ pub fn run_daemon(
                 return;
             }
             match listener.accept() {
-                Ok((stream, _peer)) => {
+                Ok((mut stream, _peer)) => {
                     if state.connections.load(Ordering::SeqCst) >= cfg.max_connections {
                         refuse_connection(stream, cfg);
                         continue;
@@ -429,7 +424,21 @@ pub fn run_daemon(
                     state.connections.fetch_add(1, Ordering::SeqCst);
                     let state = &state;
                     scope.spawn(move || {
-                        handle_connection(stream, cfg, state, plan, shutdown);
+                        // A panicking handler answers 500 and frees its
+                        // slot; it never reaches the scope's join.
+                        if catch_unwind(AssertUnwindSafe(|| {
+                            handle_connection(&mut stream, cfg, state, plan, shutdown);
+                        }))
+                        .is_err()
+                        {
+                            let _ = write_response(
+                                &mut stream,
+                                500,
+                                reason(500),
+                                &[],
+                                &error_body("internal error", "the request handler panicked"),
+                            );
+                        }
                         state.connections.fetch_sub(1, Ordering::SeqCst);
                     });
                 }
@@ -637,7 +646,7 @@ fn refuse_connection(mut stream: TcpStream, cfg: &DaemonConfig) {
 }
 
 fn handle_connection(
-    mut stream: TcpStream,
+    stream: &mut TcpStream,
     cfg: &DaemonConfig,
     state: &State,
     plan: &PlanFn<'_>,
@@ -645,11 +654,11 @@ fn handle_connection(
 ) {
     let _ = stream.set_read_timeout(Some(cfg.io_timeout));
     let _ = stream.set_write_timeout(Some(cfg.io_timeout));
-    let request = match read_request(&mut stream, &cfg.limits) {
+    let request = match read_request(stream, &cfg.limits) {
         Ok(req) => req,
         Err(e) => {
             let _ = write_response(
-                &mut stream,
+                stream,
                 e.status(),
                 reason(e.status()),
                 &[],
@@ -664,13 +673,13 @@ fn handle_connection(
     // lifetime is the job's, so it is counted but not latency-observed.
     if request.method == "GET" {
         if let Some((id, from)) = parse_events_path(&request.path) {
-            stream_events(&mut stream, state, id, from, shutdown);
+            stream_events(stream, state, id, from, shutdown);
             return;
         }
     }
     let served = Instant::now();
     let (status, headers, body) = route(&request, cfg, state, plan, shutdown);
-    let _ = write_response(&mut stream, status, reason(status), &headers, &body);
+    let _ = write_response(stream, status, reason(status), &headers, &body);
     state
         .metrics
         .http_request_seconds
@@ -1071,8 +1080,13 @@ mod tests {
     use std::io::{Read, Write};
     use std::sync::atomic::AtomicU32;
 
-    /// A toy planner: each target is one cell keyed by its name.
+    /// A toy planner: each target is one cell keyed by its name. It
+    /// panics on the target `panic`.
     fn toy_plan(req: &SubmitRequest) -> Result<JobPlan, String> {
+        assert!(
+            !req.targets.iter().any(|t| t == "panic"),
+            "the toy planner panics on `panic`"
+        );
         if req.scale != "tiny" {
             return Err(format!("unknown scale `{}`", req.scale));
         }
@@ -1786,6 +1800,22 @@ mod tests {
         d2.drain();
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&dir2).ok();
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_500_and_frees_its_slot() {
+        let dir = temp_dir("handler-panic");
+        let d = Daemon::spawn(&dir, 4, Duration::ZERO);
+        let (status, body) = d.post_jobs("{\"targets\":[\"panic\"],\"scale\":\"tiny\"}");
+        assert_eq!(status, 500, "{body}");
+        let (status, body) = d.get("/stats");
+        assert_eq!(status, 200);
+        assert!(
+            body.contains("\"connections\":1,"),
+            "only the /stats request itself is open: {body}"
+        );
+        d.drain();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //! - **corruption is quarantined, never served** — any integrity failure
 //!   on read moves the entry to `quarantine/` and reports a miss, so the
 //!   cell is transparently re-simulated;
-//! - **concurrent sweeps coordinate, not conflict** — advisory per-cell
-//!   lock files ([`lock`]) with dead-PID detection and stale-lease
-//!   recovery serialize simulation of one cell across processes, while
-//!   atomic publication keeps even a lost lock benign.
+//! - **concurrent sweeps coordinate, not conflict** — per-cell lock
+//!   files held through kernel file locks ([`lock`]) serialize
+//!   simulation of one cell across processes; the kernel releases a lock
+//!   when its holder's process ends, and atomic publication keeps even a
+//!   lost lock benign.
 //!
 //! Layout under the store root:
 //!
@@ -27,7 +28,7 @@
 //!   objects/<hh>/<key>.cell    entries (hh = first two hex digits)
 //!   objects/<hh>/<key>.touch   advisory access stamps (hits, last use)
 //!   quarantine/                corrupt entries, preserved for forensics
-//!   locks/<key>.lock           advisory per-cell leases
+//!   locks/<key>.lock           per-cell lock files (kept after release)
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,7 +40,7 @@ pub mod lock;
 
 pub use entry::{decode_entry, encode_entry, read_entry, write_entry, CellEntry, STORE_VERSION};
 pub use hash::{fnv1a128, key_hex, parse_key};
-pub use lock::{acquire, CellLock, LockOptions};
+pub use lock::{try_lock, CellLock};
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -170,13 +171,6 @@ pub enum StoreError {
         /// The entry path.
         path: PathBuf,
     },
-    /// A lock acquisition outwaited its configured patience.
-    LockTimeout {
-        /// The lock file path.
-        path: PathBuf,
-        /// How long the acquirer waited.
-        waited_ms: u64,
-    },
 }
 
 impl StoreError {
@@ -225,11 +219,6 @@ impl fmt::Display for StoreError {
             StoreError::PayloadCrc { path } => {
                 write!(f, "store entry {}: payload failed its CRC", path.display())
             }
-            StoreError::LockTimeout { path, waited_ms } => write!(
-                f,
-                "lock {}: still held after {waited_ms} ms",
-                path.display()
-            ),
         }
     }
 }
@@ -367,13 +356,14 @@ impl Store {
             .join(format!("{}.lock", key_hex(key)))
     }
 
-    /// Acquires the advisory per-cell lock for `key` (see [`lock`]).
+    /// Takes the per-cell lock for `key` without waiting (see [`lock`]):
+    /// `None` while another holder has it.
     ///
     /// # Errors
     ///
-    /// [`StoreError::LockTimeout`] or [`StoreError::Io`] (see [`acquire`]).
-    pub fn lock(&self, key: u128) -> Result<CellLock, StoreError> {
-        acquire(&self.lock_path(key), &LockOptions::default())
+    /// [`StoreError::Io`] (see [`try_lock`]).
+    pub fn try_lock(&self, key: u128) -> Result<Option<CellLock>, StoreError> {
+        try_lock(&self.lock_path(key))
     }
 
     /// Probes the store for `key`, verifying any entry found and
@@ -432,9 +422,16 @@ impl Store {
 
     /// Removes the entry for `key`; returns whether one existed.
     pub fn evict(&self, key: u128) -> bool {
-        let path = self.entry_path(key);
-        let _ = std::fs::remove_file(Self::touch_path(&path));
-        std::fs::remove_file(&path).is_ok()
+        self.remove_entry(key, &self.entry_path(key))
+    }
+
+    /// Deletes an entry file with its access stamp and its key's lock
+    /// file. A process that holds the lock keeps it on the unlinked file,
+    /// so at worst one other process computes the same bytes again.
+    fn remove_entry(&self, key: u128, path: &Path) -> bool {
+        let _ = std::fs::remove_file(Self::touch_path(path));
+        let _ = std::fs::remove_file(self.lock_path(key));
+        std::fs::remove_file(path).is_ok()
     }
 
     /// Bumps the advisory access stamp for an entry: hit count plus
@@ -587,18 +584,17 @@ impl Store {
             survivors.push((last_use, key, path, bytes));
         }
         survivors.sort_unstable_by_key(|(last_use, key, ..)| (*last_use, *key));
-        let evict_one = |path: &Path, bytes: u64, report: &mut GcReport| {
-            let _ = std::fs::remove_file(Self::touch_path(path));
-            if std::fs::remove_file(path).is_ok() {
+        let evict_one = |key: u128, path: &Path, bytes: u64, report: &mut GcReport| {
+            if self.remove_entry(key, path) {
                 report.evicted += 1;
                 report.reclaimed_bytes += bytes;
             }
         };
         if let Some(max_age) = policy.max_age {
             let cutoff = now.saturating_sub(max_age.as_secs());
-            survivors.retain(|(last_use, _, path, bytes)| {
+            survivors.retain(|(last_use, key, path, bytes)| {
                 if *last_use < cutoff {
-                    evict_one(path, *bytes, &mut report);
+                    evict_one(*key, path, *bytes, &mut report);
                     false
                 } else {
                     true
@@ -607,8 +603,8 @@ impl Store {
         }
         if let Some(max_entries) = policy.max_entries {
             while survivors.len() > max_entries {
-                let (_, _, path, bytes) = survivors.remove(0);
-                evict_one(&path, bytes, &mut report);
+                let (_, key, path, bytes) = survivors.remove(0);
+                evict_one(key, &path, bytes, &mut report);
             }
         }
         Ok(report)
@@ -833,7 +829,12 @@ mod tests {
         let b = fnv1a128(b"b");
         store.publish(a, "a", &[1.0]).unwrap();
         store.publish(b, "b", &[2.0]).unwrap();
+        drop(store.try_lock(a).unwrap());
+        drop(store.try_lock(b).unwrap());
         assert!(store.evict(a));
+        // The lock file goes with its entry.
+        assert!(!store.lock_path(a).exists());
+        assert!(store.lock_path(b).exists());
         assert!(!store.evict(a), "second evict finds nothing");
         assert!(matches!(store.lookup(a).unwrap(), Lookup::Miss));
         assert!(matches!(store.lookup(b).unwrap(), Lookup::Hit(_)));
@@ -844,10 +845,11 @@ mod tests {
     fn the_cell_lock_round_trips_through_the_store() {
         let (dir, store) = temp_store("lock");
         let key = fnv1a128(b"locked-cell");
-        let guard = store.lock(key).unwrap();
-        assert!(guard.path().starts_with(dir.join("locks")));
+        let guard = store.try_lock(key).unwrap().expect("a fresh lock is free");
+        assert!(store.lock_path(key).is_file());
+        assert!(store.try_lock(key).unwrap().is_none(), "held by `guard`");
         drop(guard);
-        let _again = store.lock(key).unwrap();
+        assert!(store.try_lock(key).unwrap().is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 }
